@@ -106,9 +106,8 @@ func BenchmarkPerfMemSummaryDataflow(b *testing.B) {
 }
 
 // noCleanTier caps the engine at the trace tier — the configuration
-// BenchmarkPerfMemSparseTaint is A/B-measured against. The sparse
-// workload's moving pointer defeats the value-keyed clean-taint gate,
-// so this is the full-transfer trace path.
+// BenchmarkPerfMemSparseTaint is A/B-measured against. Without the
+// clean tier every trace entry runs the full-transfer trace loop.
 func noCleanTier(cfg *hth.Config) { cfg.Monitor.CleanThreshold = 0 }
 
 func BenchmarkPerfMemSparseTaint(b *testing.B) {

@@ -277,13 +277,11 @@ type perfRow struct {
 	TierHitRate  float64 `json:"tier_hit_rate,omitempty"`
 
 	// Trace tier statistics (zero outside full mode): superblock
-	// traces compiled, block entries served inside a trace, side
-	// exits taken, and trace entries dispatched tag-free through the
-	// clean-taint gate.
+	// traces compiled, block entries served inside a trace, and side
+	// exits taken.
 	TraceCompiled  uint64 `json:"trace_compiled,omitempty"`
 	TraceHits      uint64 `json:"trace_hits,omitempty"`
 	TraceSideExits uint64 `json:"trace_side_exits,omitempty"`
-	GateSkips      uint64 `json:"gate_skips,omitempty"`
 
 	// Clean tier statistics (zero outside full mode): block/trace
 	// entries that ran fully uninstrumented, verdicts cached by the
@@ -297,7 +295,7 @@ type perfRow struct {
 func printPerf(intro *hth.Introspection) ([]perfRow, *hth.MetricsSnapshot) {
 	t := &report.Table{
 		Title:  "Section 9: Performance (virtual-machine throughput per monitoring level)",
-		Header: []string{"Workload", "Mode", "Guest instrs", "Wall time", "Slowdown vs bare", "Tier hits", "Trace hits", "Gate", "Clean"},
+		Header: []string{"Workload", "Mode", "Guest instrs", "Wall time", "Slowdown vs bare", "Tier hits", "Trace hits", "Clean"},
 	}
 	// One shared metrics registry observes every perf run; its snapshot
 	// lands under "metrics" in BENCH_<date>.json.
@@ -334,12 +332,10 @@ func printPerf(intro *hth.Introspection) ([]perfRow, *hth.MetricsSnapshot) {
 			if res.Stats.TierPromoted+res.Stats.TierPinned > 0 {
 				tier = fmt.Sprintf("%.1f%%", 100*hitRate)
 			}
-			// Trace-tier share of all block entries, and the fraction of
-			// trace dispatches the clean-taint gate served tag-free.
-			trace, gate := "—", "—"
+			// Trace-tier share of all block entries.
+			trace := "—"
 			if res.Stats.TraceCompiled > 0 {
 				trace = fmt.Sprintf("%.1f%%", 100*float64(res.Stats.TraceHits)/float64(res.Stats.Blocks))
-				gate = fmt.Sprint(res.Stats.GateSkips)
 			}
 			// Clean-tier share of all block entries: the fraction that ran
 			// fully uninstrumented after a footprint proof.
@@ -348,7 +344,7 @@ func printPerf(intro *hth.Introspection) ([]perfRow, *hth.MetricsSnapshot) {
 				clean = fmt.Sprintf("%.1f%%", 100*float64(res.Stats.CleanHits)/float64(res.Stats.Blocks))
 			}
 			t.Add(wl, mode.String(), fmt.Sprint(res.TotalSteps),
-				elapsed.Round(time.Microsecond).String(), slow, tier, trace, gate, clean)
+				elapsed.Round(time.Microsecond).String(), slow, tier, trace, clean)
 			rows = append(rows, perfRow{
 				Workload:       wl,
 				Mode:           mode.String(),
@@ -366,7 +362,6 @@ func printPerf(intro *hth.Introspection) ([]perfRow, *hth.MetricsSnapshot) {
 				TraceCompiled:  res.Stats.TraceCompiled,
 				TraceHits:      res.Stats.TraceHits,
 				TraceSideExits: res.Stats.TraceSideExits,
-				GateSkips:      res.Stats.GateSkips,
 
 				CleanHits:         res.Stats.CleanHits,
 				CleanDemotions:    res.Stats.CleanDemoted,

@@ -9,18 +9,16 @@ import (
 
 // This file is the fourth execution tier of the tiered taint engine:
 // the *clean tier*, the dynamic form of taint-scoped partial
-// instrumentation (PAPERS.md, Thakur 2024). The clean-taint gate in
-// trace.go already skips taint transfer for traces whose effect was
-// verified stationary — but its verdicts are keyed on the concrete
-// *values* of the address-forming registers, so a loop that walks a
-// moving pointer misses the gate on every entry and pays the full
-// transfer forever, even though it never goes near a tag.
+// instrumentation (PAPERS.md, Thakur 2024), and the engine's one way
+// of skipping taint work: hot code that never goes near a tag should
+// not pay for transferring one.
 //
-// The clean tier closes that hole with a value-INDEPENDENT proof.
-// A compiled block or trace is demotable when its whole memory
-// footprint is expressible as entry-register + displacement (the same
-// symbolic-address property the summary compiler and the gate already
-// establish). At entry, the footprint resolves to a small set of
+// The proof is value-INDEPENDENT, so a loop that walks a moving
+// pointer stays demoted. A compiled block or trace is demotable when
+// its whole memory footprint is expressible as entry-register +
+// displacement (the symbolic-address property the summary compiler
+// establishes, and which the trace compiler runs over its whole
+// path). At entry, the footprint resolves to a small set of
 // shadow pages; if every one of those pages holds no tainted byte,
 // every load in the block reads the Empty tag — so each op's transfer
 // can be checked for no-op-ness against the entry register tags
@@ -45,7 +43,7 @@ import (
 //
 // Re-instrumentation is the correctness bar. A cached verdict can rot
 // only when taint *arrives* at one of its footprint pages, and a page
-// can only go dirty through a zero→nonzero population flip — the
+// can only become tainted through a zero→nonzero population flip — the
 // event taint.Shadow.FlipGen counts and Shadow.OnPageFlip reports
 // synchronously. Every cleanEnt snapshots the flip generation (and
 // Harrier's taint-source epoch, advanced by the vos TaintSource seam

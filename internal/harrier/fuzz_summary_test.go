@@ -19,7 +19,7 @@ import (
 // design: the process dies and its taint state is unreachable, which
 // is exactly the argument that makes whole-block application sound.
 func FuzzSummaryApply(f *testing.F) {
-	f.Add([]byte{0x02, 0x00, 0x00, 0x10})          // mov eax, [0x40]
+	f.Add([]byte{0x02, 0x00, 0x00, 0x10})                         // mov eax, [0x40]
 	f.Add([]byte{0x05, 0x09, 0x00, 0x20, 0x02, 0x11, 0x00, 0x08}) // alu + mov mix
 	f.Add([]byte{0x14, 0x03, 0x00, 0x00, 0x15, 0x01, 0x00, 0x00}) // push/pop
 	f.Add([]byte{0x0d, 0x00, 0x00, 0x00, 0x0e, 0x02, 0x00, 0x00}) // not/neg

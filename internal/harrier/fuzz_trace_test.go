@@ -25,9 +25,9 @@ func FuzzTraceApply(f *testing.F) {
 		0x10, 0x01, 0x00, 0x00,
 		0x19, 0x00, 0x00, 0x01,
 	})
-	f.Add([]byte{0x02, 0x00, 0x00, 0x10, 0x18, 0x00, 0x00, 0x00})       // mov + jmp
-	f.Add([]byte{0x05, 0x09, 0x00, 0x20, 0x1a, 0x05, 0x00, 0x08})       // alu + jz fwd
-	f.Add([]byte{0x14, 0x03, 0x00, 0x00, 0x15, 0x01, 0x00, 0x00})       // push/pop
+	f.Add([]byte{0x02, 0x00, 0x00, 0x10, 0x18, 0x00, 0x00, 0x00})                         // mov + jmp
+	f.Add([]byte{0x05, 0x09, 0x00, 0x20, 0x1a, 0x05, 0x00, 0x08})                         // alu + jz fwd
+	f.Add([]byte{0x14, 0x03, 0x00, 0x00, 0x15, 0x01, 0x00, 0x00})                         // push/pop
 	f.Add([]byte{0x09, 0x11, 0x00, 0x00, 0x16, 0x00, 0x00, 0x00, 0x1b, 0x02, 0x00, 0x00}) // div + cpuid + jcc
 
 	f.Fuzz(func(t *testing.T, data []byte) {

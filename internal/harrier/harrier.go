@@ -71,9 +71,9 @@ type Config struct {
 	// TraceThreshold is the second promotion point: a summarized block
 	// whose counter reaches it is compiled into a superblock trace —
 	// hot blocks chained across predicted edges and executed (taint
-	// transfer fused with concrete semantics) in a single hook call,
-	// with a clean-taint gate that skips the transfer entirely while
-	// the trace's taint effect is provably stationary (see trace.go).
+	// transfer fused with concrete semantics) in a single hook call
+	// (see trace.go). Only the clean tier (CleanThreshold) ever runs a
+	// trace without its taint transfer.
 	// 0 disables the trace tier; blocks stop at the summary tier.
 	// Requires tiering (PromoteThreshold > 0) to be reachable at all.
 	TraceThreshold int
@@ -141,7 +141,7 @@ type Stats struct {
 	TraceCompiled    uint64 // superblock traces compiled
 	TraceHits        uint64 // block entries served inside a trace
 	TraceSideExits   uint64 // trace runs ended by a mispredicted branch
-	GateSkips        uint64 // trace runs served by the clean-taint gate
+	GateSkips        uint64 // always 0 since the gate was removed; kept for cmd/hth-load
 	TierTraceDemoted uint64 // traces dropped by execve invalidation
 
 	// Clean tier counters (see cleantier.go). CleanHits is included in

@@ -41,23 +41,23 @@ import (
 type sumCode uint8
 
 const (
-	cRegSet       sumCode = iota // regtags[dst] = tag
-	cRegCopy                     // regtags[dst] = regtags[src]
-	cRegSetUnion                 // regtags[dst] = U(tag, regtags[src])
-	cRegUnionReg                 // regtags[dst] = U(regtags[dst], regtags[src])
-	cRegUnionTag                 // regtags[dst] = U(regtags[dst], tag)
-	cRegLoadW                    // regtags[dst] = GetWord(eaB)
-	cRegLoadB                    // regtags[dst] = Get(eaB)
-	cRegUnionLoadW               // regtags[dst] = U(regtags[dst], GetWord(eaB))
-	cStoreWReg                   // SetWord(eaA, regtags[src])
-	cStoreWTag                   // SetWord(eaA, tag)
-	cStoreBReg                   // Set(eaA, regtags[src])
-	cStoreBTag                   // Set(eaA, tag)
-	cMemUnionReg                 // SetWord(eaA, U(GetWord(eaA), regtags[src]))
-	cMemUnionTag                 // SetWord(eaA, U(GetWord(eaA), tag))
-	cMemUnionLoadW               // SetWord(eaA, U(GetWord(eaA), GetWord(eaB)))
-	cMemCopyW                    // SetWord(eaA, GetWord(eaB))
-	cMemCopyB                    // Set(eaA, Get(eaB))
+	cRegSet        sumCode = iota // regtags[dst] = tag
+	cRegCopy                      // regtags[dst] = regtags[src]
+	cRegSetUnion                  // regtags[dst] = U(tag, regtags[src])
+	cRegUnionReg                  // regtags[dst] = U(regtags[dst], regtags[src])
+	cRegUnionTag                  // regtags[dst] = U(regtags[dst], tag)
+	cRegLoadW                     // regtags[dst] = GetWord(eaB)
+	cRegLoadB                     // regtags[dst] = Get(eaB)
+	cRegUnionLoadW                // regtags[dst] = U(regtags[dst], GetWord(eaB))
+	cStoreWReg                    // SetWord(eaA, regtags[src])
+	cStoreWTag                    // SetWord(eaA, tag)
+	cStoreBReg                    // Set(eaA, regtags[src])
+	cStoreBTag                    // Set(eaA, tag)
+	cMemUnionReg                  // SetWord(eaA, U(GetWord(eaA), regtags[src]))
+	cMemUnionTag                  // SetWord(eaA, U(GetWord(eaA), tag))
+	cMemUnionLoadW                // SetWord(eaA, U(GetWord(eaA), GetWord(eaB)))
+	cMemCopyW                     // SetWord(eaA, GetWord(eaB))
+	cMemCopyB                     // Set(eaA, Get(eaB))
 )
 
 var sumCodeNames = [...]string{

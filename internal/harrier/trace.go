@@ -25,30 +25,15 @@ import (
 // exits, leaving EIP at the untraced target so the interpreter (or a
 // summary, or another trace) picks up at a genuine block entry. Every
 // run of a trace therefore executes a *prefix* of the recorded path,
-// which is what makes the exit protocol and the clean-taint gate below
-// sound.
+// which is what makes the exit protocol and the clean tier's per-mop
+// proof (cleantier.go) sound.
 //
-// The clean-taint gate is the dynamic form of the partial-
-// instrumentation observation (PAPERS.md, Thakur 2024): the vast
-// majority of hot code moves already-tagged data over identically-
-// tagged destinations, so its taint transfer is a no-op. The gate
-// detects that stationarity per trace. A *verify* run executes the
-// full transfer while checking that no register tag and no shadow tag
-// actually changed (shadow changes are observable as a Shadow.Gen
-// movement, register changes via compare-before-write). A clean verify
-// run installs a gate entry keyed by everything the trace's taint
-// effect can depend on: the shadow (identity and generation), the
-// entry tags of all eight registers, and the concrete entry values of
-// the registers that form taint-relevant addresses (found by running
-// the summary compiler's symbolic address domain over the whole path —
-// a trace whose taint addresses are not expressible as entry-register
-// + displacement is never gated). A later entry matching the key runs
-// the *bare* variant — concrete execution only, no taint transfer at
-// all — up to the mop index the verify run covered. Prefix soundness:
-// each verified mop's transfer depends only on the keyed state, so
-// skipping it is exact, not approximate; detections stay bit-identical
-// (TestTraceDifferentialSweep) while the gated loop pays zero shadow
-// and union traffic.
+// A trace has exactly two loops: runTraceTaint, the full transfer,
+// and runTraceBare, concrete semantics only, which runs only under a
+// live clean-tier verdict. The compiler also runs the summary
+// compiler's symbolic address domain over the whole path; when every
+// taint-touching address is expressible as entry-register +
+// displacement, that op stream yields the clean tier's footprint.
 const (
 	// traceMaxInstrs caps the guest instructions one trace may retire,
 	// below the scheduler's 128-instruction slice so a full run fits a
@@ -57,13 +42,6 @@ const (
 	traceMaxBlocks = 32
 	// traceNoBase in a mop base slot marks an absolute address.
 	traceNoBase = 0xFF
-	// Clean-taint gate geometry: cached verdicts per trace, and the
-	// most address-forming entry registers a gated trace may have.
-	// Ways are sized for loops whose entry register values cycle
-	// through more phases than a handful (scheduler slices cutting a
-	// loop trace at varying offsets produce exactly that pattern).
-	traceGateWays = 16
-	traceGateRegs = 4
 )
 
 // mopCode selects a fused micro-op. The set covers every instruction
@@ -126,14 +104,14 @@ const (
 // is needed because mops run in program order.
 type mop struct {
 	code  mopCode
-	aop   uint8 // ALU/unary/compare opcode, or branch opcode for mBr
-	reg   uint8 // destination register (source for the MR store shapes)
-	reg2  uint8 // source register (RR shapes)
-	base  uint8 // A-side (destination) memory base; traceNoBase = absolute
-	base2 uint8 // B-side (source) memory base; traceNoBase = absolute
-	pred  bool  // mBr: the traced direction is "taken"
-	disp  uint32 // A-side displacement / RI immediate / mBr taken target / mBBEnter block index
-	disp2 uint32 // B-side displacement / MI immediate / mBr fall-through target
+	aop   uint8     // ALU/unary/compare opcode, or branch opcode for mBr
+	reg   uint8     // destination register (source for the MR store shapes)
+	reg2  uint8     // source register (RR shapes)
+	base  uint8     // A-side (destination) memory base; traceNoBase = absolute
+	base2 uint8     // B-side (source) memory base; traceNoBase = absolute
+	pred  bool      // mBr: the traced direction is "taken"
+	disp  uint32    // A-side displacement / RI immediate / mBr taken target / mBBEnter block index
+	disp2 uint32    // B-side displacement / MI immediate / mBr fall-through target
 	tag   taint.Tag // compile-time tag operand (BINARY of the owning image)
 }
 
@@ -163,17 +141,6 @@ type traceBlock struct {
 	instrs      int
 }
 
-// gateEnt is one cached clean-taint verdict: with this shadow at this
-// generation, these entry register tags and these address-register
-// values, the trace's taint transfer is a no-op through mop index end.
-type gateEnt struct {
-	sh   *taint.Shadow
-	gen  uint64
-	end  int
-	vals [traceGateRegs]uint32
-	tags [isa.NumRegs]taint.Tag
-}
-
 // blockTrace is a compiled superblock trace, installed in the entry
 // leader's summary slot in place of its *blockSummary (which it keeps
 // as head, both for ownership checks and as the fallback when the
@@ -185,24 +152,15 @@ type blockTrace struct {
 	blocks []traceBlock
 
 	// clean is the fourth-tier demotion state (see cleantier.go). Only
-	// initialized when the symbolic gate held for the whole path
-	// (gateOK), because the footprint is derived from the same
-	// entry-relative symbolic address stream.
+	// initialized when the symbolic address pass held for the whole
+	// path (traceCompiler.symOK), because the footprint is derived from
+	// its entry-relative address stream.
 	clean cleanState
 
 	nInstr    uint16 // instructions retired by a full run
 	nData     uint16 // data-moving instructions instrumented by a full run
 	endEIP    uint32 // exit point of a full run
 	endJumped bool
-
-	// Clean-taint gate state. gateOK is decided at compile time; the
-	// entries are filled by verify runs and replaced round-robin.
-	gateOK bool
-	nIn    int
-	inRegs [traceGateRegs]uint8
-	gate   [traceGateWays]gateEnt
-	gateN  int
-	gateRR int
 }
 
 // ea resolves the A-side (destination) memory address of a mop.
@@ -226,9 +184,9 @@ func (op *mop) ea2(c *isa.CPU) uint32 {
 // traceCompiler walks the hot path from a head leader, chaining block
 // after block into the mop program. It carries the summary compiler's
 // symbolic address domain (sc) in parallel — not for emission, but to
-// decide clean-taint gate eligibility: the gate is sound only when
-// every taint-touching address of the whole path is expressible as
-// entry-register + displacement.
+// derive the clean-tier footprint, which exists only when every
+// taint-touching address of the whole path is expressible as
+// entry-register + displacement (symOK).
 type traceCompiler struct {
 	h      *Harrier
 	s      *isa.Span
@@ -239,8 +197,8 @@ type traceCompiler struct {
 	steps  int
 	nData  int
 
-	sc     sumCompiler
-	gateOK bool
+	sc    sumCompiler
+	symOK bool
 
 	endEIP    uint32
 	endJumped bool
@@ -289,7 +247,7 @@ func (h *Harrier) traceCtr(key bbKey) *int64 {
 // semantics never need replicating here.
 func (h *Harrier) compileTrace(s *isa.Span, leader int, head *blockSummary) *blockTrace {
 	bin := h.binTag(s.Image)
-	tc := &traceCompiler{h: h, s: s, bin: bin, gateOK: true}
+	tc := &traceCompiler{h: h, s: s, bin: bin, symOK: true}
 	tc.sc = sumCompiler{st: h.Store, bin: bin, hw: h.hwTag}
 	for r := range tc.sc.sym {
 		tc.sc.sym[r] = symVal{kind: symRegOff, reg: isa.Reg(r)}
@@ -388,16 +346,9 @@ walk:
 		head: head, mops: tc.mops, info: tc.info, blocks: tc.blocks,
 		nInstr: uint16(tc.steps), nData: uint16(tc.nData),
 		endEIP: tc.endEIP, endJumped: tc.endJumped,
-		gateOK: tc.gateOK,
 	}
-	if tr.gateOK {
-		// Footprint first: collectGateRegs may clear gateOK when the
-		// input set overflows, but the footprint derivation only needs
-		// the symbolic address stream, which held for the whole path.
-		if h.cleanThreshold > 0 {
-			tr.clean.initFootprint(tc.sc.ops)
-		}
-		tr.collectGateRegs(tc.sc.ops)
+	if tc.symOK && h.cleanThreshold > 0 {
+		tr.clean.initFootprint(tc.sc.ops)
 	}
 	return tr
 }
@@ -424,12 +375,12 @@ func (tc *traceCompiler) emit(m mop, addr uint32) {
 }
 
 // scStep advances the symbolic address domain across one consumed
-// instruction; the first inexpressible address disables the gate for
-// the whole trace (the trace itself stays valid — it simply always
-// runs with full taint transfer).
+// instruction; the first inexpressible address leaves the whole trace
+// without a clean footprint (the trace itself stays valid — it simply
+// always runs with full taint transfer).
 func (tc *traceCompiler) scStep(in *isa.Instr) {
-	if tc.gateOK && !tc.sc.instr(in) {
-		tc.gateOK = false
+	if tc.symOK && !tc.sc.instr(in) {
+		tc.symOK = false
 	}
 }
 
@@ -591,51 +542,10 @@ func (tc *traceCompiler) instr(i int, in *isa.Instr) bool {
 	return true
 }
 
-// collectGateRegs extracts, from the symbolic pass's (discarded) op
-// list, the set of entry registers that form taint-relevant addresses
-// — the registers whose concrete values a gate entry must key on.
-// More than traceGateRegs distinct bases disables the gate.
-func (tr *blockTrace) collectGateRegs(ops []sumOp) {
-	var mask uint32
-	for i := range ops {
-		op := &ops[i]
-		switch op.code {
-		case cRegLoadW, cRegLoadB, cRegUnionLoadW:
-			if op.bBase != sumNoBase {
-				mask |= 1 << op.bBase
-			}
-		case cStoreWReg, cStoreWTag, cStoreBReg, cStoreBTag, cMemUnionReg, cMemUnionTag:
-			if op.aBase != sumNoBase {
-				mask |= 1 << op.aBase
-			}
-		case cMemUnionLoadW, cMemCopyW, cMemCopyB:
-			if op.aBase != sumNoBase {
-				mask |= 1 << op.aBase
-			}
-			if op.bBase != sumNoBase {
-				mask |= 1 << op.bBase
-			}
-		}
-	}
-	for r := uint8(0); r < uint8(isa.NumRegs); r++ {
-		if mask&(1<<r) == 0 {
-			continue
-		}
-		if tr.nIn == traceGateRegs {
-			tr.gateOK = false
-			tr.nIn = 0
-			return
-		}
-		tr.inRegs[tr.nIn] = r
-		tr.nIn++
-	}
-}
-
 // --- trace execution ----------------------------------------------
 
 // traceExit describes where a trace run stopped: the architectural
-// exit point, the retired/instrumented instruction counts, the first
-// mop index this run did NOT cover (the gate entry's end), and the
+// exit point, the retired/instrumented instruction counts, and the
 // guest fault if the run died on one.
 type traceExit struct {
 	eip    uint32
@@ -646,30 +556,23 @@ type traceExit struct {
 	steps   uint32
 	nData   uint32
 	nBlocks uint32
-	end     int
-	dirty   bool
 	lastB   *traceBlock
 	fault   *isa.Fault
 }
 
-// runTrace executes a compiled trace: gate probe, then the bare or
-// full-taint mop loop, then the exit protocol. budget is the
+// runTrace executes a compiled trace: clean-tier probe, then the bare
+// or full-taint mop loop, then the exit protocol. budget is the
 // scheduler's remaining quantum (<= 0: unlimited); the caller has
 // already checked that the first block fits.
 func (h *Harrier) runTrace(c *isa.CPU, tr *blockTrace, budget int) error {
-	sh := c.Shadow
-	verify := false
-	var entGen uint64
-	var entVals [traceGateRegs]uint32
 	if tr.clean.ok && h.cleanProbeTrace(c, tr) {
 		// Clean tier: the whole transfer is a proven no-op under the
 		// current footprint/tag state, so run the trace with zero
-		// instrumentation. end = len(mops) means the bare loop never
-		// hands over to the taint loop (cont is always -1).
+		// instrumentation.
 		if h.tt != nil {
 			h.tt.Touch(obs.TierClean)
 		}
-		ex, _ := h.runTraceBare(c, tr, budget, len(tr.mops))
+		ex := h.runTraceBare(c, tr, budget)
 		// Clean-loop fusion: when the run lands back on this trace's
 		// own head (a self-looping hot loop), re-enter directly instead
 		// of surfacing to the fetch loop — per-entry dispatch is most
@@ -686,7 +589,7 @@ func (h *Harrier) runTrace(c *isa.CPU, tr *blockTrace, budget int) error {
 			if rem < tr.blocks[0].instrs || !h.cleanProbeTrace(c, tr) {
 				break
 			}
-			nx, _ := h.runTraceBare(c, tr, rem, len(tr.mops))
+			nx := h.runTraceBare(c, tr, rem)
 			nx.steps += ex.steps
 			nx.nData += ex.nData
 			nx.nBlocks += ex.nBlocks
@@ -695,48 +598,15 @@ func (h *Harrier) runTrace(c *isa.CPU, tr *blockTrace, budget int) error {
 			}
 			ex = nx
 		}
-		return h.finishTrace(c, tr, ex, false, 0, entVals, true)
+		return h.finishTrace(c, ex, true)
 	}
-	if tr.gateOK {
-		for k := 0; k < tr.nIn; k++ {
-			entVals[k] = c.Regs[tr.inRegs[k]]
-		}
-		entGen = sh.Gen()
-		hit := -1
-		for e := 0; e < tr.gateN; e++ {
-			g := &tr.gate[e]
-			if g.sh == sh && g.gen == entGen && g.vals == entVals && g.tags == c.RegTags {
-				hit = e
-				break
-			}
-		}
-		if hit >= 0 {
-			h.stats.GateSkips++
-			ex, cont := h.runTraceBare(c, tr, budget, tr.gate[hit].end)
-			if cont >= 0 {
-				// Bare mode ran past the verified prefix; finish the
-				// remainder with full taint transfer, keeping the bare
-				// phase's block-entry accounting.
-				bare, bareLast := ex.nBlocks, ex.lastB
-				ex = h.runTraceTaint(c, tr, budget, cont, false)
-				ex.nBlocks += bare
-				if ex.lastB == nil {
-					ex.lastB = bareLast
-				}
-			}
-			return h.finishTrace(c, tr, ex, false, 0, entVals, false)
-		}
-		verify = true
-	}
-	ex := h.runTraceTaint(c, tr, budget, 0, verify)
-	return h.finishTrace(c, tr, ex, verify, entGen, entVals, false)
+	return h.finishTrace(c, h.runTraceTaint(c, tr, budget), false)
 }
 
 // finishTrace applies the exit protocol: architectural exit point,
-// retired-step accounting, the batched instrumented-instruction
-// counter with its sampling boundary, and — for a clean verify run —
-// installation of a gate entry.
-func (h *Harrier) finishTrace(c *isa.CPU, tr *blockTrace, ex traceExit, verify bool, entGen uint64, entVals [traceGateRegs]uint32, clean bool) error {
+// retired-step accounting, per-tier hit attribution, and the batched
+// instrumented-instruction counter with its sampling boundary.
+func (h *Harrier) finishTrace(c *isa.CPU, ex traceExit, clean bool) error {
 	c.ExitTrace(ex.eip, ex.jumped)
 	c.Steps += uint64(ex.steps)
 	h.stats.Blocks += uint64(ex.nBlocks)
@@ -762,41 +632,6 @@ func (h *Harrier) finishTrace(c *isa.CPU, tr *blockTrace, ex traceExit, verify b
 	h.stats.Instructions = old + uint64(ex.nData)
 	if h.bus != nil && old>>taintSampleShift != h.stats.Instructions>>taintSampleShift {
 		h.publishTaintSample(c)
-	}
-	if verify && ex.fault == nil && !ex.dirty && c.Shadow.Gen() == entGen {
-		// Nothing moved: the whole covered prefix is taint-stationary
-		// for this key. RegTags are still the entry tags (no write
-		// changed them), so the post-state doubles as the key. One
-		// entry per key: re-verifying the same key at the same
-		// generation only ever extends the covered prefix (a budget
-		// exit verifies a shorter prefix of the same stationary run),
-		// while a new generation replaces the stale verdict outright.
-		var g *gateEnt
-		for e := 0; e < tr.gateN; e++ {
-			x := &tr.gate[e]
-			if x.sh == c.Shadow && x.vals == entVals && x.tags == c.RegTags {
-				g = x
-				break
-			}
-		}
-		switch {
-		case g == nil:
-			tr.gate[tr.gateRR] = gateEnt{
-				sh: c.Shadow, gen: entGen, end: ex.end,
-				vals: entVals, tags: c.RegTags,
-			}
-			tr.gateRR = (tr.gateRR + 1) % traceGateWays
-			if tr.gateN < traceGateWays {
-				tr.gateN++
-			}
-		case g.gen == entGen:
-			if ex.end > g.end {
-				g.end = ex.end
-			}
-		default:
-			g.gen = entGen
-			g.end = ex.end
-		}
 	}
 	if ex.fault != nil {
 		return ex.fault
@@ -899,23 +734,18 @@ func brTaken(aop uint8, zf, lt bool) bool {
 
 // runTraceTaint is the full-transfer mop loop: every mop applies its
 // instruction's taint transfer first (the interpreter runs OnInstr
-// before executing) and its concrete semantics second. Register-tag
-// writes are compare-guarded — the guard both skips redundant stores
-// and feeds the verify mode's dirty flag. start lets a bare run hand
-// over mid-trace at a block boundary.
-func (h *Harrier) runTraceTaint(c *isa.CPU, tr *blockTrace, budget, start int, verify bool) (ex traceExit) {
-	_ = verify // dirty tracking is unconditional; the flag documents intent
+// before executing) and its concrete semantics second.
+func (h *Harrier) runTraceTaint(c *isa.CPU, tr *blockTrace, budget int) (ex traceExit) {
 	sh := c.Shadow
 	st := h.Store
 	mem := c.Mem
 	zf, lt := c.ZF, c.LT
-	dirty := false
 	observed := h.prov != nil || h.bus != nil
 	var nBlocks uint32
 	var lastB *traceBlock
 	defer func() { ex.nBlocks, ex.lastB = nBlocks, lastB }()
 	mops, info := tr.mops, tr.info
-	for j := start; j < len(mops); j++ {
+	for j := 0; j < len(mops); j++ {
 		op := &mops[j]
 		switch op.code {
 		case mBBEnter:
@@ -925,7 +755,6 @@ func (h *Harrier) runTraceTaint(c *isa.CPU, tr *blockTrace, budget, start int, v
 				return traceExit{
 					eip: info[j].addr, jumped: b.entryJumped,
 					steps: uint32(info[j].steps), nData: uint32(info[j].nData),
-					end: j, dirty: dirty,
 				}
 			}
 			*b.ctr++
@@ -946,28 +775,18 @@ func (h *Harrier) runTraceTaint(c *isa.CPU, tr *blockTrace, budget, start int, v
 				return traceExit{
 					eip: eip, jumped: true,
 					steps: uint32(info[j].steps), nData: uint32(info[j].nData),
-					end: j + 1, dirty: dirty,
 				}
 			}
 
 		case mMovRR:
-			if t := c.RegTags[op.reg2]; c.RegTags[op.reg] != t {
-				c.RegTags[op.reg] = t
-				dirty = true
-			}
+			c.RegTags[op.reg] = c.RegTags[op.reg2]
 			c.Regs[op.reg] = c.Regs[op.reg2]
 		case mMovRI:
-			if c.RegTags[op.reg] != op.tag {
-				c.RegTags[op.reg] = op.tag
-				dirty = true
-			}
+			c.RegTags[op.reg] = op.tag
 			c.Regs[op.reg] = op.disp
 		case mMovRM:
 			ea := op.ea2(c)
-			if t := sh.GetWord(ea); c.RegTags[op.reg] != t {
-				c.RegTags[op.reg] = t
-				dirty = true
-			}
+			c.RegTags[op.reg] = sh.GetWord(ea)
 			c.Regs[op.reg] = mem.Load32(ea)
 		case mMovMR:
 			ea := op.ea(c)
@@ -984,23 +803,14 @@ func (h *Harrier) runTraceTaint(c *isa.CPU, tr *blockTrace, budget, start int, v
 			mem.Store32(eaA, mem.Load32(eaB))
 
 		case mMovbRR:
-			if t := c.RegTags[op.reg2]; c.RegTags[op.reg] != t {
-				c.RegTags[op.reg] = t
-				dirty = true
-			}
+			c.RegTags[op.reg] = c.RegTags[op.reg2]
 			c.Regs[op.reg] = (c.Regs[op.reg] &^ 0xFF) | (c.Regs[op.reg2] & 0xFF)
 		case mMovbRI:
-			if c.RegTags[op.reg] != op.tag {
-				c.RegTags[op.reg] = op.tag
-				dirty = true
-			}
+			c.RegTags[op.reg] = op.tag
 			c.Regs[op.reg] = (c.Regs[op.reg] &^ 0xFF) | (op.disp & 0xFF)
 		case mMovbRM:
 			ea := op.ea2(c)
-			if t := sh.Get(ea); c.RegTags[op.reg] != t {
-				c.RegTags[op.reg] = t
-				dirty = true
-			}
+			c.RegTags[op.reg] = sh.Get(ea)
 			c.Regs[op.reg] = (c.Regs[op.reg] &^ 0xFF) | uint32(mem.Load8(ea))
 		case mMovbMR:
 			ea := op.ea(c)
@@ -1021,54 +831,39 @@ func (h *Harrier) runTraceTaint(c *isa.CPU, tr *blockTrace, budget, start int, v
 			if op.base2 != traceNoBase {
 				t = st.Union(t, c.RegTags[op.base2])
 			}
-			if c.RegTags[op.reg] != t {
-				c.RegTags[op.reg] = t
-				dirty = true
-			}
+			c.RegTags[op.reg] = t
 			c.Regs[op.reg] = op.ea2(c)
 
 		case mZeroR:
-			if c.RegTags[op.reg] != taint.Empty {
-				c.RegTags[op.reg] = taint.Empty
-				dirty = true
-			}
+			c.RegTags[op.reg] = taint.Empty
 			c.Regs[op.reg] = 0
 			zf, lt = true, false
 
 		case mAluRR:
-			if t := st.Union(c.RegTags[op.reg], c.RegTags[op.reg2]); c.RegTags[op.reg] != t {
-				c.RegTags[op.reg] = t
-				dirty = true
-			}
+			c.RegTags[op.reg] = st.Union(c.RegTags[op.reg], c.RegTags[op.reg2])
 			r, ok := aluExec(op.aop, c.Regs[op.reg], c.Regs[op.reg2])
 			if !ok {
 				c.ZF, c.LT = zf, lt
-				return traceFault(info, j, dirty)
+				return traceFault(info, j)
 			}
 			zf, lt = r == 0, int32(r) < 0
 			c.Regs[op.reg] = r
 		case mAluRI:
-			if t := st.Union(c.RegTags[op.reg], op.tag); c.RegTags[op.reg] != t {
-				c.RegTags[op.reg] = t
-				dirty = true
-			}
+			c.RegTags[op.reg] = st.Union(c.RegTags[op.reg], op.tag)
 			r, ok := aluExec(op.aop, c.Regs[op.reg], op.disp)
 			if !ok {
 				c.ZF, c.LT = zf, lt
-				return traceFault(info, j, dirty)
+				return traceFault(info, j)
 			}
 			zf, lt = r == 0, int32(r) < 0
 			c.Regs[op.reg] = r
 		case mAluRM:
 			ea := op.ea2(c)
-			if t := st.Union(c.RegTags[op.reg], sh.GetWord(ea)); c.RegTags[op.reg] != t {
-				c.RegTags[op.reg] = t
-				dirty = true
-			}
+			c.RegTags[op.reg] = st.Union(c.RegTags[op.reg], sh.GetWord(ea))
 			r, ok := aluExec(op.aop, c.Regs[op.reg], mem.Load32(ea))
 			if !ok {
 				c.ZF, c.LT = zf, lt
-				return traceFault(info, j, dirty)
+				return traceFault(info, j)
 			}
 			zf, lt = r == 0, int32(r) < 0
 			c.Regs[op.reg] = r
@@ -1078,7 +873,7 @@ func (h *Harrier) runTraceTaint(c *isa.CPU, tr *blockTrace, budget, start int, v
 			r, ok := aluExec(op.aop, mem.Load32(ea), c.Regs[op.reg])
 			if !ok {
 				c.ZF, c.LT = zf, lt
-				return traceFault(info, j, dirty)
+				return traceFault(info, j)
 			}
 			zf, lt = r == 0, int32(r) < 0
 			mem.Store32(ea, r)
@@ -1088,7 +883,7 @@ func (h *Harrier) runTraceTaint(c *isa.CPU, tr *blockTrace, budget, start int, v
 			r, ok := aluExec(op.aop, mem.Load32(ea), op.disp2)
 			if !ok {
 				c.ZF, c.LT = zf, lt
-				return traceFault(info, j, dirty)
+				return traceFault(info, j)
 			}
 			zf, lt = r == 0, int32(r) < 0
 			mem.Store32(ea, r)
@@ -1099,17 +894,14 @@ func (h *Harrier) runTraceTaint(c *isa.CPU, tr *blockTrace, budget, start int, v
 			r, ok := aluExec(op.aop, mem.Load32(eaA), mem.Load32(eaB))
 			if !ok {
 				c.ZF, c.LT = zf, lt
-				return traceFault(info, j, dirty)
+				return traceFault(info, j)
 			}
 			zf, lt = r == 0, int32(r) < 0
 			mem.Store32(eaA, r)
 
 		case mUnR:
 			if isa.Op(op.aop) == isa.INC || isa.Op(op.aop) == isa.DEC {
-				if t := st.Union(c.RegTags[op.reg], op.tag); c.RegTags[op.reg] != t {
-					c.RegTags[op.reg] = t
-					dirty = true
-				}
+				c.RegTags[op.reg] = st.Union(c.RegTags[op.reg], op.tag)
 			}
 			r := unExec(op.aop, c.Regs[op.reg])
 			zf, lt = r == 0, int32(r) < 0
@@ -1161,21 +953,16 @@ func (h *Harrier) runTraceTaint(c *isa.CPU, tr *blockTrace, budget, start int, v
 			c.Regs[isa.ESP] = esp
 		case mPopR:
 			esp := c.Regs[isa.ESP]
-			if t := sh.GetWord(esp); c.RegTags[op.reg] != t {
-				c.RegTags[op.reg] = t
-				dirty = true
-			}
+			c.RegTags[op.reg] = sh.GetWord(esp)
 			v := mem.Load32(esp)
 			c.Regs[isa.ESP] = esp + 4
 			c.Regs[op.reg] = v
 
 		case mCpuid:
-			for _, r := range [...]uint8{uint8(isa.EAX), uint8(isa.EBX), uint8(isa.ECX), uint8(isa.EDX)} {
-				if c.RegTags[r] != h.hwTag {
-					c.RegTags[r] = h.hwTag
-					dirty = true
-				}
-			}
+			c.RegTags[isa.EAX] = h.hwTag
+			c.RegTags[isa.EBX] = h.hwTag
+			c.RegTags[isa.ECX] = h.hwTag
+			c.RegTags[isa.EDX] = h.hwTag
 			if h.prov != nil {
 				h.provHardware(c, "cpuid")
 			}
@@ -1184,14 +971,8 @@ func (h *Harrier) runTraceTaint(c *isa.CPU, tr *blockTrace, budget, start int, v
 			c.Regs[isa.ECX] = 0x756C6174
 			c.Regs[isa.EDX] = 0x726F2121
 		case mRdtsc:
-			if c.RegTags[isa.EAX] != h.hwTag {
-				c.RegTags[isa.EAX] = h.hwTag
-				dirty = true
-			}
-			if c.RegTags[isa.EDX] != h.hwTag {
-				c.RegTags[isa.EDX] = h.hwTag
-				dirty = true
-			}
+			c.RegTags[isa.EAX] = h.hwTag
+			c.RegTags[isa.EDX] = h.hwTag
 			if h.prov != nil {
 				h.provHardware(c, "rdtsc")
 			}
@@ -1204,7 +985,6 @@ func (h *Harrier) runTraceTaint(c *isa.CPU, tr *blockTrace, budget, start int, v
 	return traceExit{
 		eip: tr.endEIP, jumped: tr.endJumped,
 		steps: uint32(tr.nInstr), nData: uint32(tr.nData),
-		end: len(mops), dirty: dirty,
 	}
 }
 
@@ -1212,10 +992,10 @@ func (h *Harrier) runTraceTaint(c *isa.CPU, tr *blockTrace, budget, start int, v
 // instruction's taint transfer has already been applied (the
 // interpreter's OnInstr runs before the fault too) and its retirement
 // is counted, exactly as the interpreter reports it.
-func traceFault(info []mopInfo, j int, dirty bool) traceExit {
+func traceFault(info []mopInfo, j int) traceExit {
 	return traceExit{
 		eip: info[j].addr, jumped: false,
-		steps: uint32(info[j].steps), nData: uint32(info[j].nData), dirty: dirty,
+		steps: uint32(info[j].steps), nData: uint32(info[j].nData),
 		fault: &isa.Fault{PC: info[j].addr, Reason: "division by zero"},
 	}
 }
@@ -1229,16 +1009,15 @@ func cmpFlags(aop uint8, a, b uint32) (zf, lt bool) {
 	return r == 0, int32(r) < 0
 }
 
-// runTraceBare is the clean-taint fast path: the tag-free variant of
-// the mop loop, executing only concrete semantics. It is entered on a
-// gate hit and runs up to `end`, the first mop the matched verify run
-// did not cover; reaching it hands control to the full loop (cont >=
-// 0). All per-block side effects still fire — the gate elides taint
-// transfer, never observability. Skipping the transfer is exact
-// because every skipped mop was proven a taint no-op for this exact
-// key (see the file comment); that includes a mop that faults here,
-// so even the fault path needs no tag work.
-func (h *Harrier) runTraceBare(c *isa.CPU, tr *blockTrace, budget, end int) (ex traceExit, cont int) {
+// runTraceBare is the clean tier's trace loop: the tag-free variant of
+// the mop loop, executing only concrete semantics from the first mop
+// to the last. It runs only under a live clean-tier verdict
+// (cleanProbeTrace). All per-block side effects still fire — the
+// clean tier elides taint transfer, never observability. Skipping the
+// transfer is exact because every mop was proven a taint no-op for
+// the entry state (cleanMopsNoop); that includes a mop that faults
+// here, so even the fault path needs no tag work.
+func (h *Harrier) runTraceBare(c *isa.CPU, tr *blockTrace, budget int) (ex traceExit) {
 	mem := c.Mem
 	zf, lt := c.ZF, c.LT
 	observed := h.prov != nil || h.bus != nil
@@ -1250,19 +1029,13 @@ func (h *Harrier) runTraceBare(c *isa.CPU, tr *blockTrace, budget, end int) (ex 
 		op := &mops[j]
 		switch op.code {
 		case mBBEnter:
-			if j >= end {
-				// Past the verified prefix: re-specialize by switching to
-				// the full-transfer loop at this block boundary.
-				c.ZF, c.LT = zf, lt
-				return traceExit{}, j
-			}
 			b := &tr.blocks[op.disp]
 			if budget > 0 && int(info[j].steps)+b.instrs > budget {
 				c.ZF, c.LT = zf, lt
 				return traceExit{
 					eip: info[j].addr, jumped: b.entryJumped,
-					steps: uint32(info[j].steps), nData: uint32(info[j].nData), end: j,
-				}, -1
+					steps: uint32(info[j].steps), nData: uint32(info[j].nData),
+				}
 			}
 			*b.ctr++
 			nBlocks++
@@ -1281,8 +1054,8 @@ func (h *Harrier) runTraceBare(c *isa.CPU, tr *blockTrace, budget, end int) (ex 
 				c.ZF, c.LT = zf, lt
 				return traceExit{
 					eip: eip, jumped: true,
-					steps: uint32(info[j].steps), nData: uint32(info[j].nData), end: j + 1,
-				}, -1
+					steps: uint32(info[j].steps), nData: uint32(info[j].nData),
+				}
 			}
 
 		case mMovRR:
@@ -1323,7 +1096,7 @@ func (h *Harrier) runTraceBare(c *isa.CPU, tr *blockTrace, budget, end int) (ex 
 			r, ok := aluExec(op.aop, c.Regs[op.reg], c.Regs[op.reg2])
 			if !ok {
 				c.ZF, c.LT = zf, lt
-				return traceFault(info, j, false), -1
+				return traceFault(info, j)
 			}
 			zf, lt = r == 0, int32(r) < 0
 			c.Regs[op.reg] = r
@@ -1331,7 +1104,7 @@ func (h *Harrier) runTraceBare(c *isa.CPU, tr *blockTrace, budget, end int) (ex 
 			r, ok := aluExec(op.aop, c.Regs[op.reg], op.disp)
 			if !ok {
 				c.ZF, c.LT = zf, lt
-				return traceFault(info, j, false), -1
+				return traceFault(info, j)
 			}
 			zf, lt = r == 0, int32(r) < 0
 			c.Regs[op.reg] = r
@@ -1339,7 +1112,7 @@ func (h *Harrier) runTraceBare(c *isa.CPU, tr *blockTrace, budget, end int) (ex 
 			r, ok := aluExec(op.aop, c.Regs[op.reg], mem.Load32(op.ea2(c)))
 			if !ok {
 				c.ZF, c.LT = zf, lt
-				return traceFault(info, j, false), -1
+				return traceFault(info, j)
 			}
 			zf, lt = r == 0, int32(r) < 0
 			c.Regs[op.reg] = r
@@ -1348,7 +1121,7 @@ func (h *Harrier) runTraceBare(c *isa.CPU, tr *blockTrace, budget, end int) (ex 
 			r, ok := aluExec(op.aop, mem.Load32(ea), c.Regs[op.reg])
 			if !ok {
 				c.ZF, c.LT = zf, lt
-				return traceFault(info, j, false), -1
+				return traceFault(info, j)
 			}
 			zf, lt = r == 0, int32(r) < 0
 			mem.Store32(ea, r)
@@ -1357,7 +1130,7 @@ func (h *Harrier) runTraceBare(c *isa.CPU, tr *blockTrace, budget, end int) (ex 
 			r, ok := aluExec(op.aop, mem.Load32(ea), op.disp2)
 			if !ok {
 				c.ZF, c.LT = zf, lt
-				return traceFault(info, j, false), -1
+				return traceFault(info, j)
 			}
 			zf, lt = r == 0, int32(r) < 0
 			mem.Store32(ea, r)
@@ -1366,7 +1139,7 @@ func (h *Harrier) runTraceBare(c *isa.CPU, tr *blockTrace, budget, end int) (ex 
 			r, ok := aluExec(op.aop, mem.Load32(eaA), mem.Load32(op.ea2(c)))
 			if !ok {
 				c.ZF, c.LT = zf, lt
-				return traceFault(info, j, false), -1
+				return traceFault(info, j)
 			}
 			zf, lt = r == 0, int32(r) < 0
 			mem.Store32(eaA, r)
@@ -1437,6 +1210,6 @@ func (h *Harrier) runTraceBare(c *isa.CPU, tr *blockTrace, budget, end int) (ex 
 	c.ZF, c.LT = zf, lt
 	return traceExit{
 		eip: tr.endEIP, jumped: tr.endJumped,
-		steps: uint32(tr.nInstr), nData: uint32(tr.nData), end: len(mops),
-	}, -1
+		steps: uint32(tr.nInstr), nData: uint32(tr.nData),
+	}
 }

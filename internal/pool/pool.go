@@ -67,7 +67,7 @@ type Pool struct {
 	recycled uint64
 	waited   uint64 // tasks whose queue wait has been recorded
 	waitNS   int64  // cumulative queue wait
-	closed   bool // no further Submits; workers exit when queue empties
+	closed   bool   // no further Submits; workers exit when queue empties
 	wg       sync.WaitGroup
 }
 
@@ -192,9 +192,6 @@ func (p *Pool) worker() {
 		if !p.runTask(t) {
 			// The task panicked: recycle this worker. The replacement
 			// goroutine takes over the wg slot; this one exits.
-			p.mu.Lock()
-			p.recycled++
-			p.mu.Unlock()
 			go p.worker()
 			return
 		}
@@ -202,13 +199,19 @@ func (p *Pool) worker() {
 }
 
 // runTask executes one task with panic containment, reporting whether
-// it completed without panicking.
+// it completed without panicking. A panic is counted as a recycle
+// before the handlers run, so whatever OnPanic settles is observed
+// alongside an up-to-date Recycled.
 func (p *Pool) runTask(t Task) (ok bool) {
 	defer func() {
+		r := recover()
 		p.mu.Lock()
 		p.inflight--
+		if r != nil {
+			p.recycled++
+		}
 		p.mu.Unlock()
-		if r := recover(); r != nil {
+		if r != nil {
 			ok = false
 			if t.OnPanic != nil {
 				t.OnPanic(r)

@@ -2,81 +2,89 @@ package taint
 
 import "testing"
 
-// TestShadowPopulation exercises the live tag population count and the
-// write generation behind the clean-taint gate: pop tracks exactly the
-// number of bytes carrying a non-Empty tag, and gen advances exactly
-// when a write changes a stored tag — redundant writes move neither.
+// pagePop returns the tainted-byte population of page idx, checking
+// that PageClean agrees with it.
+func pagePop(t *testing.T, sh *Shadow, idx uint32) int32 {
+	t.Helper()
+	var pop int32
+	if p := sh.pages[idx]; p != nil {
+		pop = p.pop
+	}
+	if sh.PageClean(idx) != (pop == 0) {
+		t.Fatalf("page %#x: PageClean=%v with pop=%d", idx, sh.PageClean(idx), pop)
+	}
+	return pop
+}
+
+// TestShadowPopulation exercises the per-page tainted-byte population
+// behind the clean tier's verdicts (PageClean): it tracks exactly the
+// number of the page's bytes carrying a non-Empty tag, across word
+// and byte representations — redundant writes and tag changes between
+// two non-Empty tags do not move it.
 func TestShadowPopulation(t *testing.T) {
 	st, sh := newTestShadow()
-	if !sh.Taintless() || sh.TagBytes() != 0 {
-		t.Fatalf("fresh shadow: pop=%d taintless=%v", sh.TagBytes(), sh.Taintless())
+	if pop := pagePop(t, sh, 0); pop != 0 {
+		t.Fatalf("fresh shadow: pop=%d", pop)
 	}
 	tag := st.Of(Source{File, "f"})
 	tag2 := st.Of(Source{Socket, "s"})
 
 	sh.Set(0x100, tag)
-	if sh.TagBytes() != 1 || sh.Taintless() {
-		t.Fatalf("after one byte: pop=%d", sh.TagBytes())
+	if pop := pagePop(t, sh, 0); pop != 1 {
+		t.Fatalf("after one byte: pop=%d", pop)
 	}
-	g := sh.Gen()
-	sh.Set(0x100, tag) // identical re-write: no movement
-	if sh.Gen() != g || sh.TagBytes() != 1 {
-		t.Fatalf("redundant Set moved gen %d->%d pop=%d", g, sh.Gen(), sh.TagBytes())
-	}
-	sh.Set(0x100, tag2) // tag change: gen moves, pop does not
-	if sh.Gen() == g || sh.TagBytes() != 1 {
-		t.Fatalf("tag change: gen %d->%d pop=%d", g, sh.Gen(), sh.TagBytes())
+	sh.Set(0x100, tag)  // identical re-write
+	sh.Set(0x100, tag2) // tag change between two non-Empty tags
+	if pop := pagePop(t, sh, 0); pop != 1 {
+		t.Fatalf("re-write/tag change: pop=%d, want 1", pop)
 	}
 	sh.Set(0x100, Empty)
-	if sh.TagBytes() != 0 || !sh.Taintless() {
-		t.Fatalf("after clearing: pop=%d", sh.TagBytes())
+	if pop := pagePop(t, sh, 0); pop != 0 {
+		t.Fatalf("after clearing: pop=%d", pop)
 	}
 
-	sh.SetWord(0x200, tag)
-	if sh.TagBytes() != 4 {
-		t.Fatalf("word write: pop=%d, want 4", sh.TagBytes())
+	// A fresh page, so the word write stays in word mode until the
+	// byte split degrades it.
+	sh.SetWord(0x2200, tag)
+	sh.SetWord(0x2200, tag) // redundant
+	if pop := pagePop(t, sh, 2); pop != 4 || sh.bytePages() != 1 {
+		t.Fatalf("word write: pop=%d byte pages=%d, want 4/1", pop, sh.bytePages())
 	}
-	g = sh.Gen()
-	sh.SetWord(0x200, tag)
-	if sh.Gen() != g {
-		t.Fatal("redundant SetWord moved gen")
+	sh.Set(0x2201, tag2) // splits the word into byte granularity
+	if pop := pagePop(t, sh, 2); pop != 4 || sh.bytePages() != 2 {
+		t.Fatalf("byte split: pop=%d byte pages=%d, want 4/2", pop, sh.bytePages())
 	}
-	sh.Set(0x201, tag2) // splits the word into byte granularity
-	if sh.TagBytes() != 4 {
-		t.Fatalf("byte split: pop=%d, want 4", sh.TagBytes())
-	}
-	sh.SetWord(0x200, Empty)
-	if sh.TagBytes() != 0 {
-		t.Fatalf("word clear: pop=%d", sh.TagBytes())
+	sh.SetWord(0x2200, Empty)
+	if pop := pagePop(t, sh, 2); pop != 0 {
+		t.Fatalf("word clear: pop=%d", pop)
 	}
 
 	sh.SetRange(0xFF0, 32, tag) // crosses a page boundary
-	if sh.TagBytes() != 32 {
-		t.Fatalf("range write: pop=%d, want 32", sh.TagBytes())
+	if p0, p1 := pagePop(t, sh, 0), pagePop(t, sh, 1); p0 != 16 || p1 != 16 {
+		t.Fatalf("range write: pops %d/%d, want 16/16", p0, p1)
 	}
 	sh.ClearRange(0xFF0, 16)
-	if sh.TagBytes() != 16 {
-		t.Fatalf("half clear: pop=%d, want 16", sh.TagBytes())
+	if p0, p1 := pagePop(t, sh, 0), pagePop(t, sh, 1); p0 != 0 || p1 != 16 {
+		t.Fatalf("half clear: pops %d/%d, want 0/16", p0, p1)
 	}
 	cl := sh.Clone()
-	if cl.TagBytes() != 16 || cl.Gen() != sh.Gen() {
-		t.Fatalf("clone: pop=%d gen=%d, want %d/%d", cl.TagBytes(), cl.Gen(), sh.TagBytes(), sh.Gen())
+	if p0, p1 := pagePop(t, cl, 0), pagePop(t, cl, 1); p0 != 0 || p1 != 16 {
+		t.Fatalf("clone: pops %d/%d, want 0/16", p0, p1)
 	}
-	g = sh.Gen()
 	sh.Reset()
-	if sh.TagBytes() != 0 || !sh.Taintless() || sh.Gen() == g {
-		t.Fatalf("reset: pop=%d gen %d->%d", sh.TagBytes(), g, sh.Gen())
+	if pop := pagePop(t, sh, 1); pop != 0 {
+		t.Fatalf("reset: pop=%d", pop)
 	}
-	if cl.TagBytes() != 16 {
+	if pop := pagePop(t, cl, 1); pop != 16 {
 		t.Fatal("reset of the original touched the clone")
 	}
 }
 
 // TestShadowSourceAfterCachedNil is the negative-TLB regression test
-// for the clean-taint gate's flip moment: a lookup that caches a
-// nil-page TLB entry must not mask a source tag written to that page
+// for the clean tier's re-instrumentation moment: a lookup that caches
+// a nil-page TLB entry must not mask a source tag written to that page
 // immediately afterwards — the exact sequence of a `read`/`recv`
-// source arriving while the gate still believes the world is clean.
+// source arriving while a cached clean verdict still covers the page.
 func TestShadowSourceAfterCachedNil(t *testing.T) {
 	st, sh := newTestShadow()
 	tag := st.Of(Source{UserInput, "stdin"})
@@ -85,11 +93,11 @@ func TestShadowSourceAfterCachedNil(t *testing.T) {
 	if sh.GetWord(0x3000) != Empty {
 		t.Fatal("fresh page not empty")
 	}
-	g := sh.Gen()
+	g := sh.FlipGen()
 	// The source lands on the same page: zero -> nonzero population.
 	sh.SetRange(0x3000, 8, tag)
-	if sh.Taintless() || sh.Gen() == g {
-		t.Fatalf("source not accounted: pop=%d gen %d->%d", sh.TagBytes(), g, sh.Gen())
+	if sh.PageClean(0x3) || sh.FlipGen() == g {
+		t.Fatalf("source not accounted: clean=%v flip gen %d->%d", sh.PageClean(0x3), g, sh.FlipGen())
 	}
 	// The very next lookup must see the tag, not the cached nil.
 	if got := sh.GetWord(0x3000); got != tag {
@@ -140,8 +148,8 @@ func TestShadowPageFlipSeam(t *testing.T) {
 		t.Fatal("tainted page still reports clean")
 	}
 
-	// Writes confined to an already-dirty page move Gen but are not
-	// flips: the cached verdict was already dead.
+	// Writes confined to an already-dirty page are not flips: the
+	// cached verdict was already dead.
 	g = sh.FlipGen()
 	sh.Set(0x3100, tag2)
 	if sh.FlipGen() != g || len(flips) != 1 {

@@ -40,17 +40,6 @@ type Shadow struct {
 	tlbProbes uint64
 	tlbMisses uint64
 
-	// Taint-state accounting for the clean-taint gate (see
-	// harrier/trace.go). gen increments on every write that actually
-	// changes a stored tag — no-op writes (storing the tag already
-	// present) leave it untouched, so an unchanged gen across a window
-	// proves the shadow's observable state is identical. pop counts
-	// tainted (non-Empty) bytes; it is zero exactly while nothing in
-	// the address space carries a source, and page degradation
-	// preserves it (a word-mode tag counts as its four bytes).
-	gen uint64
-	pop int64
-
 	// Page-flip seam for the clean tier (see harrier/cleantier.go):
 	// flipGen advances every time any page's tainted-byte population
 	// crosses zero→nonzero — the only event that can turn a
@@ -78,9 +67,10 @@ type shadowPage struct {
 	bytes *[pageSize]Tag
 
 	// idx is the page's own index in the owning shadow's page table;
-	// pop counts the page's tainted bytes (the per-page slice of
-	// Shadow.pop). Together they let writes detect the zero→nonzero
-	// flip locally and report which page flipped.
+	// pop counts the page's tainted (non-Empty) bytes, a word-mode tag
+	// counting as its four bytes, so degradation preserves it. Together
+	// they let writes detect the zero→nonzero flip locally and report
+	// which page flipped.
 	idx uint32
 	pop int32
 }
@@ -112,7 +102,7 @@ func (p *shadowPage) getByte(off uint32) Tag {
 
 // setByte assigns the tag of the byte at page offset off, degrading
 // the page only if the write actually breaks word uniformity. Actual
-// tag changes are charged to sh's generation/population counters.
+// tag changes are charged to the page's population count.
 func (p *shadowPage) setByte(sh *Shadow, off uint32, t Tag) {
 	if p.bytes == nil {
 		if p.words[off>>2] == t {
@@ -124,36 +114,30 @@ func (p *shadowPage) setByte(sh *Shadow, off uint32, t Tag) {
 	if old == t {
 		return
 	}
-	sh.gen++
 	if old == Empty {
-		sh.pop++
 		p.pop++
 		if p.pop == 1 {
 			sh.pageFlipped(p)
 		}
 	} else if t == Empty {
-		sh.pop--
 		p.pop--
 	}
 	p.bytes[off] = t
 }
 
 // setWordSlot assigns the uniform tag of word slot w on a word-mode
-// page, with generation/population accounting (one word = 4 bytes).
+// page, with population accounting (one word = 4 bytes).
 func (p *shadowPage) setWordSlot(sh *Shadow, w uint32, t Tag) {
 	old := p.words[w]
 	if old == t {
 		return
 	}
-	sh.gen++
 	if old == Empty {
-		sh.pop += 4
 		p.pop += 4
 		if p.pop == 4 {
 			sh.pageFlipped(p)
 		}
 	} else if t == Empty {
-		sh.pop -= 4
 		p.pop -= 4
 	}
 	p.words[w] = t
@@ -397,8 +381,6 @@ func (sh *Shadow) Clone() *Shadow {
 		}
 		out.pages[idx] = cp
 	}
-	out.gen = sh.gen
-	out.pop = sh.pop
 	out.flipGen = sh.flipGen
 	return out
 }
@@ -414,27 +396,11 @@ func (sh *Shadow) ClearRange(addr, n uint32) {
 func (sh *Shadow) Reset() {
 	sh.pages = make(map[uint32]*shadowPage)
 	sh.tlbPage, sh.tlbValid = nil, false
-	sh.gen++ // the observable tag state changed wholesale
-	sh.pop = 0
 	// Belt and braces: dropping every page can only make pages cleaner,
 	// but bumping the flip generation forces cached clean verdicts to
 	// re-probe rather than reason about the wholesale replacement.
 	sh.flipGen++
 }
-
-// Gen returns the shadow's write generation: it advances exactly when
-// a write changes a stored tag, so two equal Gen readings bracket a
-// window in which the shadow's observable state did not change. The
-// clean-taint gate keys its cached verdicts on it.
-func (sh *Shadow) Gen() uint64 { return sh.gen }
-
-// TagBytes returns the live tag population: the number of bytes
-// currently carrying a non-Empty tag.
-func (sh *Shadow) TagBytes() int64 { return sh.pop }
-
-// Taintless reports whether no byte in the address space carries a
-// source — trivially true before the first tagged write.
-func (sh *Shadow) Taintless() bool { return sh.pop == 0 }
 
 // Pages returns the number of shadow pages currently allocated.
 func (sh *Shadow) Pages() int { return len(sh.pages) }
@@ -443,8 +409,8 @@ func (sh *Shadow) Pages() int { return len(sh.pages) }
 // some page's tainted population crosses zero→nonzero (and on Reset).
 // Two equal FlipGen readings bracket a window in which no clean page
 // became dirty, so a clean-footprint verdict taken at the first
-// reading still holds at the second. Compare with Gen, which also
-// moves on writes confined to already-dirty pages.
+// reading still holds at the second. Writes confined to already-dirty
+// pages do not move it.
 func (sh *Shadow) FlipGen() uint64 { return sh.flipGen }
 
 // PageClean reports whether the 4 KiB page with index idx (addr >>

@@ -125,7 +125,7 @@ func WithTierThreshold(n int) Option {
 // WithTraceThreshold sets the second promotion threshold of the tiered
 // taint engine: a summarized block whose execution counter reaches n is
 // compiled into a superblock trace — chained hot blocks executed in one
-// hook call with a clean-taint fast path. Zero disables the trace tier
+// hook call. Zero disables the trace tier
 // and caps blocks at the summary tier; detections are bit-identical
 // either way, only throughput changes.
 func WithTraceThreshold(n int) Option {

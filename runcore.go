@@ -36,6 +36,10 @@ type runCore struct {
 	spanParent uint64
 	spanRoot   uint64
 	tt         *obs.TierTimer
+	// tierNs is tt's per-tier totals, flushed once as finish begins so
+	// Result assembly is never charged to the last tier; the tier.*
+	// spans and the harrier.span.tier_ns.* gauges both report it.
+	tierNs [len(obs.TierNames)]int64
 
 	introErr error
 }
@@ -241,6 +245,9 @@ func (rc *runCore) start(spec RunSpec) (*vos.Process, error) {
 // closes the bus, and snapshots the first attached Metrics registry
 // into Result.Metrics.
 func (rc *runCore) finish(root *vos.Process, runErr error, wall time.Duration) *Result {
+	if rc.tt != nil {
+		rc.tierNs = rc.tt.Flush()
+	}
 	os := rc.sys.OS
 	res := &Result{
 		Console:    append([]byte(nil), os.Console...),
@@ -269,11 +276,10 @@ func (rc *runCore) finish(root *vos.Process, runErr error, wall time.Duration) *
 		execStart := execEnd - wall.Nanoseconds()
 		es := rc.spans.AddSpan(rc.spanParent, "execute", execStart, execEnd, runOutcome(runErr))
 		if rc.tt != nil {
-			ns := rc.tt.Flush()
 			cur := execStart
 			for i, name := range obs.TierNames {
-				rc.spans.AddSpan(es, "tier."+name, cur, cur+ns[i], "")
-				cur += ns[i]
+				rc.spans.AddSpan(es, "tier."+name, cur, cur+rc.tierNs[i], "")
+				cur += rc.tierNs[i]
 			}
 		}
 		rc.spans.AddSpan(rc.spanParent, "report", execEnd, rc.spans.Now(), "ok")
@@ -361,7 +367,6 @@ func (rc *runCore) publishRunEnd(runErr error, wall time.Duration) {
 			{"harrier.trace.compiled", st.TraceCompiled},
 			{"harrier.trace.hits", st.TraceHits},
 			{"harrier.trace.side_exits", st.TraceSideExits},
-			{"harrier.gate.skips", st.GateSkips},
 			{"harrier.clean.hits", st.CleanHits},
 			{"harrier.clean.demoted", st.CleanDemoted},
 			{"harrier.clean.reinstrumented", st.Reinstrumented},
@@ -376,11 +381,10 @@ func (rc *runCore) publishRunEnd(runErr error, wall time.Duration) {
 		// Per-tier execution wall time, as attributed by the TierTimer.
 		// All four gauges are always published (even when zero) so a
 		// span-armed run's event count stays deterministic.
-		ns := rc.tt.Flush()
 		for i, name := range obs.TierNames {
 			rc.bus.Publish(obs.Event{
 				Layer: obs.LayerRun, Kind: obs.KindMetric,
-				Str: "harrier.span.tier_ns." + name, Num: uint64(ns[i]),
+				Str: "harrier.span.tier_ns." + name, Num: uint64(rc.tierNs[i]),
 			})
 		}
 	}

@@ -1,5 +1,5 @@
 #!/bin/sh
-# check.sh — the full pre-merge gate: vet, build, unit tests, the
+# check.sh — the full pre-merge gate: vet, gofmt, build, unit tests, the
 # race-detector pass over the parallel corpus runner, a seeded chaos
 # sweep, and a fuzz smoke over the chaos plan parser. `make check`
 # invokes this script.
@@ -8,6 +8,8 @@ set -eux
 cd "$(dirname "$0")/.."
 
 go vet ./...
+# Formatting gate: every Go file must already be gofmt-clean.
+test -z "$(gofmt -l .)"
 # staticcheck is optional tooling: run it when installed, skip (loudly)
 # when the host doesn't have it so the gate stays hermetic.
 if command -v staticcheck >/dev/null 2>&1; then

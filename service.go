@@ -480,24 +480,27 @@ func (h *JobHandle) push(u JobUpdate) {
 	}
 }
 
-// settle installs the terminal result exactly once, reporting whether
+// claim installs the terminal result exactly once, reporting whether
 // this call won (drain/retry races may offer two endings; the first
-// sticks).
-func (h *JobHandle) settle(r *JobResult) bool {
+// sticks). Waiters stay blocked until release.
+func (h *JobHandle) claim(r *JobResult) bool {
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	if h.res != nil {
-		h.mu.Unlock()
 		return false
 	}
 	r.DroppedUpdates = h.dropped.Load()
 	h.res = r
 	h.state = r.Status
-	h.mu.Unlock()
+	return true
+}
+
+// release wakes the waiters of a claimed handle.
+func (h *JobHandle) release() {
 	if h.updates != nil {
 		close(h.updates)
 	}
 	close(h.done)
-	return true
 }
 
 // job is the internal unit of work: the spec, the handle, the derived
@@ -1007,7 +1010,8 @@ func (s *Service) finishAborted(j *job) {
 
 // complete settles the handle (first terminal state wins), collects
 // the job's injected faults, publishes the lifecycle event, and
-// refreshes the shard's health gauges.
+// refreshes the shard's health gauges. Waiters are released last, so
+// one woken by Done() sees its job in every health and metrics view.
 func (s *Service) complete(j *job, r *JobResult, code string) bool {
 	if j.inj != nil {
 		r.ServiceFaults = s.collectFaults(j.inj)
@@ -1020,7 +1024,7 @@ func (s *Service) complete(j *job, r *JobResult, code string) bool {
 	j.rec.EndSpan(j.qspan, code)
 	j.rec.EndSpan(j.espan, code)
 	j.rec.EndSpan(j.root, code)
-	if !j.h.settle(r) {
+	if !j.h.claim(r) {
 		return false
 	}
 	s.publishJobLatency(j, r)
@@ -1047,6 +1051,7 @@ func (s *Service) complete(j *job, r *JobResult, code string) bool {
 	s.publish(Event{Layer: obs.LayerService, Kind: obs.KindJobDone,
 		Str: j.h.tenant, Str2: code, Num: uint64(j.h.shard), Num2: uint64(j.shed)})
 	s.publishShardGauges(sh)
+	j.h.release()
 	return true
 }
 
