@@ -107,13 +107,40 @@ func TestShadowSourceAfterCachedNil(t *testing.T) {
 		t.Fatalf("Get after cached-nil lookup = %d, want %d", got, tag)
 	}
 
-	// Same sequence through the word path (Set/SetWord share pageAlloc).
+	// Same sequence through the word path (Set/SetWord share allocPage).
 	if sh.Get(0x5000) != Empty {
 		t.Fatal("fresh page not empty")
 	}
 	sh.SetWord(0x5000, tag)
 	if got := sh.GetWord(0x5000); got != tag {
 		t.Fatalf("SetWord after cached-nil lookup = %d, want %d", got, tag)
+	}
+
+	// Across aliasing slots: page 0x6 caches nil in its slot, then the
+	// source lands on page 0x6+shadowTLBWays, which shares that slot.
+	// The flip must register, each page must read back as itself, and
+	// the evicted negative entry must not resurface for either.
+	hi := uint32(0x6 + shadowTLBWays)
+	if sh.GetWord(0x6000) != Empty {
+		t.Fatal("fresh page not empty")
+	}
+	g = sh.FlipGen()
+	sh.SetRange(hi<<pageShift, 8, tag)
+	if sh.PageClean(hi) || sh.FlipGen() == g {
+		t.Fatalf("aliasing source not accounted: clean=%v flip gen %d->%d", sh.PageClean(hi), g, sh.FlipGen())
+	}
+	if got := sh.GetWord(hi << pageShift); got != tag {
+		t.Fatalf("GetWord on aliasing page = %d, want %d", got, tag)
+	}
+	if got := sh.GetWord(0x6000); got != Empty {
+		t.Fatalf("page 0x6 resolved to its alias: %d", got)
+	}
+	// Page 0x6 now holds the slot's negative entry again; a source on
+	// it must flip and read back too.
+	g = sh.FlipGen()
+	sh.SetWord(0x6000, tag)
+	if sh.PageClean(0x6) || sh.FlipGen() == g || sh.GetWord(0x6000) != tag || sh.GetWord(hi<<pageShift) != tag {
+		t.Fatalf("source after re-cached nil: clean=%v flip gen %d->%d", sh.PageClean(0x6), g, sh.FlipGen())
 	}
 }
 

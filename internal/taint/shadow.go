@@ -18,22 +18,23 @@ package taint
 // observationally identical; see DESIGN.md "Shadow memory fast
 // paths".
 //
-// A single-entry page cache (a software TLB) short-circuits the page
-// map for the overwhelmingly local access streams the benchmarks
-// show; it is invalidated whenever the page table is replaced
-// (Reset) and never shared with Clones.
+// A small direct-mapped software TLB — the design isa.Memory uses for
+// guest pages — short-circuits the page map for the local access
+// streams the benchmarks show. It is cleared whenever the page table
+// is replaced (Reset) and never shared with Clones.
 type Shadow struct {
 	store *Store
 	pages map[uint32]*shadowPage
 
-	// Software TLB: the last page resolution, including negative
-	// results — an untainted working set resolves every access to
-	// "unallocated", and caching that verdict keeps the hot path off
-	// the page map entirely. pageAlloc refreshes the entry when it
-	// materializes a negatively-cached page.
-	tlbIdx   uint32
-	tlbPage  *shadowPage
-	tlbValid bool
+	// Software TLB, direct-mapped by the low page-index bits: a kernel
+	// that reads A, reads B and writes D — three pages per iteration —
+	// keeps all three resident instead of evicting one with every
+	// access. Entries cache negative results too: an untainted working
+	// set resolves every access to "unallocated", and caching that
+	// verdict keeps the hot path off the page map entirely. allocPage
+	// refreshes the slot of the page it creates, so a negative entry
+	// never hides a page allocated after it was cached.
+	tlb [shadowTLBWays]shadowTLBEnt
 
 	// TLB effectiveness counters (hits = probes - misses). Plain
 	// increments on the page-resolution path; read via TLBStats.
@@ -52,11 +53,21 @@ type Shadow struct {
 	onFlip  func(idx uint32)
 }
 
+// shadowTLBEnt is one TLB slot: the resolution of page idx, where a
+// nil page is a cached "unallocated". valid is false only in a slot
+// nothing has been cached in since NewShadow or Reset.
+type shadowTLBEnt struct {
+	idx   uint32
+	valid bool
+	page  *shadowPage
+}
+
 const (
-	pageShift = 12
-	pageSize  = 1 << pageShift
-	pageMask  = pageSize - 1
-	pageWords = pageSize / 4
+	pageShift     = 12
+	pageSize      = 1 << pageShift
+	pageMask      = pageSize - 1
+	pageWords     = pageSize / 4
+	shadowTLBWays = 4 // direct-mapped slots; must be a power of two
 )
 
 // shadowPage holds the tags of one 4 KiB page. words is authoritative
@@ -165,12 +176,13 @@ func (sh *Shadow) Store() *Store { return sh.store }
 // page is unallocated.
 func (sh *Shadow) page(idx uint32) *shadowPage {
 	sh.tlbProbes++
-	if sh.tlbValid && sh.tlbIdx == idx {
-		return sh.tlbPage
+	e := &sh.tlb[idx&(shadowTLBWays-1)]
+	if e.valid && e.idx == idx {
+		return e.page
 	}
 	sh.tlbMisses++
 	p := sh.pages[idx]
-	sh.tlbIdx, sh.tlbPage, sh.tlbValid = idx, p, true
+	e.idx, e.valid, e.page = idx, true, p
 	return p
 }
 
@@ -180,14 +192,14 @@ func (sh *Shadow) TLBStats() (probes, misses uint64) {
 	return sh.tlbProbes, sh.tlbMisses
 }
 
-// pageAlloc resolves a page index, allocating the page on demand.
-func (sh *Shadow) pageAlloc(idx uint32) *shadowPage {
-	if p := sh.page(idx); p != nil {
-		return p
-	}
+// allocPage creates page idx, which the caller's page probe has just
+// found unallocated, and refreshes its TLB slot over the negative
+// entry that probe cached. It does not probe again, so an allocating
+// write counts as one TLB probe, like any other access.
+func (sh *Shadow) allocPage(idx uint32) *shadowPage {
 	p := &shadowPage{idx: idx}
 	sh.pages[idx] = p
-	sh.tlbIdx, sh.tlbPage, sh.tlbValid = idx, p, true
+	sh.tlb[idx&(shadowTLBWays-1)] = shadowTLBEnt{idx: idx, valid: true, page: p}
 	return p
 }
 
@@ -208,7 +220,7 @@ func (sh *Shadow) Set(addr uint32, t Tag) {
 		if t == Empty {
 			return
 		}
-		p = sh.pageAlloc(addr >> pageShift)
+		p = sh.allocPage(addr >> pageShift)
 	}
 	p.setByte(sh, addr&pageMask, t)
 }
@@ -250,7 +262,7 @@ func (sh *Shadow) SetWord(addr uint32, t Tag) {
 		if t == Empty {
 			return
 		}
-		p = sh.pageAlloc(addr >> pageShift)
+		p = sh.allocPage(addr >> pageShift)
 	}
 	if p.bytes == nil && off&3 == 0 {
 		p.setWordSlot(sh, off>>2, t)
@@ -276,7 +288,7 @@ func (sh *Shadow) SetRange(addr, n uint32, t Tag) {
 		p := sh.page(idx)
 		if p == nil {
 			if t != Empty {
-				p = sh.pageAlloc(idx)
+				p = sh.allocPage(idx)
 				p.setRange(sh, off, chunk, t)
 			}
 		} else {
@@ -395,7 +407,7 @@ func (sh *Shadow) ClearRange(addr, n uint32) {
 // Used by execve(), which replaces the address space.
 func (sh *Shadow) Reset() {
 	sh.pages = make(map[uint32]*shadowPage)
-	sh.tlbPage, sh.tlbValid = nil, false
+	sh.tlb = [shadowTLBWays]shadowTLBEnt{}
 	// Belt and braces: dropping every page can only make pages cleaner,
 	// but bumping the flip generation forces cached clean verdicts to
 	// re-probe rather than reason about the wholesale replacement.
@@ -414,10 +426,11 @@ func (sh *Shadow) Pages() int { return len(sh.pages) }
 func (sh *Shadow) FlipGen() uint64 { return sh.flipGen }
 
 // PageClean reports whether the 4 KiB page with index idx (addr >>
-// 12) holds no tainted byte. It deliberately bypasses the one-entry
-// TLB: clean-tier probes would otherwise thrash the cached entry the
-// guest's own loads and stores are using, and charge their misses to
-// the TLB effectiveness counters.
+// 12) holds no tainted byte. It deliberately bypasses the TLB: the
+// clean tier probes every page of a block's footprint at once, a set
+// that need not fit four direct-mapped slots, so going through the
+// TLB would evict the entries the guest's own loads and stores are
+// using and charge those probes to the TLB effectiveness counters.
 func (sh *Shadow) PageClean(idx uint32) bool {
 	p := sh.pages[idx]
 	return p == nil || p.pop == 0

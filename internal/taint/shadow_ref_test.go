@@ -281,6 +281,70 @@ func TestShadowEquivCloneDiverge(t *testing.T) {
 	checkEquiv(t, "child after diverge", child, childRef)
 }
 
+// TestShadowEquivAliasingPages roams six pages that share TLB slots
+// (0x40/0x44/0x48 and 0x41/0x45), so most accesses evict a slot
+// another page was using, and checks mixed traffic — including words
+// and ranges that run over into the next page — against the reference.
+func TestShadowEquivAliasingPages(t *testing.T) {
+	st := NewStore()
+	sh, ref := NewShadow(st), newRefShadow(st)
+	tags := tagPalette(st)
+	rng := rand.New(rand.NewSource(7))
+	pages := []uint32{0x40, 0x44, 0x48, 0x41, 0x45, 0x46}
+	addr := func() uint32 {
+		return pages[rng.Intn(len(pages))]<<pageShift + uint32(rng.Intn(pageSize))
+	}
+	for i := 0; i < 8000; i++ {
+		tg := tags[rng.Intn(len(tags))]
+		switch rng.Intn(6) {
+		case 0: // aligned word store
+			a := addr() &^ 3
+			sh.SetWord(a, tg)
+			ref.SetWord(a, tg)
+		case 1: // byte store or unaligned word store
+			a := addr()
+			if rng.Intn(2) == 0 {
+				sh.Set(a, tg)
+				ref.Set(a, tg)
+			} else {
+				sh.SetWord(a, tg)
+				ref.SetWord(a, tg)
+			}
+		case 2: // range store or clear
+			a := addr()
+			n := uint32(rng.Intn(64))
+			sh.SetRange(a, n, tg)
+			ref.SetRange(a, n, tg)
+		case 3:
+			a := addr()
+			if got, want := sh.Get(a), ref.Get(a); got != want {
+				t.Fatalf("Get(%#x) = %d, want %d", a, got, want)
+			}
+		case 4:
+			a := addr()
+			if got, want := sh.GetWord(a), ref.GetWord(a); got != want {
+				t.Fatalf("GetWord(%#x) = %d, want %d", a, got, want)
+			}
+		case 5:
+			a := addr()
+			n := uint32(rng.Intn(64))
+			if got, want := sh.GetRange(a, n), ref.GetRange(a, n); got != want {
+				t.Fatalf("GetRange(%#x,%d) = %d, want %d", a, n, got, want)
+			}
+		}
+	}
+	for _, idx := range pages {
+		for a := idx << pageShift; a < (idx+2)<<pageShift; a++ { // and the run-over page
+			if got, want := sh.Get(a), ref.Get(a); got != want {
+				t.Fatalf("byte %#x = %d, want %d", a, got, want)
+			}
+		}
+	}
+	if _, mi := sh.TLBStats(); mi == 0 {
+		t.Fatal("no TLB misses: the pages did not contend for slots")
+	}
+}
+
 // TestShadowClearRangeSkipsCleanPages asserts the satellite fix: an
 // Empty-tag range over unallocated pages allocates nothing (and, by
 // construction, no longer probes the page map per byte).

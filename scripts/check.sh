@@ -19,6 +19,10 @@ else
 fi
 go build ./...
 go test ./...
+# The benchmark driver is its own module, which the root `./...` does
+# not reach; its tests check every job against an independent reference.
+go -C cmd/hth-load vet ./...
+go -C cmd/hth-load test .
 # Race-detector pass over the whole module: the parallel corpus runner
 # and the tier promotion/demotion paths run their full test load under
 # the detector.

@@ -337,7 +337,10 @@ type JobResult struct {
 	WallNS        int64     `json:"wall_ns,omitempty"`
 
 	// Raw is the full monitored result for in-process embedders (nil
-	// for failed/aborted jobs; never serialized).
+	// for failed/aborted jobs; never serialized). The service releases
+	// every process's taint shadow when the job settles, so the shadows
+	// reachable from Raw.Process are empty; guest memory and exit state
+	// stay.
 	Raw *Result `json:"-"`
 }
 
@@ -976,6 +979,13 @@ func (s *Service) finish(j *job, res *Result, err error, wall time.Duration) {
 			r.Warnings[i] = JobWarning{
 				Severity: w.Severity.String(), Rule: w.Rule, Message: w.Message,
 				Chain: append([]string(nil), w.Chain...),
+			}
+		}
+		// The result is built; drop every process's taint shadow so a
+		// kept result does not hold the job's tag pages alive.
+		for _, p := range res.Process.OS.Processes() {
+			if sh := p.CPU.Shadow; sh != nil {
+				sh.Reset()
 			}
 		}
 	}

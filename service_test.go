@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -61,6 +64,9 @@ func TestServiceMatchesBatchRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if batch.Process.CPU.Shadow.Pages() == 0 {
+		t.Fatal("batch run left no shadow pages; the release check below would be vacuous")
+	}
 
 	s := hth.NewService(hth.ServiceConfig{})
 	defer drainService(t, s)
@@ -74,6 +80,32 @@ func TestServiceMatchesBatchRun(t *testing.T) {
 	}
 	if res.Raw == nil {
 		t.Fatal("done job lost its raw result")
+	}
+	// The service releases a settled job's taint shadows; everything
+	// the verdict rests on must still equal the batch run.
+	for _, p := range res.Raw.Process.OS.Processes() { // the root included
+		if n := p.CPU.Shadow.Pages(); n != 0 {
+			t.Errorf("settled job's pid %d shadow holds %d pages", p.PID, n)
+		}
+	}
+	h64 := fnv.New64a()
+	for _, w := range batch.Warnings {
+		io.WriteString(h64, w.String())
+		io.WriteString(h64, "\x00")
+	}
+	if want := fmt.Sprintf("%016x", h64.Sum64()); res.WarnHash != want {
+		t.Errorf("warn hash %s, batch %s", res.WarnHash, want)
+	}
+	if len(res.Raw.Events) == 0 || len(res.Raw.Events) != len(batch.Events) {
+		t.Fatalf("events: service %d, batch %d", len(res.Raw.Events), len(batch.Events))
+	}
+	for i := range batch.Events {
+		if got, want := res.Raw.Events[i].String(), batch.Events[i].String(); got != want {
+			t.Errorf("event %d: %q != %q", i, got, want)
+		}
+	}
+	if !reflect.DeepEqual(res.Raw.Stats, batch.Stats) {
+		t.Errorf("stats: service %+v, batch %+v", res.Raw.Stats, batch.Stats)
 	}
 	if len(res.Warnings) != len(batch.Warnings) {
 		t.Fatalf("service warnings = %d, batch = %d", len(res.Warnings), len(batch.Warnings))
