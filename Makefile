@@ -49,10 +49,13 @@ elf:
 # The clean-tier gate: the full-corpus differential sweep (clean
 # off/on × traces off/on, signatures bit-identical), the page-flip
 # seam units, the chaos-delayed recv re-instrumentation regression,
-# and a fuzz smoke over the mid-run taint-injection oracle.
+# the bare-resume revalidation units (a bare trace stop resumes bare
+# only while its flip generation and clean epoch hold), and a fuzz
+# smoke over the mid-run taint-injection oracle.
 clean-tier:
 	$(GO) test -count=1 -run 'TestCleanTierDifferentialSweep|TestCleanTierReinstrumentOnDelayedRecv' ./internal/corpus
 	$(GO) test -count=1 -run 'TestShadowSourceAfterCachedNil|TestShadowPageFlipSeam' ./internal/taint
+	$(GO) test -count=1 -run 'TestBareResumeRevalidates' ./internal/harrier
 	$(GO) test -fuzz=FuzzCleanReinstrument -fuzztime=10s ./internal/harrier
 
 # The span-tracing gate: the hth-trace span/summary goldens, the

@@ -165,11 +165,12 @@ func RunPerfObserved(workload string, mode PerfMode, observers ...hth.Observer) 
 func RunPerfWith(workload string, mode PerfMode, tweak func(*hth.Config), observers ...hth.Observer) (*hth.Result, error) {
 	sys := hth.NewSystem()
 	// Batch-sized scheduler quantum: these are single-process
-	// throughput guests, so fairness granularity buys nothing and the
-	// default interactive slice (128) would leave a tail too short for
-	// a compiled trace at the end of every slice — measuring the
-	// interpreter, not the tier under test. Applied across all modes,
-	// so every A/B comparison sees the same scheduling.
+	// throughput guests, so fairness granularity buys nothing. A slice
+	// end no longer drops a trace to a lower tier (the next slice
+	// resumes it), but at the default interactive slice (128) the
+	// per-slice scheduler round and dispatch alone would weigh on the
+	// tier under test. Applied across all modes, so every A/B
+	// comparison sees the same scheduling.
 	sys.OS.SetStepsPerSlice(4096)
 	spec := hth.RunSpec{Path: "/bin/" + workload}
 	switch workload {

@@ -34,7 +34,11 @@ import (
 // Each verified op leaves the tag state exactly as it found it, so by
 // induction the entry tags stay valid for the whole list and any
 // executed *prefix* of it — which is what makes the proof sound for
-// traces, whose side exits and budget exits run prefixes. A passing
+// traces, whose side exits and budget stops run prefixes. A budget
+// stop's remainder, resumed in a later slice, continues bare only
+// while the flip generation and source epoch stamped at the stop
+// still hold (resumeTrace): then nothing the proof rests on moved in
+// between, and prefix plus remainder is one proven run. A passing
 // proof is cached as a cleanEnt keyed on (shadow, entry register
 // tags, resolved page set) and the block runs UNINSTRUMENTED: no
 // shadow lookups, no unions, no per-instruction hooks — concrete
@@ -401,14 +405,14 @@ func (h *Harrier) cleanOpsNoop(ops []sumOp, tags *[isa.NumRegs]taint.Tag) bool {
 // (see runTraceTaint) checked for no-op-ness against the entry tags
 // under the clean-footprint assumption. Because the check is per
 // instruction in program order and value-independent, it holds for
-// every executed prefix — side exits, budget exits and faults
+// every executed prefix — side exits, budget stops and faults
 // included.
 func (h *Harrier) cleanMopsNoop(mops []mop, tags *[isa.NumRegs]taint.Tag) bool {
 	st := h.Store
 	for i := range mops {
 		op := &mops[i]
 		switch op.code {
-		case mBBEnter, mBr, mCmpRR, mCmpRI, mCmpRM, mCmpMR, mCmpMI, mCmpMM:
+		case mBBEnter, mBr, mNop, mCmpRR, mCmpRI, mCmpRM, mCmpMR, mCmpMI, mCmpMM:
 			// no taint effect
 		case mMovRR, mMovbRR:
 			if tags[op.reg] != tags[op.reg2] {

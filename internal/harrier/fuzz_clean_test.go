@@ -35,7 +35,9 @@ func FuzzCleanReinstrument(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte, injectAt uint16) {
 		span := buildTraceFuzzSpan(data)
-		h := New(Config{Dataflow: true, CleanThreshold: 1}, nil)
+		// The clean tier arms only on top of the summary tier, so its
+		// switches are on too; the hooks below are still wired by hand.
+		h := New(Config{Dataflow: true, BBFrequency: true, PromoteThreshold: 1, CleanThreshold: 1}, nil)
 
 		// Install the compiled tiers at every leader, as the tier state
 		// machine would: a trace where one compiles, the bare summary
@@ -130,9 +132,10 @@ func FuzzCleanReinstrument(f *testing.F) {
 // runToBoundary drives the CPU like runBudgeted but stops at the first
 // block boundary at or after `until` retired steps: both differential
 // runs pause at the same architectural point regardless of tier,
-// because blocks apply atomically and every trace exit lands on a
-// block entry. `halted` reports HLT, a fault, or the program leaving
-// the span — anywhere further stepping is pointless.
+// because blocks apply atomically and past `until` a trace retires one
+// instruction per Step, so none runs past the boundary. `halted`
+// reports HLT, a fault, or the program leaving the span — anywhere
+// further stepping is pointless.
 func runToBoundary(c *isa.CPU, span *isa.Span, until uint64) (halted, faulted bool) {
 	step := func() (stop, faulted bool) {
 		err := c.Step()
@@ -148,7 +151,7 @@ func runToBoundary(c *isa.CPU, span *isa.Span, until uint64) (halted, faulted bo
 			return true, f
 		}
 	}
-	c.TraceBudget = 0
+	c.TraceBudget = 1
 	for extra := 0; extra < 64; extra++ {
 		if !span.Contains(c.EIP) {
 			return true, false // out of span: the next step faults in any tier

@@ -12,11 +12,13 @@ import (
 // unconditional branches runs once under the interpreter tier and once
 // with superblock traces compiled at every leader, from the same
 // concrete and taint state against one shared tag store. Both runs are
-// driven under the same step budget the scheduler would impose, so a
-// trace's budget exits, side exits and fault exits all land on the
-// comparison path. Registers, EIP, flags, retired steps and the fault
-// verdict must always match; register tags and the shadow window must
-// match whenever the program did not die mid-flight.
+// driven in scheduler slices of 1–40 instructions (the length comes
+// from the input), so a trace's budget stops — mid-block ones included
+// — and the resumes that continue them land on the comparison path
+// next to its side exits and fault exits. Registers, EIP, flags,
+// retired steps and the fault verdict must always match; register tags
+// and the shadow window must match whenever the program did not die
+// mid-flight.
 func FuzzTraceApply(f *testing.F) {
 	// A countdown loop: mov ecx,8; dec ecx; jnz back — the classic
 	// backward-predicted superblock with one final mispredict.
@@ -35,9 +37,8 @@ func FuzzTraceApply(f *testing.F) {
 		h := New(Config{Dataflow: true}, nil)
 
 		// Compile a trace at every leader that yields one and install it,
-		// exactly as the tier state machine would after promotion: the
-		// head must be the block's real compiled summary — the budget
-		// fallback applies it when a quantum can't fit the first block.
+		// exactly as the tier state machine would after promotion, with
+		// the block's real compiled summary as its head.
 		installed := 0
 		for i := range span.Instrs {
 			if span.BBLeader[i] != i {
@@ -63,16 +64,17 @@ func FuzzTraceApply(f *testing.F) {
 		}
 
 		const bound = 4096
+		slice := 1 + int(data[len(data)-1])%40
 		cA := newFuzzCPU(span, h.Store, data)
 		cA.Hooks.OnInstr = h.trackDataFlow
 		cA.Hooks.OnInstrData = true
-		faultA := runBudgeted(cA, span, bound)
+		faultA := runBudgeted(cA, span, bound, slice)
 
 		cB := newFuzzCPU(span, h.Store, data)
 		cB.Hooks.OnInstr = h.trackDataFlow
 		cB.Hooks.OnInstrData = true
 		cB.Hooks.OnBBSummary = h.onBBSummary
-		faultB := runBudgeted(cB, span, bound)
+		faultB := runBudgeted(cB, span, bound, slice)
 
 		if cA.Regs != cB.Regs || cA.EIP != cB.EIP || cA.Steps != cB.Steps ||
 			cA.ZF != cB.ZF || cA.LT != cB.LT || faultA != faultB {
@@ -136,14 +138,16 @@ func buildTraceFuzzSpan(data []byte) *isa.Span {
 	return isa.NewSpan(0x10000, "fuzz", instrs, nil)
 }
 
-// runBudgeted drives the CPU the way vos.Run does: each Step sees the
-// remaining quantum in TraceBudget, so a trace can never retire past
-// the bound. After the bound it finishes the current block — across
-// tiers, taint state is only comparable at block boundaries, because
-// the summary tier applies a block's whole transfer atomically at
-// entry (a quantum expiring mid-block leaves it legitimately ahead of
-// the interpreter until the block completes, just as under vos.Run).
-func runBudgeted(c *isa.CPU, span *isa.Span, bound uint64) (faulted bool) {
+// runBudgeted drives the CPU the way vos.Run does: in slices of
+// `slice` instructions, each Step seeing the slice's remainder in
+// TraceBudget, so a trace can never retire past a slice end or the
+// bound. After the bound it finishes the current block one instruction
+// at a time — across tiers, taint state is only comparable at block
+// boundaries, because the summary tier applies a block's whole
+// transfer atomically at entry (a quantum expiring mid-block leaves it
+// legitimately ahead of the interpreter until the block completes,
+// just as under vos.Run).
+func runBudgeted(c *isa.CPU, span *isa.Span, bound uint64, slice int) (faulted bool) {
 	step := func() (stop, faulted bool) {
 		err := c.Step()
 		if err == nil {
@@ -153,12 +157,20 @@ func runBudgeted(c *isa.CPU, span *isa.Span, bound uint64) (faulted bool) {
 		return true, errors.As(err, &f) // non-fault err is a clean HLT
 	}
 	for c.Steps < bound {
-		c.TraceBudget = int(bound - c.Steps)
-		if stop, faulted := step(); stop {
-			return faulted
+		n := slice
+		if rem := int(bound - c.Steps); rem < n {
+			n = rem
+		}
+		for ran := 0; ran < n; {
+			c.TraceBudget = n - ran
+			before := c.Steps
+			if stop, faulted := step(); stop {
+				return faulted
+			}
+			ran += int(c.Steps - before)
 		}
 	}
-	c.TraceBudget = 0
+	c.TraceBudget = 1
 	for extra := 0; extra < 64; extra++ {
 		if !span.Contains(c.EIP) {
 			break

@@ -20,9 +20,12 @@ import (
 // A summarized block that stays hot climbs once more: when its counter
 // reaches Config.TraceThreshold, the summary-tier handler compiles a
 // superblock trace (trace.go) rooted at the block and installs it in
-// the same slot, keeping the summary as the trace head for budget
-// fallback. A block whose trace compilation yields nothing is pinned
-// at the summary tier via blockSummary.traceTried.
+// the same slot, keeping the summary as the trace head. From then on
+// every entry runs the trace: a scheduler quantum that runs out inside
+// it stops the run on the exact instruction and the next slice resumes
+// it there, so the summary is never applied in its place. A block
+// whose trace compilation yields nothing is pinned at the summary tier
+// via blockSummary.traceTried.
 //
 // Demotion happens on execve: the process's code map is about to be
 // torn down, so PreExec drops every summary installed on its spans
@@ -95,7 +98,8 @@ func (h *Harrier) maybePromote(c *isa.CPU, s *isa.Span, leader int, key bbKey, c
 // the summary is applied and the fetch loop executes the block with
 // OnBB/OnInstr suppressed. A *blockTrace entry executes the compiled
 // trace outright — the fetch loop skips the covered instructions
-// entirely.
+// entirely — and s == nil offers one back to resume a budget stop
+// (isa.TraceResume).
 func (h *Harrier) onBBSummary(c *isa.CPU, s *isa.Span, leader int, summary any) (isa.SummaryAction, error) {
 	switch sum := summary.(type) {
 	case *blockSummary:
@@ -117,29 +121,12 @@ func (h *Harrier) onBBSummary(c *isa.CPU, s *isa.Span, leader int, summary any) 
 		if sum.head.owner != h || c.Shadow == nil {
 			return isa.SummaryDecline, nil
 		}
+		if s == nil {
+			return h.resumeTrace(c, sum)
+		}
 		return h.enterTrace(c, sum)
 	}
 	return isa.SummaryDecline, nil
-}
-
-// enterTrace dispatches a trace entry. When the remaining quantum
-// cannot fit even the first block, the head summary runs instead —
-// the trace would immediately budget-exit at its first mBBEnter
-// without retiring anything, so the entry must make progress the
-// summary way. This also guarantees the executor that the head block
-// never budget-exits.
-func (h *Harrier) enterTrace(c *isa.CPU, tr *blockTrace) (isa.SummaryAction, error) {
-	budget := c.TraceBudget
-	if budget > 0 && tr.blocks[0].instrs > budget {
-		if h.applySummary(c, tr.head) {
-			return isa.SummaryClean, nil
-		}
-		return isa.SummaryBlock, nil
-	}
-	if h.tt != nil {
-		h.tt.Touch(obs.TierTrace)
-	}
-	return isa.SummaryTrace, h.runTrace(c, tr, budget)
 }
 
 // applySummary reproduces exactly what one interpreter-tier traversal

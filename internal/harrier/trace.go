@@ -23,10 +23,17 @@ import (
 // Conditional branches are evaluated against live flags; when the
 // actual direction disagrees with the traced direction the run side-
 // exits, leaving EIP at the untraced target so the interpreter (or a
-// summary, or another trace) picks up at a genuine block entry. Every
-// run of a trace therefore executes a *prefix* of the recorded path,
-// which is what makes the exit protocol and the clean tier's per-mop
-// proof (cleantier.go) sound.
+// summary, or another trace) picks up at a genuine block entry.
+//
+// A run also stops where the scheduler's quantum (CPU.TraceBudget)
+// runs out, on that exact instruction, even mid-block: every consumed
+// instruction owns exactly one mop, so a budget maps to one end mop.
+// The stop leaves a continuation (CPU.Resume) and the next slice
+// resumes the same trace from that mop, so slice ends never leave the
+// trace tier. Every run therefore executes a contiguous stretch of the
+// recorded path, from the head or from a resume mop, which is what
+// makes the exit protocol and the clean tier's per-mop proof
+// (cleantier.go) sound.
 //
 // A trace has exactly two loops: runTraceTaint, the full transfer,
 // and runTraceBare, concrete semantics only, which runs only under a
@@ -35,9 +42,10 @@ import (
 // taint-touching address is expressible as entry-register +
 // displacement, that op stream yields the clean tier's footprint.
 const (
-	// traceMaxInstrs caps the guest instructions one trace may retire,
-	// below the scheduler's 128-instruction slice so a full run fits a
-	// fresh quantum; traceMaxBlocks bounds loop unrolling.
+	// traceMaxInstrs caps the guest instructions one trace may retire.
+	// A run needs no room in the quantum — a budget stop lands on the
+	// exact instruction and the next slice resumes there — so the cap
+	// only bounds the mop program; traceMaxBlocks bounds loop unrolling.
 	traceMaxInstrs = 96
 	traceMaxBlocks = 32
 	// traceNoBase in a mop base slot marks an absolute address.
@@ -51,8 +59,9 @@ const (
 type mopCode uint8
 
 const (
-	mBBEnter mopCode = iota // block boundary: budget check + per-block effects
+	mBBEnter mopCode = iota // block boundary: per-block effects, retires nothing
 	mBr                     // conditional branch, predicted direction
+	mNop                    // NOP, or an unconditional jump the path follows
 
 	mMovRR // mov reg, reg
 	mMovRI // mov reg, imm
@@ -117,11 +126,11 @@ type mop struct {
 
 // mopInfo is the cold half of a mop, consulted only at exits and
 // block boundaries: the instruction's guest address and the cumulative
-// guest-instruction / data-instruction counts through it (through the
-// *preceding* instruction for mBBEnter). Interleaved instructions that
-// emit no mop — NOPs and followed unconditional jumps — are counted
-// here, which is what keeps Steps and the scheduler's quantum
-// accounting bit-identical to the interpreter across tiers.
+// guest-instruction / data-instruction counts of a run from the head
+// through it (through the *preceding* instruction for mBBEnter). Every
+// consumed instruction has its own mop, which is what keeps Steps, the
+// scheduler's quantum and rdtsc bit-identical to the interpreter
+// across tiers, and what lets a budget stop land on any instruction.
 type mopInfo struct {
 	addr  uint32
 	steps uint16
@@ -131,20 +140,17 @@ type mopInfo struct {
 // traceBlock is the per-block context of one chained (possibly
 // unrolled) block: its frequency counter, attribution key, and how the
 // traced path arrives at it (entryJumped mirrors the interpreter's
-// jumped flag for a budget exit at this leader). instrs is the whole
-// block's instruction count, used by the budget check at its entry.
+// jumped flag for a budget stop at this leader).
 type traceBlock struct {
 	ctr         *int64
 	key         bbKey
 	isApp       bool
 	entryJumped bool
-	instrs      int
 }
 
 // blockTrace is a compiled superblock trace, installed in the entry
-// leader's summary slot in place of its *blockSummary (which it keeps
-// as head, both for ownership checks and as the fallback when the
-// remaining quantum cannot fit even the first block).
+// leader's summary slot in place of its *blockSummary, which it keeps
+// as head for the ownership check and the clean tier's block key.
 type blockTrace struct {
 	head   *blockSummary
 	mops   []mop
@@ -271,7 +277,7 @@ walk:
 		key := bbKey{s.Image, s.Addr(cur)}
 		tc.blocks = append(tc.blocks, traceBlock{
 			ctr: h.traceCtr(key), key: key, isApp: head.isApp,
-			entryJumped: arrived, instrs: blockN,
+			entryJumped: arrived,
 		})
 		tc.emit(mop{code: mBBEnter, disp: uint32(bIdx)}, s.Addr(cur))
 		consumed := 0
@@ -280,9 +286,10 @@ walk:
 			if in.Op.IsControlTransfer() {
 				// Only the block's final instruction can be a transfer.
 				if in.Op == isa.JMP && in.A.Kind == isa.ImmOperand && s.Contains(in.A.Imm) {
-					// Followed jump: consumed, but emits no mop.
+					// Followed jump: consumed as a no-op mop.
 					tc.steps++
 					tc.scStep(in)
+					tc.emit(mop{code: mNop}, s.Addr(i))
 					cur, arrived = s.Index(in.A.Imm), true
 					continue walk
 				}
@@ -406,9 +413,7 @@ func (tc *traceCompiler) instr(i int, in *isa.Instr) bool {
 	var m mop
 	switch in.Op {
 	case isa.NOP:
-		tc.steps++
-		tc.scStep(in)
-		return true
+		m = mop{code: mNop}
 
 	case isa.MOV, isa.MOVB:
 		var codes [6]mopCode
@@ -545,8 +550,9 @@ func (tc *traceCompiler) instr(i int, in *isa.Instr) bool {
 // --- trace execution ----------------------------------------------
 
 // traceExit describes where a trace run stopped: the architectural
-// exit point, the retired/instrumented instruction counts, and the
-// guest fault if the run died on one.
+// exit point, the retired/instrumented instruction counts, the guest
+// fault if the run died on one, and the resume mop if the budget cut
+// it short.
 type traceExit struct {
 	eip    uint32
 	jumped bool
@@ -558,56 +564,156 @@ type traceExit struct {
 	nBlocks uint32
 	lastB   *traceBlock
 	fault   *isa.Fault
+	// stop is the mop a budget stop resumes at; 0 when the run ended
+	// any other way (a stop always lies past the run's first mop).
+	stop int
 }
 
-// runTrace executes a compiled trace: clean-tier probe, then the bare
-// or full-taint mop loop, then the exit protocol. budget is the
-// scheduler's remaining quantum (<= 0: unlimited); the caller has
-// already checked that the first block fits.
-func (h *Harrier) runTrace(c *isa.CPU, tr *blockTrace, budget int) error {
-	if tr.clean.ok && h.cleanProbeTrace(c, tr) {
-		// Clean tier: the whole transfer is a proven no-op under the
-		// current footprint/tag state, so run the trace with zero
-		// instrumentation.
-		if h.tt != nil {
-			h.tt.Touch(obs.TierClean)
-		}
-		ex := h.runTraceBare(c, tr, budget)
-		// Clean-loop fusion: when the run lands back on this trace's
-		// own head (a self-looping hot loop), re-enter directly instead
-		// of surfacing to the fetch loop — per-entry dispatch is most
-		// of what the clean tier still pays. Nothing a cached verdict
-		// depends on can move during a bare run (no tag writes and no
-		// syscalls, hence no page flips and no source-epoch advance);
-		// only the footprint *pages* may differ now that the registers
-		// moved, which is exactly what re-probing checks. Fusing only
-		// under a positive budget keeps Step's contract with unbounded
-		// callers: one trace entry per call. Every run retires at least
-		// one instruction, so the budget strictly decreases.
-		for budget > 0 && ex.fault == nil && ex.eip == tr.head.key.addr {
-			rem := budget - int(ex.steps)
-			if rem < tr.blocks[0].instrs || !h.cleanProbeTrace(c, tr) {
-				break
-			}
-			nx := h.runTraceBare(c, tr, rem)
-			nx.steps += ex.steps
-			nx.nData += ex.nData
-			nx.nBlocks += ex.nBlocks
-			if nx.lastB == nil {
-				nx.lastB = ex.lastB
-			}
-			ex = nx
-		}
-		return h.finishTrace(c, ex, true)
+// retired returns the guest-instruction and data-instruction counts a
+// run from the head retires before reaching mop j.
+func (tr *blockTrace) retired(j int) (steps, nData uint32) {
+	if j == 0 {
+		return 0, 0
 	}
-	return h.finishTrace(c, h.runTraceTaint(c, tr, budget), false)
+	in := &tr.info[j-1]
+	return uint32(in.steps), uint32(in.nData)
+}
+
+// runEnd returns the mop a run starting at mop start stops before so
+// that it retires exactly budget instructions — or the end of the
+// trace when the budget is unlimited (<= 0) or outlasts the path.
+func (tr *blockTrace) runEnd(start, budget int) int {
+	s0, _ := tr.retired(start)
+	target := int(s0) + budget
+	if budget <= 0 || target >= int(tr.nInstr) {
+		return len(tr.mops)
+	}
+	// Each mop retires at most one instruction, so the stop lies at
+	// least budget mops on; only the block entries in between push it
+	// further. The smallest such mop stops before a block entry rather
+	// than after it.
+	end := start + budget
+	for int(tr.info[end-1].steps) < target {
+		end++
+	}
+	return end
+}
+
+// endExit is the exit of a run from start that reached its end mop:
+// the trace's own exit point after a full run, or a budget stop that
+// leaves EIP on the end mop's instruction (its leader, for mBBEnter).
+func (tr *blockTrace) endExit(start, end int) traceExit {
+	s0, n0 := tr.retired(start)
+	if end == len(tr.mops) {
+		return traceExit{
+			eip: tr.endEIP, jumped: tr.endJumped,
+			steps: uint32(tr.nInstr) - s0, nData: uint32(tr.nData) - n0,
+		}
+	}
+	steps, nData := tr.retired(end)
+	ex := traceExit{eip: tr.info[end].addr, steps: steps - s0, nData: nData - n0, stop: end}
+	if op := &tr.mops[end]; op.code == mBBEnter {
+		ex.jumped = tr.blocks[op.disp].entryJumped
+	}
+	return ex
+}
+
+// exitAt is the exit of a run from start that retired mop j and left
+// at it: a side exit to eip, or a fault.
+func (tr *blockTrace) exitAt(start, j int, eip uint32, jumped bool) traceExit {
+	s0, n0 := tr.retired(start)
+	return traceExit{
+		eip: eip, jumped: jumped,
+		steps: uint32(tr.info[j].steps) - s0, nData: uint32(tr.info[j].nData) - n0,
+	}
+}
+
+// enterTrace dispatches a trace entry at its head: the clean-tier
+// probe picks the bare or the full-taint loop.
+func (h *Harrier) enterTrace(c *isa.CPU, tr *blockTrace) (isa.SummaryAction, error) {
+	if h.tt != nil {
+		h.tt.Touch(obs.TierTrace)
+	}
+	bare := tr.clean.ok && h.cleanProbeTrace(c, tr)
+	return isa.SummaryTrace, h.runTrace(c, tr, 0, bare, c.TraceBudget)
+}
+
+// resumeTrace continues the run a budget stop cut short (c.Resume),
+// from the mop it stopped before. Full taint is always sound: it is
+// the per-instruction transfer applied to live state. A bare stop may
+// continue bare only while nothing a clean verdict rests on has moved
+// since — no page of this shadow flipped and the source epoch held —
+// because the verdict proved the whole run from its entry a no-op.
+func (h *Harrier) resumeTrace(c *isa.CPU, tr *blockTrace) (isa.SummaryAction, error) {
+	r := &c.Resume
+	bare := r.Bare && r.Stamp == h.cleanStamp(c)
+	if h.tt != nil && !bare {
+		h.tt.Touch(obs.TierTrace)
+	}
+	return isa.SummaryTrace, h.runTrace(c, tr, r.Mop, bare, c.TraceBudget)
+}
+
+// cleanStamp is what a budget stop records and a bare resume checks:
+// the shadow's flip generation and the clean epoch.
+func (h *Harrier) cleanStamp(c *isa.CPU) [2]uint64 {
+	return [2]uint64{c.Shadow.FlipGen(), h.cleanEpoch}
+}
+
+// runTrace executes tr from mop start — bare under a live clean-tier
+// verdict, with full taint transfer otherwise — then applies the exit
+// protocol. budget is the scheduler's remaining quantum (<= 0:
+// unlimited); a run that reaches it stops on the exact instruction.
+func (h *Harrier) runTrace(c *isa.CPU, tr *blockTrace, start int, bare bool, budget int) error {
+	if !bare {
+		return h.finishTrace(c, tr, h.runTraceTaint(c, tr, start, tr.runEnd(start, budget)), false)
+	}
+	// Clean tier: the whole transfer is a proven no-op under the
+	// current footprint/tag state, so run the trace with zero
+	// instrumentation.
+	if h.tt != nil {
+		h.tt.Touch(obs.TierClean)
+	}
+	ex := h.runTraceBare(c, tr, start, tr.runEnd(start, budget), 0)
+	// Clean-loop fusion: when the run lands back on this trace's own
+	// head (a self-looping hot loop), re-enter directly instead of
+	// surfacing to the fetch loop — per-entry dispatch is most of what
+	// the clean tier still pays. Nothing a cached verdict depends on
+	// can move during a bare run (no tag writes and no syscalls, hence
+	// no page flips and no source-epoch advance); only the footprint
+	// *pages* may differ now that the registers moved, which is exactly
+	// what re-probing checks. Fusing only under a positive budget keeps
+	// Step's contract with unbounded callers: one trace entry per call.
+	// Every run retires at least one instruction, so the budget
+	// strictly decreases.
+	for budget > 0 && ex.fault == nil && ex.eip == tr.head.key.addr {
+		rem := budget - int(ex.steps)
+		if rem <= 0 || !h.cleanProbeTrace(c, tr) {
+			break
+		}
+		nx := h.runTraceBare(c, tr, 0, tr.runEnd(0, rem), ex.steps)
+		nx.steps += ex.steps
+		nx.nData += ex.nData
+		nx.nBlocks += ex.nBlocks
+		if nx.lastB == nil {
+			nx.lastB = ex.lastB
+		}
+		ex = nx
+	}
+	return h.finishTrace(c, tr, ex, true)
 }
 
 // finishTrace applies the exit protocol: architectural exit point,
-// retired-step accounting, per-tier hit attribution, and the batched
-// instrumented-instruction counter with its sampling boundary.
-func (h *Harrier) finishTrace(c *isa.CPU, ex traceExit, clean bool) error {
+// retired-step accounting, per-tier hit attribution, the batched
+// instrumented-instruction counter with its sampling boundary, and
+// the continuation of a budget stop.
+func (h *Harrier) finishTrace(c *isa.CPU, tr *blockTrace, ex traceExit, clean bool) error {
 	c.ExitTrace(ex.eip, ex.jumped)
+	if ex.stop > 0 {
+		c.Resume = isa.TraceResume{
+			Trace: tr, Mop: ex.stop, PC: ex.eip,
+			Bare: clean, Stamp: h.cleanStamp(c),
+		}
+	}
 	c.Steps += uint64(ex.steps)
 	h.stats.Blocks += uint64(ex.nBlocks)
 	if clean {
@@ -645,12 +751,12 @@ func (h *Harrier) finishTrace(c *isa.CPU, ex traceExit, clean bool) error {
 // tier would perform them. Only called when a recorder or bus is
 // attached — the mop loops otherwise keep block entry down to one
 // counter increment, with statistics batched at exit and last-app
-// attribution folded into finishTrace. consumed is the trace's
-// retired-instruction count before this block, which keeps event
+// attribution folded into finishTrace. consumed is the instruction
+// count this Step retired before the block, which keeps event
 // timestamps on the interpreter's clock.
 //
 //go:noinline
-func (h *Harrier) traceBlockEnter(c *isa.CPU, b *traceBlock, consumed uint16) {
+func (h *Harrier) traceBlockEnter(c *isa.CPU, b *traceBlock, consumed uint32) {
 	p := procOf(c)
 	if p == nil {
 		return
@@ -732,10 +838,12 @@ func brTaken(aop uint8, zf, lt bool) bool {
 	return !lt // JGE
 }
 
-// runTraceTaint is the full-transfer mop loop: every mop applies its
-// instruction's taint transfer first (the interpreter runs OnInstr
-// before executing) and its concrete semantics second.
-func (h *Harrier) runTraceTaint(c *isa.CPU, tr *blockTrace, budget int) (ex traceExit) {
+// runTraceTaint is the full-transfer mop loop over mops [start,end):
+// every mop applies its instruction's taint transfer first (the
+// interpreter runs OnInstr before executing) and its concrete
+// semantics second. A run never fuses, so its Step retired nothing
+// before it.
+func (h *Harrier) runTraceTaint(c *isa.CPU, tr *blockTrace, start, end int) (ex traceExit) {
 	sh := c.Shadow
 	st := h.Store
 	mem := c.Mem
@@ -744,24 +852,18 @@ func (h *Harrier) runTraceTaint(c *isa.CPU, tr *blockTrace, budget int) (ex trac
 	var nBlocks uint32
 	var lastB *traceBlock
 	defer func() { ex.nBlocks, ex.lastB = nBlocks, lastB }()
-	mops, info := tr.mops, tr.info
-	for j := 0; j < len(mops); j++ {
+	s0, _ := tr.retired(start)
+	mops, info := tr.mops[:end], tr.info
+	for j := start; j < len(mops); j++ {
 		op := &mops[j]
 		switch op.code {
 		case mBBEnter:
 			b := &tr.blocks[op.disp]
-			if budget > 0 && int(info[j].steps)+b.instrs > budget {
-				c.ZF, c.LT = zf, lt
-				return traceExit{
-					eip: info[j].addr, jumped: b.entryJumped,
-					steps: uint32(info[j].steps), nData: uint32(info[j].nData),
-				}
-			}
 			*b.ctr++
 			nBlocks++
 			lastB = b
 			if observed {
-				h.traceBlockEnter(c, b, info[j].steps)
+				h.traceBlockEnter(c, b, uint32(info[j].steps)-s0)
 			}
 
 		case mBr:
@@ -772,11 +874,9 @@ func (h *Harrier) runTraceTaint(c *isa.CPU, tr *blockTrace, budget int) (ex trac
 					eip = op.disp
 				}
 				c.ZF, c.LT = zf, lt
-				return traceExit{
-					eip: eip, jumped: true,
-					steps: uint32(info[j].steps), nData: uint32(info[j].nData),
-				}
+				return tr.exitAt(start, j, eip, true)
 			}
+		case mNop:
 
 		case mMovRR:
 			c.RegTags[op.reg] = c.RegTags[op.reg2]
@@ -844,7 +944,7 @@ func (h *Harrier) runTraceTaint(c *isa.CPU, tr *blockTrace, budget int) (ex trac
 			r, ok := aluExec(op.aop, c.Regs[op.reg], c.Regs[op.reg2])
 			if !ok {
 				c.ZF, c.LT = zf, lt
-				return traceFault(info, j)
+				return traceFault(tr, start, j)
 			}
 			zf, lt = r == 0, int32(r) < 0
 			c.Regs[op.reg] = r
@@ -853,7 +953,7 @@ func (h *Harrier) runTraceTaint(c *isa.CPU, tr *blockTrace, budget int) (ex trac
 			r, ok := aluExec(op.aop, c.Regs[op.reg], op.disp)
 			if !ok {
 				c.ZF, c.LT = zf, lt
-				return traceFault(info, j)
+				return traceFault(tr, start, j)
 			}
 			zf, lt = r == 0, int32(r) < 0
 			c.Regs[op.reg] = r
@@ -863,7 +963,7 @@ func (h *Harrier) runTraceTaint(c *isa.CPU, tr *blockTrace, budget int) (ex trac
 			r, ok := aluExec(op.aop, c.Regs[op.reg], mem.Load32(ea))
 			if !ok {
 				c.ZF, c.LT = zf, lt
-				return traceFault(info, j)
+				return traceFault(tr, start, j)
 			}
 			zf, lt = r == 0, int32(r) < 0
 			c.Regs[op.reg] = r
@@ -873,7 +973,7 @@ func (h *Harrier) runTraceTaint(c *isa.CPU, tr *blockTrace, budget int) (ex trac
 			r, ok := aluExec(op.aop, mem.Load32(ea), c.Regs[op.reg])
 			if !ok {
 				c.ZF, c.LT = zf, lt
-				return traceFault(info, j)
+				return traceFault(tr, start, j)
 			}
 			zf, lt = r == 0, int32(r) < 0
 			mem.Store32(ea, r)
@@ -883,7 +983,7 @@ func (h *Harrier) runTraceTaint(c *isa.CPU, tr *blockTrace, budget int) (ex trac
 			r, ok := aluExec(op.aop, mem.Load32(ea), op.disp2)
 			if !ok {
 				c.ZF, c.LT = zf, lt
-				return traceFault(info, j)
+				return traceFault(tr, start, j)
 			}
 			zf, lt = r == 0, int32(r) < 0
 			mem.Store32(ea, r)
@@ -894,7 +994,7 @@ func (h *Harrier) runTraceTaint(c *isa.CPU, tr *blockTrace, budget int) (ex trac
 			r, ok := aluExec(op.aop, mem.Load32(eaA), mem.Load32(eaB))
 			if !ok {
 				c.ZF, c.LT = zf, lt
-				return traceFault(info, j)
+				return traceFault(tr, start, j)
 			}
 			zf, lt = r == 0, int32(r) < 0
 			mem.Store32(eaA, r)
@@ -976,28 +1076,23 @@ func (h *Harrier) runTraceTaint(c *isa.CPU, tr *blockTrace, budget int) (ex trac
 			if h.prov != nil {
 				h.provHardware(c, "rdtsc")
 			}
-			steps := c.Steps + uint64(info[j].steps)
+			steps := c.Steps + uint64(uint32(info[j].steps)-s0)
 			c.Regs[isa.EAX] = uint32(steps)
 			c.Regs[isa.EDX] = uint32(steps >> 32)
 		}
 	}
 	c.ZF, c.LT = zf, lt
-	return traceExit{
-		eip: tr.endEIP, jumped: tr.endJumped,
-		steps: uint32(tr.nInstr), nData: uint32(tr.nData),
-	}
+	return tr.endExit(start, end)
 }
 
-// traceFault builds the division-by-zero exit: the faulting
-// instruction's taint transfer has already been applied (the
-// interpreter's OnInstr runs before the fault too) and its retirement
-// is counted, exactly as the interpreter reports it.
-func traceFault(info []mopInfo, j int) traceExit {
-	return traceExit{
-		eip: info[j].addr, jumped: false,
-		steps: uint32(info[j].steps), nData: uint32(info[j].nData),
-		fault: &isa.Fault{PC: info[j].addr, Reason: "division by zero"},
-	}
+// traceFault builds the division-by-zero exit of a run from start:
+// the faulting instruction's taint transfer has already been applied
+// (the interpreter's OnInstr runs before the fault too) and its
+// retirement is counted, exactly as the interpreter reports it.
+func traceFault(tr *blockTrace, start, j int) traceExit {
+	ex := tr.exitAt(start, j, tr.info[j].addr, false)
+	ex.fault = &isa.Fault{PC: tr.info[j].addr, Reason: "division by zero"}
+	return ex
 }
 
 // cmpFlags evaluates CMP/TEST flag semantics.
@@ -1010,38 +1105,35 @@ func cmpFlags(aop uint8, a, b uint32) (zf, lt bool) {
 }
 
 // runTraceBare is the clean tier's trace loop: the tag-free variant of
-// the mop loop, executing only concrete semantics from the first mop
-// to the last. It runs only under a live clean-tier verdict
-// (cleanProbeTrace). All per-block side effects still fire — the
-// clean tier elides taint transfer, never observability. Skipping the
-// transfer is exact because every mop was proven a taint no-op for
-// the entry state (cleanMopsNoop); that includes a mop that faults
-// here, so even the fault path needs no tag work.
-func (h *Harrier) runTraceBare(c *isa.CPU, tr *blockTrace, budget int) (ex traceExit) {
+// the mop loop, executing only concrete semantics over mops
+// [start,end). It runs only under a live clean-tier verdict
+// (cleanProbeTrace, or a bare stop's stamp on resume). All per-block
+// side effects still fire — the clean tier elides taint transfer,
+// never observability. Skipping the transfer is exact because every
+// mop was proven a taint no-op for the entry state (cleanMopsNoop);
+// that includes a mop that faults here, so even the fault path needs
+// no tag work. done is what earlier fused runs of this Step retired,
+// which keeps rdtsc and event timestamps on the interpreter's clock.
+func (h *Harrier) runTraceBare(c *isa.CPU, tr *blockTrace, start, end int, done uint32) (ex traceExit) {
 	mem := c.Mem
 	zf, lt := c.ZF, c.LT
 	observed := h.prov != nil || h.bus != nil
 	var nBlocks uint32
 	var lastB *traceBlock
 	defer func() { ex.nBlocks, ex.lastB = nBlocks, lastB }()
-	mops, info := tr.mops, tr.info
-	for j := 0; j < len(mops); j++ {
+	s0, _ := tr.retired(start)
+	s0 -= done // offsets below count from this Step's first instruction
+	mops, info := tr.mops[:end], tr.info
+	for j := start; j < len(mops); j++ {
 		op := &mops[j]
 		switch op.code {
 		case mBBEnter:
 			b := &tr.blocks[op.disp]
-			if budget > 0 && int(info[j].steps)+b.instrs > budget {
-				c.ZF, c.LT = zf, lt
-				return traceExit{
-					eip: info[j].addr, jumped: b.entryJumped,
-					steps: uint32(info[j].steps), nData: uint32(info[j].nData),
-				}
-			}
 			*b.ctr++
 			nBlocks++
 			lastB = b
 			if observed {
-				h.traceBlockEnter(c, b, info[j].steps)
+				h.traceBlockEnter(c, b, uint32(info[j].steps)-s0)
 			}
 
 		case mBr:
@@ -1052,11 +1144,9 @@ func (h *Harrier) runTraceBare(c *isa.CPU, tr *blockTrace, budget int) (ex trace
 					eip = op.disp
 				}
 				c.ZF, c.LT = zf, lt
-				return traceExit{
-					eip: eip, jumped: true,
-					steps: uint32(info[j].steps), nData: uint32(info[j].nData),
-				}
+				return tr.exitAt(start, j, eip, true)
 			}
+		case mNop:
 
 		case mMovRR:
 			c.Regs[op.reg] = c.Regs[op.reg2]
@@ -1096,7 +1186,7 @@ func (h *Harrier) runTraceBare(c *isa.CPU, tr *blockTrace, budget int) (ex trace
 			r, ok := aluExec(op.aop, c.Regs[op.reg], c.Regs[op.reg2])
 			if !ok {
 				c.ZF, c.LT = zf, lt
-				return traceFault(info, j)
+				return traceFault(tr, start, j)
 			}
 			zf, lt = r == 0, int32(r) < 0
 			c.Regs[op.reg] = r
@@ -1104,7 +1194,7 @@ func (h *Harrier) runTraceBare(c *isa.CPU, tr *blockTrace, budget int) (ex trace
 			r, ok := aluExec(op.aop, c.Regs[op.reg], op.disp)
 			if !ok {
 				c.ZF, c.LT = zf, lt
-				return traceFault(info, j)
+				return traceFault(tr, start, j)
 			}
 			zf, lt = r == 0, int32(r) < 0
 			c.Regs[op.reg] = r
@@ -1112,7 +1202,7 @@ func (h *Harrier) runTraceBare(c *isa.CPU, tr *blockTrace, budget int) (ex trace
 			r, ok := aluExec(op.aop, c.Regs[op.reg], mem.Load32(op.ea2(c)))
 			if !ok {
 				c.ZF, c.LT = zf, lt
-				return traceFault(info, j)
+				return traceFault(tr, start, j)
 			}
 			zf, lt = r == 0, int32(r) < 0
 			c.Regs[op.reg] = r
@@ -1121,7 +1211,7 @@ func (h *Harrier) runTraceBare(c *isa.CPU, tr *blockTrace, budget int) (ex trace
 			r, ok := aluExec(op.aop, mem.Load32(ea), c.Regs[op.reg])
 			if !ok {
 				c.ZF, c.LT = zf, lt
-				return traceFault(info, j)
+				return traceFault(tr, start, j)
 			}
 			zf, lt = r == 0, int32(r) < 0
 			mem.Store32(ea, r)
@@ -1130,7 +1220,7 @@ func (h *Harrier) runTraceBare(c *isa.CPU, tr *blockTrace, budget int) (ex trace
 			r, ok := aluExec(op.aop, mem.Load32(ea), op.disp2)
 			if !ok {
 				c.ZF, c.LT = zf, lt
-				return traceFault(info, j)
+				return traceFault(tr, start, j)
 			}
 			zf, lt = r == 0, int32(r) < 0
 			mem.Store32(ea, r)
@@ -1139,7 +1229,7 @@ func (h *Harrier) runTraceBare(c *isa.CPU, tr *blockTrace, budget int) (ex trace
 			r, ok := aluExec(op.aop, mem.Load32(eaA), mem.Load32(op.ea2(c)))
 			if !ok {
 				c.ZF, c.LT = zf, lt
-				return traceFault(info, j)
+				return traceFault(tr, start, j)
 			}
 			zf, lt = r == 0, int32(r) < 0
 			mem.Store32(eaA, r)
@@ -1202,14 +1292,11 @@ func (h *Harrier) runTraceBare(c *isa.CPU, tr *blockTrace, budget int) (ex trace
 			if h.prov != nil {
 				h.provHardware(c, "rdtsc")
 			}
-			steps := c.Steps + uint64(info[j].steps)
+			steps := c.Steps + uint64(uint32(info[j].steps)-s0)
 			c.Regs[isa.EAX] = uint32(steps)
 			c.Regs[isa.EDX] = uint32(steps >> 32)
 		}
 	}
 	c.ZF, c.LT = zf, lt
-	return traceExit{
-		eip: tr.endEIP, jumped: tr.endJumped,
-		steps: uint32(tr.nInstr), nData: uint32(tr.nData),
-	}
+	return tr.endExit(start, end)
 }

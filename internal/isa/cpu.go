@@ -90,13 +90,32 @@ type Hooks struct {
 	// (instrumentation applied, CPU executes normally), or a trace ran
 	// (the hook executed instructions itself; see CPU.TraceBudget).
 	// The error return accompanies SummaryTrace when the trace stopped
-	// on a guest fault, which Step propagates as its own.
+	// on a guest fault, which Step propagates as its own. A pending
+	// continuation (CPU.Resume) is offered here too, before Step
+	// fetches anything, with s == nil, leaderIdx -1 and the stopped
+	// trace as summary: the hook resumes it from Resume.Mop and answers
+	// SummaryTrace, or declines and the interpreter continues from EIP.
 	OnBBSummary func(c *CPU, s *Span, leaderIdx int, summary any) (SummaryAction, error)
 	// OnNativePre/Post bracket host-implemented library routines.
 	// Harrier's short-circuit dataflow (gethostbyname) lives here
 	// (paper §7.2).
 	OnNativePre  func(c *CPU, name string)
 	OnNativePost func(c *CPU, name string)
+}
+
+// TraceResume is the continuation of a SummaryTrace run that
+// CPU.TraceBudget cut short: the hook stopped on the exact instruction
+// where the budget ran out — mid-block if need be — and the next Step
+// hands the stopped trace back to it to continue from Mop. Plain
+// fields, so recording a stop allocates nothing.
+type TraceResume struct {
+	Trace any    // the stopped trace; nil means no continuation is pending
+	Mop   int    // the trace's micro-op to resume at
+	PC    uint32 // EIP at the stop; the resume is valid only while EIP still equals it
+	// Bare and Stamp are the hook's own record of the state the run
+	// stopped under; the CPU never reads them.
+	Bare  bool
+	Stamp [2]uint64
 }
 
 // CPU is the interpreting guest processor. One CPU belongs to one
@@ -127,9 +146,14 @@ type CPU struct {
 	// TraceBudget caps how many guest instructions a SummaryTrace hook
 	// may execute in one Step call; the scheduler sets it to the
 	// remainder of the current quantum before each Step so trace
-	// execution never stretches a scheduling slice. Zero or negative
-	// means unlimited (callers outside the scheduler).
+	// execution never stretches a scheduling slice: a run that reaches
+	// it stops on that exact instruction and leaves a Resume. Zero or
+	// negative means unlimited (callers outside the scheduler).
 	TraceBudget int
+	// Resume is the continuation slot a SummaryTrace hook fills when
+	// TraceBudget stops its run early. Step consumes it before its next
+	// fetch; SetPC drops it and Clone never copies it.
+	Resume TraceResume
 
 	Halted     bool
 	jumped     bool // last instruction transferred control
@@ -159,6 +183,7 @@ func (c *CPU) SetPC(addr uint32) {
 	a := addr
 	c.pcOverride = &a
 	c.curOK = false
+	c.Resume.Trace = nil
 }
 
 // ExitTrace records the architectural exit point of a SummaryTrace
@@ -283,6 +308,13 @@ func (c *CPU) Step() error {
 	if c.curOK {
 		span, idx = c.curSpan, c.curIdx
 	} else {
+		// A pending continuation always comes with an invalid cursor
+		// (ExitTrace clears it), so only this path looks for one.
+		if c.Resume.Trace != nil {
+			if resumed, err := c.resume(); resumed {
+				return err
+			}
+		}
 		var ok bool
 		span, idx, ok = c.Code.Find(c.EIP)
 		if !ok {
@@ -572,9 +604,31 @@ func (c *CPU) Step() error {
 	return nil
 }
 
+// resume consumes the continuation slot before Step fetches: while
+// EIP still sits where the run stopped, the hook continues the stopped
+// trace. resumed reports that it ran; err is then the guest fault it
+// stopped on, if any. The hook refills the slot if this run stops
+// early too.
+func (c *CPU) resume() (resumed bool, err error) {
+	tr := c.Resume.Trace
+	c.Resume.Trace = nil
+	if c.Resume.PC != c.EIP || c.Hooks.OnBBSummary == nil {
+		return false, nil
+	}
+	act, err := c.Hooks.OnBBSummary(c, nil, -1, tr)
+	if act != SummaryTrace {
+		return false, nil
+	}
+	if err != nil {
+		c.Halted = true
+	}
+	return true, err
+}
+
 // Clone duplicates the architectural and taint register state for
 // fork(). Memory, shadow and code map are cloned by the caller, which
-// owns their lifecycles.
+// owns their lifecycles. A pending Resume is not copied: the child
+// enters its code through an ordinary block entry.
 func (c *CPU) Clone() *CPU {
 	out := &CPU{
 		Regs:    c.Regs,

@@ -346,9 +346,9 @@ func (os *OS) Run() error {
 			// retire several instructions when a compiled trace runs
 			// (Hooks.OnBBSummary returning SummaryTrace), so the
 			// quantum is accounted from the Steps delta, with
-			// TraceBudget capping a trace at the slice remainder —
-			// slices stay exactly StepsPerSlice instructions long in
-			// every tier.
+			// TraceBudget capping a trace at the slice remainder (the
+			// trace resumes in the process's next slice) — slices stay
+			// exactly StepsPerSlice instructions long in every tier.
 			cpu := p.CPU
 			ran := 0
 			for ran < sps && p.State == Ready {
@@ -419,10 +419,12 @@ func (os *OS) SetMaxSteps(n uint64) {
 }
 
 // SetStepsPerSlice adjusts the scheduler quantum for subsequent Run
-// calls. Throughput-oriented callers (the §9 perf benches) raise it so
-// per-slice dispatch overhead — and the interpreted tail of a slice
-// too short to fit a compiled trace — amortizes over more guest work;
-// interactive fairness wants it low, batch throughput wants it high.
+// calls. A slice end costs no tier change — a compiled trace stops on
+// the exact instruction and the next slice resumes it — but every
+// slice still pays a scheduler round and a dispatch. Throughput-
+// oriented callers (the §9 perf benches) raise it so that overhead
+// amortizes over more guest work; interactive fairness wants it low,
+// batch throughput wants it high.
 func (os *OS) SetStepsPerSlice(n int) {
 	if n > 0 {
 		os.opts.StepsPerSlice = n

@@ -38,9 +38,11 @@ make soak
 # Fuzz smoke: the chaos plan parser must never panic on hostile specs.
 go test -fuzz=FuzzChaos -fuzztime=10s ./internal/chaos
 # Trace-tier gates: the full corpus must be bit-identical with traces
-# on and off (crossed with provenance), and the multi-block trace
-# oracle gets a fuzz smoke beyond its checked-in corpus.
-go test -run TestTraceDifferentialSweep -count=1 ./internal/corpus
+# on and off (crossed with provenance), a trace cut by the scheduler
+# slice must resume bit-identically at slices of 128 and 13, and the
+# multi-block trace oracle gets a fuzz smoke beyond its checked-in
+# corpus.
+go test -run 'TestTraceDifferentialSweep|TestTraceSliceResume' -count=1 ./internal/corpus
 go test -fuzz=FuzzTraceApply -fuzztime=10s ./internal/harrier
 # Clean-tier gates: the corpus must be bit-identical with the clean
 # tier off and on, the page-flip re-instrumentation seam holds under

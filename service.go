@@ -338,8 +338,9 @@ type JobResult struct {
 
 	// Raw is the full monitored result for in-process embedders (nil
 	// for failed/aborted jobs; never serialized). The service releases
-	// every process's taint shadow when the job settles, so the shadows
-	// reachable from Raw.Process are empty; guest memory and exit state
+	// every process's taint shadow and guest memory when the job
+	// settles, so the shadows and memories reachable from Raw.Process
+	// are empty; registers, exit state, warnings, events and stats
 	// stay.
 	Raw *Result `json:"-"`
 }
@@ -981,9 +982,11 @@ func (s *Service) finish(j *job, res *Result, err error, wall time.Duration) {
 				Chain: append([]string(nil), w.Chain...),
 			}
 		}
-		// The result is built; drop every process's taint shadow so a
-		// kept result does not hold the job's tag pages alive.
+		// The result is built; drop every process's taint shadow and
+		// guest memory so a kept result does not hold the job's pages
+		// alive.
 		for _, p := range res.Process.OS.Processes() {
+			p.CPU.Mem.Reset()
 			if sh := p.CPU.Shadow; sh != nil {
 				sh.Reset()
 			}

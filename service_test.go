@@ -64,8 +64,8 @@ func TestServiceMatchesBatchRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if batch.Process.CPU.Shadow.Pages() == 0 {
-		t.Fatal("batch run left no shadow pages; the release check below would be vacuous")
+	if batch.Process.CPU.Shadow.Pages() == 0 || batch.Process.CPU.Mem.Pages() == 0 {
+		t.Fatal("batch run left no shadow or memory pages; the release check below would be vacuous")
 	}
 
 	s := hth.NewService(hth.ServiceConfig{})
@@ -81,11 +81,15 @@ func TestServiceMatchesBatchRun(t *testing.T) {
 	if res.Raw == nil {
 		t.Fatal("done job lost its raw result")
 	}
-	// The service releases a settled job's taint shadows; everything
-	// the verdict rests on must still equal the batch run.
+	// The service releases a settled job's taint shadows and guest
+	// memory; everything the verdict rests on must still equal the
+	// batch run.
 	for _, p := range res.Raw.Process.OS.Processes() { // the root included
 		if n := p.CPU.Shadow.Pages(); n != 0 {
 			t.Errorf("settled job's pid %d shadow holds %d pages", p.PID, n)
+		}
+		if n := p.CPU.Mem.Pages(); n != 0 {
+			t.Errorf("settled job's pid %d memory holds %d pages", p.PID, n)
 		}
 	}
 	h64 := fnv.New64a()
