@@ -37,9 +37,9 @@ benchgate:
 	sh scripts/benchgate.sh
 
 # The ELF frontend gate: fixture scenarios + symbolized-provenance
-# goldens, the decoder and pinned-layout unit tests, the
-# InstallSource registry/legacy equivalence sweep, and a fuzz smoke
-# proving malformed uploads fail typed, never panic.
+# goldens, the decoder and pinned-layout unit tests, the InstallSource
+# diagnostics test, and a fuzz smoke proving malformed uploads fail
+# typed, never panic.
 elf:
 	$(GO) test -count=1 -run 'TestTableE1|TestELF|FuzzELFParse|TestDecodeELF' ./internal/corpus ./internal/image
 	$(GO) test -count=1 ./internal/x86 ./internal/loader

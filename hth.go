@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/asm"
 	"repro/internal/chaos"
 	"repro/internal/expert"
 	"repro/internal/guestlib"
@@ -282,7 +281,8 @@ type System struct {
 }
 
 // NewSystem creates a guest world with libc.so and ld-linux.so
-// installed.
+// installed. Both are the process-wide guestlib images shared by every
+// System, so building a world assembles nothing.
 func NewSystem() *System {
 	os := vos.New(vos.Options{})
 	guestlib.InstallInto(os)
@@ -294,24 +294,11 @@ func (s *System) Install(path string, img *image.Image) {
 	s.OS.FS.Install(path, img)
 }
 
-// legacyInstall reroutes InstallSource through the historical direct
-// asm.Assemble path instead of the format registry; it exists only so
-// the equivalence test can prove the two paths behavior-identical.
-var legacyInstall = false
-
 // InstallSource assembles src and installs it at path. It forces the
 // text frontend (image.DecodeAs) rather than sniffing, so arbitrary
 // source text is never mis-detected, and compile diagnostics come back
 // exactly as asm.Assemble reports them.
 func (s *System) InstallSource(path, src string) error {
-	if legacyInstall {
-		img, err := asm.Assemble(path, src)
-		if err != nil {
-			return err
-		}
-		s.OS.FS.Install(path, img)
-		return nil
-	}
 	img, err := image.DecodeAs("asm", path, []byte(src))
 	if err != nil {
 		return err

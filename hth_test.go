@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	hth "repro"
+	"repro/internal/asm"
 	"repro/internal/secpert"
 	"repro/internal/vos"
 )
@@ -90,10 +91,50 @@ func TestRunMissingProgram(t *testing.T) {
 	}
 }
 
+// TestNewSystemSharesGuestLibraries pins the per-job world build: every
+// System installs the same process-wide libc.so and ld-linux.so images,
+// so NewSystem assembles nothing. Assembling libc alone costs ~95
+// allocations; NewSystem measures 16.
+func TestNewSystemSharesGuestLibraries(t *testing.T) {
+	a, b := hth.NewSystem(), hth.NewSystem()
+	for _, name := range []string{"libc.so", "ld-linux.so"} {
+		fa, okA := a.OS.FS.Lookup(name)
+		fb, okB := b.OS.FS.Lookup(name)
+		if !okA || !okB || fa.Image == nil {
+			t.Fatalf("%s not installed", name)
+		}
+		if fa.Image != fb.Image {
+			t.Errorf("%s: two Systems hold distinct images; the library is rebuilt per job", name)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { hth.NewSystem() }); n > 20 {
+		t.Errorf("NewSystem allocates %.0f times, want <= 20", n)
+	}
+}
+
 func TestInstallSourceError(t *testing.T) {
 	sys := hth.NewSystem()
 	if err := sys.InstallSource("/bin/x", "bogus mnemonic"); err == nil {
 		t.Error("bad assembly accepted")
+	}
+}
+
+// TestInstallSourceDiagnosticsEquivalence pins the error surface: a
+// program that fails to assemble reports exactly the assembler's
+// diagnostic through the format registry, with nothing wrapped around
+// it (a bad program is not a malformed container).
+func TestInstallSourceDiagnosticsEquivalence(t *testing.T) {
+	sys := hth.NewSystem()
+	const bad = ".text\n_start:\n    bogus eax, 1\n"
+	err := sys.InstallSource("/bin/bad", bad)
+	if err == nil {
+		t.Fatal("bad program accepted")
+	}
+	if _, want := asm.Assemble("/bin/bad", bad); want == nil || err.Error() != want.Error() {
+		t.Errorf("diagnostic = %q, assembler says %v", err, want)
+	}
+	if !strings.Contains(err.Error(), "bogus") {
+		t.Errorf("diagnostic does not name the offending mnemonic: %s", err)
 	}
 }
 

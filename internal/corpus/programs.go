@@ -1,6 +1,8 @@
 package corpus
 
 import (
+	"sync"
+
 	"repro/internal/asm"
 	"repro/internal/image"
 	"repro/internal/vos"
@@ -10,9 +12,18 @@ import (
 // scenario definitions.
 type vosScript = vos.RemoteScript
 
-// mustLib assembles a guest shared object.
+// libs memoises mustLib: library name → func() *image.Image.
+var libs sync.Map
+
+// mustLib returns the guest shared object name assembled from src,
+// assembling it once per process. Names and sources are compile-time
+// constants, one source per name, so every System installs the same
+// read-only image (see image.Image).
 func mustLib(name, src string) *image.Image {
-	return asm.MustAssemble(name, src)
+	f, _ := libs.LoadOrStore(name, sync.OnceValue(func() *image.Image {
+		return asm.MustAssemble(name, src)
+	}))
+	return f.(func() *image.Image)()
 }
 
 // trivialExe is an installable do-nothing executable, standing in for

@@ -21,7 +21,21 @@ func TestServiceSweepSignatureIdentity(t *testing.T) {
 		t.Fatal("empty corpus")
 	}
 	batch := SweepSignature(RunAll(scs, 0))
+	service := SweepSignature(serviceSweep(t, scs))
+	for i := range batch {
+		if service[i] != batch[i] {
+			t.Errorf("signature drift through the service:\n  batch:   %s\n  service: %s",
+				batch[i], service[i])
+		}
+	}
+}
 
+// serviceSweep submits every scenario to a 4-shard × 2-worker
+// hth.Service, waits for all of them, drains the service, and returns
+// the outcomes in scenario order. A job that does not finish "done"
+// carries its status as the outcome's Err.
+func serviceSweep(t *testing.T, scs []*Scenario) []RunOutcome {
+	t.Helper()
 	// Generous queue so no scenario is shed or rejected: identity is
 	// the point here, load behaviour is pinned elsewhere.
 	svc := hth.NewService(hth.ServiceConfig{
@@ -59,16 +73,10 @@ func TestServiceSweepSignatureIdentity(t *testing.T) {
 		outs[i].Result = res.Raw
 		outs[i].Problems = scs[i].Check(res.Raw)
 	}
-	service := SweepSignature(outs)
-	for i := range batch {
-		if service[i] != batch[i] {
-			t.Errorf("signature drift through the service:\n  batch:   %s\n  service: %s",
-				batch[i], service[i])
-		}
-	}
 	dctx, dcancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer dcancel()
 	if err := svc.Drain(dctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
+	return outs
 }

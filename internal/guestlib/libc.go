@@ -12,6 +12,8 @@
 package guestlib
 
 import (
+	"sync"
+
 	"repro/internal/asm"
 	"repro/internal/image"
 	"repro/internal/isa"
@@ -283,26 +285,31 @@ _dl_start:
 _dl_ident: .asciz "ld-linux.so.2"
 `
 
-// Libc assembles a fresh libc.so image.
-func Libc() *image.Image {
+// Libc returns the process-wide libc.so image, assembled on first use.
+// The image is shared by every System in the process: callers must
+// never mutate it (see image.Image).
+var Libc = sync.OnceValue(func() *image.Image {
 	return asm.MustAssemble(LibcName, libcSrc)
-}
+})
 
-// Ld assembles a fresh ld-linux.so image.
-func Ld() *image.Image {
+// Ld returns the process-wide ld-linux.so image, assembled on first
+// use. Shared like Libc: never mutate it.
+var Ld = sync.OnceValue(func() *image.Image {
 	return asm.MustAssemble(LdName, ldSrc)
-}
+})
 
 // Natives returns the host implementations of libc's native routines.
-func Natives() map[string]func(*isa.CPU) {
+// The map is process-wide and shared: read it, never write it.
+var Natives = sync.OnceValue(func() map[string]func(*isa.CPU) {
 	return map[string]func(*isa.CPU){
 		"gethostbyname": gethostbyname,
 		"gethostbyaddr": gethostbyaddr,
 	}
-}
+})
 
-// InstallInto installs libc.so and ld-linux.so into the OS filesystem
-// and registers their native routines.
+// InstallInto installs the shared libc.so and ld-linux.so images into
+// the OS filesystem and registers their native routines. It assembles
+// nothing after the first call in a process.
 func InstallInto(os *vos.OS) {
 	os.FS.Install(LibcName, Libc())
 	os.FS.Install(LdName, Ld())

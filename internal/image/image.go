@@ -95,6 +95,15 @@ type DataReloc struct {
 }
 
 // Image is one loadable binary: an executable or a shared object.
+//
+// An Image is read-only once the frontend that built it returns (asm
+// assembly, ELF decode, DecodeAs). The guest libraries are single
+// process-wide Images that every guest world installs, and one decoded
+// upload is reused across a job's attempts. So the loader, the virtual
+// filesystem, secbin and every other consumer may only read an Image.
+// The loader copies Instrs before it relocates them, and writes data
+// sections into guest memory, never back. Code that needs a different
+// image builds a new one.
 type Image struct {
 	Name     string // path identity, e.g. "/bin/ls" or "libc.so"
 	Entry    string // entry symbol for executables (usually "_start")

@@ -22,7 +22,7 @@
 #                            benchgate.baseline_instrs_per_sec value of
 #                            the newest BENCH_*.json)
 #   HTH_BENCHGATE_TOLERANCE  allowed regression, percent (default 10)
-#   HTH_BENCHGATE_MAXALLOCS  allocs/op ceiling (default 500)
+#   HTH_BENCHGATE_MAXALLOCS  allocs/op ceiling (default 360)
 #   HTH_BENCHGATE_RUNS       benchmark repetitions; best wins (default 3)
 #   HTH_BENCHGATE_BENCHTIME  go test -benchtime per run (default 1s)
 #   HTH_BENCHGATE_SPARSE_FLOOR  guest-instrs/s floor for the sparse-
@@ -34,7 +34,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 tolerance=${HTH_BENCHGATE_TOLERANCE:-10}
-maxallocs=${HTH_BENCHGATE_MAXALLOCS:-500}
+maxallocs=${HTH_BENCHGATE_MAXALLOCS:-360}
 runs=${HTH_BENCHGATE_RUNS:-3}
 benchtime=${HTH_BENCHGATE_BENCHTIME:-1s}
 

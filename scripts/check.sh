@@ -50,8 +50,8 @@ go test -fuzz=FuzzTraceApply -fuzztime=10s ./internal/harrier
 # oracle gets a fuzz smoke (see Makefile `clean-tier`).
 make clean-tier
 # ELF frontend gate: fixture scenarios, symbolized-provenance goldens,
-# decoder/pinned-layout units, the InstallSource equivalence sweep,
-# and a fuzz smoke over the ELF parser (see Makefile `elf`).
+# decoder/pinned-layout units, the InstallSource diagnostics test, and
+# a fuzz smoke over the ELF parser (see Makefile `elf`).
 make elf
 # Observability overhead gate: the disabled event bus must stay one
 # nil-check per publish site — no hot-path allocations, no gross

@@ -341,7 +341,9 @@ type JobResult struct {
 	// every process's taint shadow and guest memory when the job
 	// settles, so the shadows and memories reachable from Raw.Process
 	// are empty; registers, exit state, warnings, events and stats
-	// stay.
+	// stay. The images reachable from Raw (Process.Images,
+	// Process.OS.FS) include the process-wide guest libraries
+	// every job shares: read them, never mutate them.
 	Raw *Result `json:"-"`
 }
 
