@@ -46,8 +46,8 @@ elf:
 	$(GO) test -count=1 -run TestInstallSource .
 	$(GO) test -fuzz=FuzzELFParse -fuzztime=10s ./internal/image
 
-# The clean-tier gate: the full-corpus differential sweep (clean
-# off/on × traces off/on, signatures bit-identical), the page-flip
+# The clean-tier gate: the full-corpus differential sweep (interpreter
+# vs traces vs traces+clean, signatures bit-identical), the page-flip
 # seam units, the chaos-delayed recv re-instrumentation regression,
 # the bare-resume revalidation units (a bare trace stop resumes bare
 # only while its flip generation and clean epoch hold), and a fuzz

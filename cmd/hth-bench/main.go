@@ -268,17 +268,11 @@ type perfRow struct {
 	TaintUnionHits uint64 `json:"taint_union_hits"`
 	TaintFastHits  uint64 `json:"taint_fast_hits"`
 
-	// Tiered taint engine statistics (zero outside full mode): blocks
-	// promoted to compiled summaries, blocks pinned unmodelable, and
-	// the fraction of all block entries served by the summary tier.
-	TierPromoted uint64  `json:"tier_promoted,omitempty"`
-	TierPinned   uint64  `json:"tier_pinned,omitempty"`
-	TierHits     uint64  `json:"tier_hits,omitempty"`
-	TierHitRate  float64 `json:"tier_hit_rate,omitempty"`
-
-	// Trace tier statistics (zero outside full mode): superblock
+	// Trace tier statistics (zero outside full mode): hot blocks whose
+	// trace compiled to nothing (pinned to the interpreter), superblock
 	// traces compiled, block entries served inside a trace, and side
 	// exits taken.
+	TierPinned     uint64 `json:"tier_pinned,omitempty"`
 	TraceCompiled  uint64 `json:"trace_compiled,omitempty"`
 	TraceHits      uint64 `json:"trace_hits,omitempty"`
 	TraceSideExits uint64 `json:"trace_side_exits,omitempty"`
@@ -295,7 +289,7 @@ type perfRow struct {
 func printPerf(intro *hth.Introspection) ([]perfRow, *hth.MetricsSnapshot) {
 	t := &report.Table{
 		Title:  "Section 9: Performance (virtual-machine throughput per monitoring level)",
-		Header: []string{"Workload", "Mode", "Guest instrs", "Wall time", "Slowdown vs bare", "Tier hits", "Trace hits", "Clean"},
+		Header: []string{"Workload", "Mode", "Guest instrs", "Wall time", "Slowdown vs bare", "Trace hits", "Clean"},
 	}
 	// One shared metrics registry observes every perf run; its snapshot
 	// lands under "metrics" in BENCH_<date>.json.
@@ -322,16 +316,6 @@ func printPerf(intro *hth.Introspection) ([]perfRow, *hth.MetricsSnapshot) {
 			if bare > 0 {
 				slow = fmt.Sprintf("%.2fx", float64(elapsed)/float64(bare))
 			}
-			// Summary-tier share of all block entries: how much of the
-			// run the compiled fast path served.
-			hitRate := 0.0
-			if res.Stats.Blocks > 0 {
-				hitRate = float64(res.Stats.TierHits) / float64(res.Stats.Blocks)
-			}
-			tier := "—"
-			if res.Stats.TierPromoted+res.Stats.TierPinned > 0 {
-				tier = fmt.Sprintf("%.1f%%", 100*hitRate)
-			}
 			// Trace-tier share of all block entries.
 			trace := "—"
 			if res.Stats.TraceCompiled > 0 {
@@ -344,7 +328,7 @@ func printPerf(intro *hth.Introspection) ([]perfRow, *hth.MetricsSnapshot) {
 				clean = fmt.Sprintf("%.1f%%", 100*float64(res.Stats.CleanHits)/float64(res.Stats.Blocks))
 			}
 			t.Add(wl, mode.String(), fmt.Sprint(res.TotalSteps),
-				elapsed.Round(time.Microsecond).String(), slow, tier, trace, clean)
+				elapsed.Round(time.Microsecond).String(), slow, trace, clean)
 			rows = append(rows, perfRow{
 				Workload:       wl,
 				Mode:           mode.String(),
@@ -355,10 +339,7 @@ func printPerf(intro *hth.Introspection) ([]perfRow, *hth.MetricsSnapshot) {
 				TaintUnions:    res.Stats.TaintUnions,
 				TaintUnionHits: res.Stats.TaintUnionHits,
 				TaintFastHits:  res.Stats.TaintFastHits,
-				TierPromoted:   res.Stats.TierPromoted,
 				TierPinned:     res.Stats.TierPinned,
-				TierHits:       res.Stats.TierHits,
-				TierHitRate:    hitRate,
 				TraceCompiled:  res.Stats.TraceCompiled,
 				TraceHits:      res.Stats.TraceHits,
 				TraceSideExits: res.Stats.TraceSideExits,

@@ -114,8 +114,8 @@ func runServe(parallel int, jsonOut bool) int {
 	fmt.Printf("serve: %d jobs in %s (%.1f jobs/s, batch sweep %s); signature mismatches: %d\n",
 		rep.Jobs, wall.Round(time.Millisecond), rep.JobsPerSec,
 		batchWall.Round(time.Millisecond), mismatches)
-	fmt.Printf("serve tier mix: %d blocks (interp %d, summary %d, trace %d, clean %d; reinstrumented %d)\n",
-		rep.TierMix.Blocks, rep.TierMix.Interp, rep.TierMix.Summary,
+	fmt.Printf("serve tier mix: %d blocks (interp %d, trace %d, clean %d; reinstrumented %d)\n",
+		rep.TierMix.Blocks, rep.TierMix.Interp,
 		rep.TierMix.Trace, rep.TierMix.Clean, rep.TierMix.Reinstrumented)
 	for _, stage := range []string{"queue", "exec", "e2e"} {
 		if lr, ok := rep.Latency[stage]; ok {

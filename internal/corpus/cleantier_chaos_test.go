@@ -111,7 +111,6 @@ func TestCleanTierReinstrumentOnDelayedRecv(t *testing.T) {
 		sys.MustInstallSource("/bin/lurker", lurkerSrc)
 		cfg := hth.DefaultConfig()
 		cfg.Monitor.PromoteThreshold = 1
-		cfg.Monitor.TraceThreshold = 2
 		cfg.Monitor.CleanThreshold = cleanThreshold
 		cfg.Chaos = plan
 		res, err := sys.Run(cfg, hth.RunSpec{Path: "/bin/lurker"})

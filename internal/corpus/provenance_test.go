@@ -9,7 +9,7 @@ import (
 // TestProvenanceDifferentialSweep is the provenance acceptance gate:
 // recording provenance must be a pure observer. The full corpus runs
 // four ways — provenance off/on crossed with the interpreter and
-// summary tiers — and the sweep signatures (steps, outcome, problems,
+// trace tiers — and the sweep signatures (steps, outcome, problems,
 // faults, warning-text hash) must match element-wise across all four.
 // On top of bit-identity, every warning emitted with provenance on
 // must carry a non-empty causal chain, and warnings with provenance
@@ -68,17 +68,17 @@ func TestProvenanceDifferentialSweep(t *testing.T) {
 		}
 	}
 
-	// Non-vacuity: the sweeps must have warned and taken the summary tier.
+	// Non-vacuity: the sweeps must have warned and taken the trace tier.
 	if warned == 0 {
 		t.Fatal("no warnings across provenance sweeps; chain check is vacuous")
 	}
-	promoted := 0
+	traced := 0
 	for _, o := range on1 {
-		if o.Result != nil && o.Result.Stats.TierHits > 0 {
-			promoted++
+		if o.Result != nil && o.Result.Stats.TraceHits > 0 {
+			traced++
 		}
 	}
-	if promoted == 0 {
-		t.Fatal("no scenario took the summary tier with provenance on; differential is vacuous")
+	if traced == 0 {
+		t.Fatal("no scenario took the trace tier with provenance on; differential is vacuous")
 	}
 }

@@ -6,59 +6,55 @@ import (
 	"testing"
 
 	hth "repro"
+	"repro/internal/harrier"
 	"repro/internal/taint"
 )
 
-// TestTraceDifferentialSweep is the trace tier's correctness gate,
-// mirroring TestTierDifferentialSweep one rung up the ladder: the full
-// corpus runs with the trace tier disabled (summary tier only) and
-// with aggressive trace promotion, crossed with provenance recording
-// on and off, and the sweep signatures must match element-wise in
-// every cell. Detections, reported tag sets and injected faults are
-// therefore bit-identical whether blocks execute in the interpreter,
-// as summaries, or as compiled traces. The traces' tag-free loop is
-// exercised by TestCleanTierDifferentialSweep and
+// TestTraceDifferentialSweep is the tiered engine's correctness gate:
+// the full corpus runs once with every block pinned to the interpreter
+// tier (PromoteThreshold=0) and then with promotion to a trace after
+// one and after two executions, each crossed with provenance recording
+// off and on, and the sweep signatures — executed steps, scheduler
+// outcome, reproduction problems, injected faults, and an FNV-64a hash
+// over the full warning text — must match the interpreter's
+// element-wise in every cell. Detections, reported tag sets and
+// injected faults are therefore bit-identical whether blocks execute
+// in the interpreter or as compiled traces. The traces' tag-free loop
+// is exercised by TestCleanTierDifferentialSweep and
 // FuzzCleanReinstrument.
 func TestTraceDifferentialSweep(t *testing.T) {
 	scs := All()
-	cell := func(traceThreshold int, prov bool) []RunOutcome {
+	cell := func(promoteThreshold int, prov bool) []RunOutcome {
 		return RunAllWith(scs, 0, func(_ *Scenario, cfg *hth.Config) {
-			cfg.Monitor.PromoteThreshold = 1
-			cfg.Monitor.TraceThreshold = traceThreshold
+			cfg.Monitor.PromoteThreshold = promoteThreshold
 			cfg.Provenance = prov
 		})
 	}
-	base := cell(0, false)
-	ref := SweepSignature(base)
-	for _, c := range []struct {
-		name           string
-		traceThreshold int
-		prov           bool
-	}{
-		{"traces", 2, false},
-		{"traces+prov", 2, true},
-		{"prov-only", 0, true},
-	} {
-		got := SweepSignature(cell(c.traceThreshold, c.prov))
-		for i := range ref {
-			if ref[i] != got[i] {
-				t.Errorf("%s divergence:\n  base: %s\n  %s: %s", c.name, ref[i], c.name, got[i])
+	ref := SweepSignature(cell(0, false))
+	for _, threshold := range []int{1, 2} {
+		for _, prov := range []bool{false, true} {
+			name := fmt.Sprintf("threshold=%d prov=%v", threshold, prov)
+			outs := cell(threshold, prov)
+			got := SweepSignature(outs)
+			for i := range ref {
+				if ref[i] != got[i] {
+					t.Errorf("%s divergence:\n  interp: %s\n  %s: %s", name, ref[i], name, got[i])
+				}
 			}
+			// Each cell must actually have exercised the trace tier, or
+			// the comparison proves nothing.
+			hits := 0
+			for _, o := range outs {
+				if o.Result != nil && o.Result.Stats.TraceHits > 0 {
+					hits++
+				}
+			}
+			if hits == 0 {
+				t.Fatalf("%s: no scenario took the trace tier; differential sweep is vacuous", name)
+			}
+			t.Logf("%s: trace tier exercised by %d/%d scenarios", name, hits, len(outs))
 		}
 	}
-	// The traced cells must actually have exercised the trace tier, or
-	// the comparison proves nothing.
-	traced := cell(2, false)
-	hits := 0
-	for _, o := range traced {
-		if o.Result != nil && o.Result.Stats.TraceHits > 0 {
-			hits++
-		}
-	}
-	if hits == 0 {
-		t.Fatal("no scenario took the trace tier; differential sweep is vacuous")
-	}
-	t.Logf("trace tier exercised by %d/%d scenarios", hits, len(traced))
 }
 
 // forkLoopSrc reads stdin, forks, and runs the same two hot loops in
@@ -140,8 +136,9 @@ dst: .space 64
 // fork-and-loop program runs at the interpreter tier and with traces
 // (and the clean tier) armed, at slices of 128 and 13 instructions;
 // warnings, events, retired steps and every process's shadow must
-// match. A slice end never hands a traced block to the summary tier,
-// so its hits are the same at slice 13 as at 4096.
+// match. A slice end never hands a traced block back to the
+// interpreter, so interpreter-tier entries are the same at slice 13 as
+// at 4096.
 func TestTraceSliceResume(t *testing.T) {
 	run := func(slice int, traced bool) *hth.Result {
 		t.Helper()
@@ -151,7 +148,6 @@ func TestTraceSliceResume(t *testing.T) {
 		cfg := hth.DefaultConfig()
 		if traced {
 			cfg.Monitor.PromoteThreshold = 1
-			cfg.Monitor.TraceThreshold = 2
 			cfg.Monitor.CleanThreshold = 1
 		} else {
 			cfg.Monitor.PromoteThreshold = 0
@@ -200,8 +196,9 @@ func TestTraceSliceResume(t *testing.T) {
 			}
 		}
 	}
-	if a, b := run(13, true).Stats.TierHits, run(4096, true).Stats.TierHits; a != b {
-		t.Errorf("summary tier hits: %d at slice 13, %d at slice 4096", a, b)
+	interp := func(st harrier.Stats) uint64 { return st.Blocks - st.TraceHits - st.CleanHits }
+	if a, b := interp(run(13, true).Stats), interp(run(4096, true).Stats); a != b {
+		t.Errorf("interpreter-tier entries: %d at slice 13, %d at slice 4096", a, b)
 	}
 }
 

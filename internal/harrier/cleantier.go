@@ -7,22 +7,21 @@ import (
 	"repro/internal/vos"
 )
 
-// This file is the fourth execution tier of the tiered taint engine:
-// the *clean tier*, the dynamic form of taint-scoped partial
-// instrumentation (PAPERS.md, Thakur 2024), and the engine's one way
-// of skipping taint work: hot code that never goes near a tag should
-// not pay for transferring one.
+// This file is the top rung of the tiered taint engine's ladder
+// (interpreter → trace → clean): the *clean tier*, the dynamic form of
+// taint-scoped partial instrumentation (PAPERS.md, Thakur 2024), and
+// the engine's one way of skipping taint work: hot code that never
+// goes near a tag should not pay for transferring one.
 //
 // The proof is value-INDEPENDENT, so a loop that walks a moving
-// pointer stays demoted. A compiled block or trace is demotable when
-// its whole memory footprint is expressible as entry-register +
-// displacement (the symbolic-address property the summary compiler
-// establishes, and which the trace compiler runs over its whole
-// path). At entry, the footprint resolves to a small set of
+// pointer stays demoted. A trace is demotable when its whole memory
+// footprint is expressible as entry-register + displacement (the
+// symbolic address pass the trace compiler runs over its whole path,
+// footprint.go). At entry, the footprint resolves to a small set of
 // shadow pages; if every one of those pages holds no tainted byte,
-// every load in the block reads the Empty tag — so each op's transfer
+// every load in the trace reads the Empty tag — so each mop's transfer
 // can be checked for no-op-ness against the entry register tags
-// alone, one compare or union per op, with zero shadow traffic:
+// alone, one compare or union per mop, with zero shadow traffic:
 //
 //   - a load into a register is a no-op iff the register is untainted;
 //   - a store of a register or immediate is a no-op iff the stored
@@ -40,10 +39,9 @@ import (
 // still hold (resumeTrace): then nothing the proof rests on moved in
 // between, and prefix plus remainder is one proven run. A passing
 // proof is cached as a cleanEnt keyed on (shadow, entry register
-// tags, resolved page set) and the block runs UNINSTRUMENTED: no
+// tags, resolved page set) and the trace runs UNINSTRUMENTED: no
 // shadow lookups, no unions, no per-instruction hooks — concrete
-// semantics only (isa.SummaryClean for blocks, runTraceBare end-to-
-// end for traces).
+// semantics only (runTraceBare).
 //
 // Re-instrumentation is the correctness bar. A cached verdict can rot
 // only when taint *arrives* at one of its footprint pages, and a page
@@ -55,18 +53,18 @@ import (
 // re-checks its pages directly via Shadow.PageClean and either
 // refreshes or drops the entry (stats.Reinstrumented) — so the first
 // block entry after taint lands is back on the instrumented tier,
-// before a single op of it executes. Detections can therefore never
+// before a single mop of it executes. Detections can therefore never
 // be lost: the uninstrumented variant only ever runs under a live
 // proof that the instrumented variant would have done nothing.
 const (
-	// cleanMaxFoot caps the footprint *intervals* a demotable block may
-	// carry — one per base register (plus one for absolute operands),
-	// each covering [lo,hi] of every displacement off that base, so an
+	// cleanMaxFoot caps the footprint *intervals* a demotable trace
+	// may carry — about one per base register (plus absolute operands),
+	// each covering [lo,hi] of the displacements off that base, so an
 	// unrolled superblock trace with hundreds of operands still
 	// resolves in a handful of steps. cleanMaxPages caps the distinct
-	// shadow pages a resolved footprint may touch; an interval wider
-	// than the page budget fails resolution and the block simply stays
-	// on its tier.
+	// shadow pages a resolved footprint may touch; a footprint wider
+	// than the page budget fails resolution and the trace simply runs
+	// with its full transfer.
 	cleanMaxFoot  = 10
 	cleanMaxPages = 4
 	// cleanWays is how many cached verdicts (distinct entry-tag /
@@ -80,15 +78,19 @@ const (
 	cleanPageShift = 12
 )
 
-// fpEnt is one base register's slice of a block's footprint in
-// entry-relative form: every byte the block touches through this base
-// lies in [entry value + lo, entry value + hi]. The interval is a
-// conservative cover — untouched bytes between two operands are
-// included — which is sound (it only ever demands MORE pages be
-// clean) and keeps the footprint size O(bases), not O(operands).
+// fpEnt is a slice of a trace's footprint in entry-relative form:
+// every byte it covers lies in [entry value + lo, entry value + hi] of
+// its base register. Offsets are signed (a push reaches below the
+// entry ESP); for traceNoBase they are the absolute addresses. The
+// interval is a conservative cover — untouched bytes between two
+// operands are included — which is sound (it only ever demands MORE
+// pages be clean) and keeps the footprint size O(bases), not
+// O(operands). Accesses off one base farther apart than the page
+// budget get intervals of their own, since one interval spanning
+// them could never resolve.
 type fpEnt struct {
-	base   uint8 // entry register index, or sumNoBase for absolute
-	lo, hi uint32
+	base   uint8 // entry register index, or traceNoBase for absolute
+	lo, hi int64
 }
 
 // cleanEnt is one cached clean verdict: with this shadow, these entry
@@ -104,10 +106,10 @@ type cleanEnt struct {
 	tags  [isa.NumRegs]taint.Tag
 }
 
-// cleanState is the demotion state embedded in a blockSummary or
-// blockTrace. ok is decided once at compile time (footprint
-// expressible and within caps); ways fill as entry states prove
-// clean and are replaced round-robin.
+// cleanState is the demotion state embedded in a blockTrace. ok is
+// decided once at compile time (footprint expressible and within
+// caps); ways fill as entry states prove clean and are replaced
+// round-robin.
 type cleanState struct {
 	ok        bool
 	announced bool // KindBBClean published (once per block)
@@ -118,55 +120,37 @@ type cleanState struct {
 	ways      [cleanWays]cleanEnt
 }
 
-// initFootprint decides demotion eligibility from a symbolic op list
-// (a summary's own ops, or the symbolic pass the trace compiler ran
-// over its whole path): every memory operand widens its base
-// register's interval, so the footprint stays small no matter how far
-// the trace compiler unrolled.
-func (cs *cleanState) initFootprint(ops []sumOp) {
+// initFootprint decides demotion eligibility from the entry-relative
+// accesses the trace compiler's symbolic pass recorded over its whole
+// path (footprint.go): every access widens an interval of its base
+// register, so the footprint stays small no matter how far the trace
+// compiler unrolled.
+func (cs *cleanState) initFootprint(acc []memAccess) {
 	fp := make([]fpEnt, 0, cleanMaxFoot)
-	add := func(base uint8, disp uint32, wide bool) bool {
-		hi := disp
-		if wide {
+next:
+	for _, a := range acc {
+		lo := int64(int32(a.disp))
+		if a.base == traceNoBase {
+			lo = int64(a.disp)
+		}
+		hi := lo
+		if a.wide {
 			hi += 3
 		}
 		for i := range fp {
-			if fp[i].base == base {
-				if disp < fp[i].lo {
-					fp[i].lo = disp
-				}
-				if hi > fp[i].hi {
-					fp[i].hi = hi
-				}
-				return true
+			e := &fp[i]
+			if e.base != a.base {
+				continue
+			}
+			if nlo, nhi := min(e.lo, lo), max(e.hi, hi); nhi-nlo < cleanMaxPages<<cleanPageShift {
+				e.lo, e.hi = nlo, nhi
+				continue next
 			}
 		}
 		if len(fp) == cleanMaxFoot {
-			return false
-		}
-		fp = append(fp, fpEnt{base: base, lo: disp, hi: hi})
-		return true
-	}
-	for i := range ops {
-		op := &ops[i]
-		ok := true
-		switch op.code {
-		case cRegLoadW, cRegUnionLoadW:
-			ok = add(op.bBase, op.bDisp, true)
-		case cRegLoadB:
-			ok = add(op.bBase, op.bDisp, false)
-		case cStoreWReg, cStoreWTag, cMemUnionReg, cMemUnionTag:
-			ok = add(op.aBase, op.aDisp, true)
-		case cStoreBReg, cStoreBTag:
-			ok = add(op.aBase, op.aDisp, false)
-		case cMemUnionLoadW, cMemCopyW:
-			ok = add(op.aBase, op.aDisp, true) && add(op.bBase, op.bDisp, true)
-		case cMemCopyB:
-			ok = add(op.aBase, op.aDisp, false) && add(op.bBase, op.bDisp, false)
-		}
-		if !ok {
 			return // over the cap: ineligible, cs.ok stays false
 		}
+		fp = append(fp, fpEnt{base: a.base, lo: lo, hi: hi})
 	}
 	cs.fp = fp
 	cs.ok = true
@@ -196,21 +180,18 @@ func (cs *cleanState) resolvePages(c *isa.CPU, pages *[cleanMaxPages]uint32) (in
 	ok := true
 	for i := range cs.fp {
 		e := &cs.fp[i]
-		var base uint32
-		if e.base != sumNoBase {
-			base = c.Regs[e.base]
+		var base int64
+		if e.base != traceNoBase {
+			base = int64(c.Regs[e.base])
 		}
 		first := (base + e.lo) >> cleanPageShift
 		last := (base + e.hi) >> cleanPageShift
-		if last-first >= cleanMaxPages {
-			return 0, false // interval wider than the page budget
+		if first < 0 || last >= 1<<(32-cleanPageShift) || last-first >= cleanMaxPages {
+			return 0, false // wraps the address space, or wider than the page budget
 		}
-		for pg := first; ; pg++ {
-			if n, ok = addPage(pages, n, pg); !ok {
+		for pg := first; pg <= last; pg++ {
+			if n, ok = addPage(pages, n, uint32(pg)); !ok {
 				return 0, false
-			}
-			if pg == last {
-				break
 			}
 		}
 	}
@@ -285,41 +266,10 @@ func (cs *cleanState) install(h *Harrier, c *isa.CPU, sh *taint.Shadow, pages *[
 	}
 }
 
-// cleanProbeSum decides whether this summary entry runs on the clean
-// tier: cached-way hit, or a fresh proof over the summary's op list.
-func (h *Harrier) cleanProbeSum(c *isa.CPU, sum *blockSummary) bool {
-	cs := &sum.clean
-	sh := c.Shadow
-	var pages [cleanMaxPages]uint32
-	nPg, ok := cs.resolvePages(c, &pages)
-	if !ok {
-		return false
-	}
-	if cs.lookup(h, c, sh, &pages, nPg) {
-		return true
-	}
-	if cs.strikes >= cleanMaxStrikes {
-		return false
-	}
-	for k := 0; k < nPg; k++ {
-		if !sh.PageClean(pages[k]) {
-			cs.strikes++
-			return false
-		}
-	}
-	if !h.cleanOpsNoop(sum.ops, &c.RegTags) {
-		cs.strikes++
-		return false
-	}
-	cs.install(h, c, sh, &pages, nPg, sum.key)
-	return true
-}
-
-// cleanProbeTrace is cleanProbeSum for a trace; the proof runs over
-// the mop program (per instruction, in program order — the symbolic
-// op list is fused across branch boundaries and only safe for the
-// footprint, never for per-write verification of a path that can
-// side-exit).
+// cleanProbeTrace decides whether this trace entry runs on the clean
+// tier: a cached-way hit, or a fresh proof over the mop program (per
+// instruction, in program order, so it holds for every prefix a side
+// exit or budget stop runs).
 func (h *Harrier) cleanProbeTrace(c *isa.CPU, tr *blockTrace) bool {
 	cs := &tr.clean
 	sh := c.Shadow
@@ -344,60 +294,7 @@ func (h *Harrier) cleanProbeTrace(c *isa.CPU, tr *blockTrace) bool {
 		cs.strikes++
 		return false
 	}
-	cs.install(h, c, sh, &pages, nPg, tr.head.key)
-	return true
-}
-
-// cleanOpsNoop proves a summary op list transfers nothing, given the
-// entry register tags and an all-clean footprint (every load yields
-// Empty; a store is a no-op iff it stores Empty). Each passing op
-// leaves the tag state untouched, so checking every op against the
-// entry tags is exact, not approximate.
-func (h *Harrier) cleanOpsNoop(ops []sumOp, tags *[isa.NumRegs]taint.Tag) bool {
-	st := h.Store
-	for i := range ops {
-		op := &ops[i]
-		switch op.code {
-		case cRegSet:
-			if tags[op.dst] != op.tag {
-				return false
-			}
-		case cRegCopy:
-			if tags[op.dst] != tags[op.src] {
-				return false
-			}
-		case cRegSetUnion:
-			if tags[op.dst] != st.Union(op.tag, tags[op.src]) {
-				return false
-			}
-		case cRegUnionReg:
-			if tags[op.dst] != st.Union(tags[op.dst], tags[op.src]) {
-				return false
-			}
-		case cRegUnionTag:
-			if tags[op.dst] != st.Union(tags[op.dst], op.tag) {
-				return false
-			}
-		case cRegLoadW, cRegLoadB:
-			if tags[op.dst] != taint.Empty {
-				return false
-			}
-		case cRegUnionLoadW:
-			// unions a clean load into dst: no-op by definition
-		case cStoreWReg, cStoreBReg, cMemUnionReg:
-			if tags[op.src] != taint.Empty {
-				return false
-			}
-		case cStoreWTag, cStoreBTag, cMemUnionTag:
-			if op.tag != taint.Empty {
-				return false
-			}
-		case cMemUnionLoadW, cMemCopyW, cMemCopyB:
-			// clean-to-clean memory moves: Empty over Empty
-		default:
-			return false // unknown op: never demote
-		}
-	}
+	cs.install(h, c, sh, &pages, nPg, tr.key)
 	return true
 }
 

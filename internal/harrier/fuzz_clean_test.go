@@ -10,9 +10,9 @@ import (
 
 // FuzzCleanReinstrument is the clean tier's re-instrumentation oracle:
 // the same pseudo-random multi-block programs as FuzzTraceApply run
-// once under the interpreter tier and once with summaries and traces
-// installed at every leader and CleanThreshold=1, so blocks demote to
-// the uninstrumented clean variant as soon as their footprint proves
+// once under the interpreter tier and once with traces installed at
+// every leader and CleanThreshold=1, so traces demote to the
+// uninstrumented clean variant as soon as their footprint proves
 // taint-free. Midway through — at a block boundary, the only
 // architectural point where tiers are comparable — an external taint
 // source floods pages inside the program's working window. The clean
@@ -35,38 +35,12 @@ func FuzzCleanReinstrument(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte, injectAt uint16) {
 		span := buildTraceFuzzSpan(data)
-		// The clean tier arms only on top of the summary tier, so its
-		// switches are on too; the hooks below are still wired by hand.
+		// The clean tier arms only on top of tiering, so its switches
+		// are on too; the hooks below are still wired by hand. The
+		// traces carry clean-tier footprints because the compiling
+		// Harrier has the tier armed.
 		h := New(Config{Dataflow: true, BBFrequency: true, PromoteThreshold: 1, CleanThreshold: 1}, nil)
-
-		// Install the compiled tiers at every leader, as the tier state
-		// machine would: a trace where one compiles, the bare summary
-		// otherwise — both carry clean-tier footprints because the
-		// compiling Harrier has the tier armed.
-		installed := 0
-		for i := range span.Instrs {
-			if span.BBLeader[i] != i {
-				continue
-			}
-			sum, ok := compileBlock(h.Store, span, i, h.binTag(span.Image), h.hwTag)
-			if !ok {
-				continue
-			}
-			head := &blockSummary{
-				Summary: *sum,
-				owner:   h,
-				ctr:     new(int64),
-				key:     bbKey{span.Image, span.Addr(i)},
-			}
-			head.clean.initFootprint(sum.ops)
-			if tr := h.compileTrace(span, i, head); tr != nil {
-				span.SetBBSummary(i, tr)
-			} else {
-				span.SetBBSummary(i, head)
-			}
-			installed++
-		}
-		if installed == 0 {
+		if installTraces(h, span) == 0 {
 			return // nothing compiled: the clean tier can't engage
 		}
 
@@ -132,8 +106,8 @@ func FuzzCleanReinstrument(f *testing.F) {
 // runToBoundary drives the CPU like runBudgeted but stops at the first
 // block boundary at or after `until` retired steps: both differential
 // runs pause at the same architectural point regardless of tier,
-// because blocks apply atomically and past `until` a trace retires one
-// instruction per Step, so none runs past the boundary. `halted`
+// because past `until` a trace retires one instruction per Step, so
+// none runs past the boundary. `halted`
 // reports HLT, a fault, or the program leaving the span — anywhere
 // further stepping is pointless.
 func runToBoundary(c *isa.CPU, span *isa.Span, until uint64) (halted, faulted bool) {

@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/taint"
 )
 
-// FuzzTraceApply is the trace tier's differential oracle at the
-// multi-block level: a pseudo-random program with conditional and
-// unconditional branches runs once under the interpreter tier and once
-// with superblock traces compiled at every leader, from the same
+// FuzzTraceApply is the trace tier's differential oracle: a
+// pseudo-random program — straight-line, or with conditional and
+// unconditional branches — runs once under the interpreter tier and
+// once with superblock traces compiled at every leader, from the same
 // concrete and taint state against one shared tag store. Both runs are
 // driven in scheduler slices of 1–40 instructions (the length comes
 // from the input), so a trace's budget stops — mid-block ones included
@@ -31,35 +32,18 @@ func FuzzTraceApply(f *testing.F) {
 	f.Add([]byte{0x05, 0x09, 0x00, 0x20, 0x1a, 0x05, 0x00, 0x08})                         // alu + jz fwd
 	f.Add([]byte{0x14, 0x03, 0x00, 0x00, 0x15, 0x01, 0x00, 0x00})                         // push/pop
 	f.Add([]byte{0x09, 0x11, 0x00, 0x00, 0x16, 0x00, 0x00, 0x00, 0x1b, 0x02, 0x00, 0x00}) // div + cpuid + jcc
+	// Straight-line blocks: one trace covers the whole program.
+	f.Add([]byte{0x02, 0x00, 0x00, 0x10})                         // lea
+	f.Add([]byte{0x05, 0x09, 0x00, 0x20, 0x02, 0x11, 0x00, 0x08}) // alu + lea
+	f.Add([]byte{0x14, 0x03, 0x00, 0x00, 0x15, 0x01, 0x00, 0x00}) // push/pop
+	f.Add([]byte{0x0d, 0x00, 0x00, 0x00, 0x0e, 0x02, 0x00, 0x00}) // not/neg
+	f.Add([]byte{0x16, 0x00, 0x00, 0x00, 0x17, 0x00, 0x00, 0x00}) // cpuid/rdtsc
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		span := buildTraceFuzzSpan(data)
 		h := New(Config{Dataflow: true}, nil)
 
-		// Compile a trace at every leader that yields one and install it,
-		// exactly as the tier state machine would after promotion, with
-		// the block's real compiled summary as its head.
-		installed := 0
-		for i := range span.Instrs {
-			if span.BBLeader[i] != i {
-				continue
-			}
-			sum, ok := compileBlock(h.Store, span, i, h.binTag(span.Image), h.hwTag)
-			if !ok {
-				continue // unsummarizable blocks never reach the trace tier
-			}
-			head := &blockSummary{
-				Summary: *sum,
-				owner:   h,
-				ctr:     new(int64),
-				key:     bbKey{span.Image, span.Addr(i)},
-			}
-			if tr := h.compileTrace(span, i, head); tr != nil {
-				span.SetBBSummary(i, tr)
-				installed++
-			}
-		}
-		if installed == 0 {
+		if installTraces(h, span) == 0 {
 			return // nothing traceable: the comparison would be vacuous
 		}
 
@@ -97,9 +81,29 @@ func FuzzTraceApply(f *testing.F) {
 	})
 }
 
-// traceFuzzOps extends the straight-line generator's op set with the
-// control transfers the trace compiler chains across (or side-exits
-// through): every conditional jump plus JMP.
+// installTraces compiles a trace at every leader that yields one and
+// installs it, exactly as the tier state machine would after
+// promotion, returning how many it installed.
+func installTraces(h *Harrier, span *isa.Span) int {
+	installed := 0
+	for i := range span.Instrs {
+		if span.BBLeader[i] != i {
+			continue
+		}
+		if tr := h.compileTrace(span, i, false); tr != nil {
+			span.SetBBSummary(i, tr)
+			installed++
+		}
+	}
+	return installed
+}
+
+// traceFuzzOps is the generator's op set: every data-moving shape the
+// compiler models (minus CALL, which ends a trace), compares and NOP,
+// and the control transfers the trace compiler chains across (or
+// side-exits through): every conditional jump plus JMP. DIVOP/MODOP
+// stay in deliberately — their runtime faults exercise the fault
+// exits.
 var traceFuzzOps = [...]isa.Op{
 	isa.MOV, isa.MOVB, isa.LEA,
 	isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR,
@@ -142,11 +146,7 @@ func buildTraceFuzzSpan(data []byte) *isa.Span {
 // `slice` instructions, each Step seeing the slice's remainder in
 // TraceBudget, so a trace can never retire past a slice end or the
 // bound. After the bound it finishes the current block one instruction
-// at a time — across tiers, taint state is only comparable at block
-// boundaries, because the summary tier applies a block's whole
-// transfer atomically at entry (a quantum expiring mid-block leaves it
-// legitimately ahead of the interpreter until the block completes,
-// just as under vos.Run).
+// at a time, so both runs stop at a block boundary.
 func runBudgeted(c *isa.CPU, span *isa.Span, bound uint64, slice int) (faulted bool) {
 	step := func() (stop, faulted bool) {
 		err := c.Step()
@@ -183,4 +183,50 @@ func runBudgeted(c *isa.CPU, span *isa.Span, bound uint64, slice int) (faulted b
 		}
 	}
 	return false
+}
+
+// fuzzOperand decodes one operand: register, small immediate,
+// absolute memory, or base+displacement memory.
+func fuzzOperand(sel, disp byte) isa.Operand {
+	r := isa.Reg(sel & 7)
+	switch (sel >> 3) & 3 {
+	case 0:
+		return isa.R(r)
+	case 1:
+		return isa.Imm(uint32(disp) << 2)
+	case 2:
+		return isa.Operand{Kind: isa.MemOperand, Imm: 0x400 + uint32(disp)<<2}
+	}
+	return isa.Operand{Kind: isa.MemOperand, Reg: r, HasBase: true, Imm: uint32(disp) << 2}
+}
+
+// newFuzzCPU builds a CPU at the span's entry with a deterministic
+// initial state derived from the fuzz input: small register values
+// (so memory operands stay near the compared window), a sane stack
+// pointer, and a few seeded register and shadow tags.
+func newFuzzCPU(span *isa.Span, st *taint.Store, data []byte) *isa.CPU {
+	c := isa.NewCPU()
+	c.Code.Add(span)
+	c.EIP = span.Base
+	c.Shadow = taint.NewShadow(st)
+
+	t1 := st.Of(taint.Source{Type: taint.UserInput, Name: "stdin"})
+	t2 := st.Of(taint.Source{Type: taint.Socket, Name: "10.0.0.1:99"})
+	tags := [4]taint.Tag{taint.Empty, t1, t2, st.Union(t1, t2)}
+
+	var seed byte
+	for _, b := range data {
+		seed ^= b
+	}
+	for r := 0; r < int(isa.NumRegs); r++ {
+		c.Regs[r] = uint32(seed^byte(r*37)) << 3 // < 0x800
+		c.RegTags[r] = tags[(int(seed)+r)>>1&3]
+	}
+	c.Regs[isa.ESP] = 0x2800
+	c.RegTags[isa.ESP] = taint.Empty
+	for i := uint32(0); i < 8; i++ {
+		c.Shadow.SetWord(0x400+i*4, tags[(uint32(seed)+i)&3])
+		c.Mem.Store32(0x400+i*4, 0x11111111*i)
+	}
+	return c
 }

@@ -60,32 +60,28 @@ type Config struct {
 	// taint.Store.SetWidthBudget). 0 = unlimited. Degradation is an
 	// over-approximation: type-keyed warnings are never lost.
 	TagWidthBudget int
-	// PromoteThreshold is the tiered taint engine's promotion point: a
-	// basic block whose frequency counter reaches it is compiled into a
-	// dataflow summary applied in one call per entry instead of one
-	// OnInstr dispatch per instruction (see summary.go / tier.go).
+	// PromoteThreshold is the tiered taint engine's promotion point
+	// (interpreter → trace → clean, see tier.go): a basic block whose
+	// frequency counter reaches it is compiled into a superblock trace —
+	// hot blocks chained across predicted edges and executed (taint
+	// transfer fused with concrete semantics) in a single hook call
+	// instead of one OnInstr dispatch per instruction (see trace.go).
 	// 0 disables tiering — every block stays in the interpreter tier.
 	// Tiering requires both Dataflow and BBFrequency; detections and
 	// reported tag sets are bit-identical across tiers.
 	PromoteThreshold int
-	// TraceThreshold is the second promotion point: a summarized block
-	// whose counter reaches it is compiled into a superblock trace —
-	// hot blocks chained across predicted edges and executed (taint
-	// transfer fused with concrete semantics) in a single hook call
-	// (see trace.go). Only the clean tier (CleanThreshold) ever runs a
-	// trace without its taint transfer.
-	// 0 disables the trace tier; blocks stop at the summary tier.
-	// Requires tiering (PromoteThreshold > 0) to be reachable at all.
+	// TraceThreshold is ignored: a hot block compiles straight to a
+	// trace at PromoteThreshold. The field is kept only because the
+	// cmd/hth-load benchmark still sets it.
 	TraceThreshold int
-	// CleanThreshold arms the fourth tier — taint-scoped partial
-	// instrumentation (see cleantier.go): a compiled block whose
-	// counter reaches it becomes a demotion candidate, running
-	// UNINSTRUMENTED (no shadow lookups, no transfer, no hooks)
-	// whenever its footprint pages and entry register tags are
-	// provably clean, and re-instrumenting the moment taint reaches
-	// its footprint (the shadow page-flip seam / vos taint-source
-	// seam). Traces probe the clean tier at every entry once armed.
-	// 0 disables the tier. Requires tiering (PromoteThreshold > 0).
+	// CleanThreshold arms the clean tier — taint-scoped partial
+	// instrumentation (see cleantier.go): a trace whose footprint pages
+	// and entry register tags are provably clean runs UNINSTRUMENTED
+	// (no shadow lookups, no transfer, no hooks), re-instrumenting the
+	// moment taint reaches its footprint (the shadow page-flip seam /
+	// vos taint-source seam). Armed traces probe the clean tier at
+	// every entry. 0 disables the tier. Requires tiering
+	// (PromoteThreshold > 0).
 	CleanThreshold int
 }
 
@@ -97,7 +93,6 @@ func DefaultConfig() Config {
 		CloneRateWindow:  20_000,
 		KeepEventLog:     true,
 		PromoteThreshold: 64,
-		TraceThreshold:   256,
 		CleanThreshold:   64,
 	}
 }
@@ -127,17 +122,10 @@ type Stats struct {
 	AccessEvents uint64 // resource-access events sent to Secpert
 	IOEvents     uint64 // I/O events sent to Secpert
 
-	// Tiered taint engine counters (see tier.go). TierHits is included
-	// in Blocks: a summary application counts the block entry exactly
-	// as the interpreter tier would.
-	TierPromoted uint64 // blocks compiled into summaries
-	TierPinned   uint64 // blocks found unmodelable, pinned to interpreter
-	TierDemoted  uint64 // summaries dropped by execve invalidation
-	TierHits     uint64 // block entries served by a summary
-
-	// Trace tier counters (see trace.go). TraceHits is included in
-	// Blocks: each chained block entry inside a trace counts exactly as
-	// the interpreter tier would count it.
+	// Trace tier counters (see tier.go, trace.go). TraceHits is
+	// included in Blocks: each chained block entry inside a trace
+	// counts exactly as the interpreter tier would count it.
+	TierPinned       uint64 // hot blocks whose trace compiled to nothing, pinned to interpreter
 	TraceCompiled    uint64 // superblock traces compiled
 	TraceHits        uint64 // block entries served inside a trace
 	TraceSideExits   uint64 // trace runs ended by a mispredicted branch
@@ -146,8 +134,8 @@ type Stats struct {
 
 	// Clean tier counters (see cleantier.go). CleanHits is included in
 	// Blocks — a clean entry counts the block exactly as every other
-	// tier does — and is disjoint from TierHits/TraceHits: each block
-	// entry is credited to exactly one tier.
+	// tier does — and is disjoint from TraceHits: each block entry is
+	// credited to exactly one tier.
 	CleanDemoted   uint64 // clean verdicts proved and cached
 	CleanHits      uint64 // block entries served uninstrumented
 	Reinstrumented uint64 // clean verdicts flushed by taint reaching their footprint
@@ -196,10 +184,7 @@ type Harrier struct {
 	// tierThreshold caches Config.PromoteThreshold as the counter's
 	// type, non-zero only when the config combination supports tiering
 	// (Dataflow + BBFrequency). One int64 compare per block entry.
-	// traceThreshold is the same for Config.TraceThreshold, non-zero
-	// only when the summary tier underneath it is armed.
-	tierThreshold  int64
-	traceThreshold int64
+	tierThreshold int64
 	// cleanThreshold caches Config.CleanThreshold the same way.
 	// cleanEpoch is the monitor-side invalidation clock of the clean
 	// tier: advanced by the vos taint-source seam and the shadow
@@ -249,9 +234,6 @@ func New(cfg Config, sec *secpert.Secpert) *Harrier {
 	}
 	if cfg.Dataflow && cfg.BBFrequency && cfg.PromoteThreshold > 0 {
 		h.tierThreshold = int64(cfg.PromoteThreshold)
-		if cfg.TraceThreshold > 0 {
-			h.traceThreshold = int64(cfg.TraceThreshold)
-		}
 		if cfg.CleanThreshold > 0 {
 			h.cleanThreshold = int64(cfg.CleanThreshold)
 		}
@@ -415,12 +397,12 @@ func (h *Harrier) collectBBFrequency(c *isa.CPU, s *isa.Span, leader int) {
 	if h.prov != nil {
 		h.provBlockScan(c, p.OS.Clock, int32(p.PID), key.addr, key.image, false)
 	}
-	// Tier promotion: a hot block with an empty summary slot compiles
-	// exactly once per slot lifetime (failure pins the slot, success
+	// Tier promotion: a hot block with an empty slot compiles exactly
+	// once per slot lifetime (an empty trace pins the slot, a trace
 	// moves subsequent entries onto the OnBBSummary path; an execve
 	// invalidation empties the slot and re-arms the trigger).
 	if h.tierThreshold > 0 && *ctr >= h.tierThreshold && s.BBSummary(leader) == nil {
-		h.maybePromote(c, s, leader, key, ctr)
+		h.maybePromote(c, s, leader, key)
 	}
 	if h.bus != nil && uint64(*ctr)&(bbRollQuantum-1) == 0 {
 		h.bus.Publish(obs.Event{

@@ -13,7 +13,7 @@ import (
 // receives a stable provenance ID at its entry point (read/recv buffer
 // tagging, image maps, CPUID/RDTSC, process input) and accumulates a
 // bounded hop list — block-granular register sightings from BOTH
-// execution tiers, translation short-circuits, and exit events — that
+// execution tiers (interpreter and trace), translation short-circuits, and exit events — that
 // renders as the causal chain a warning cites.
 //
 // Everything here is read-only with respect to taint state: recording
@@ -73,7 +73,7 @@ func (h *Harrier) provIDsOf(t taint.Tag, now uint64, pid int32) []obs.ProvID {
 
 // provBlockScan records every source currently live in a register as
 // having reached this basic block. Called at block entry from both
-// tiers — collectBBFrequency (interpreter) and onBBSummary (summary,
+// tiers — collectBBFrequency (interpreter) and traceBlockEnter (trace,
 // tier=true) — at the same execution point, so the hop stream is
 // tier-independent up to the tier flag.
 func (h *Harrier) provBlockScan(c *isa.CPU, now uint64, pid int32, addr uint32, image string, tier bool) {

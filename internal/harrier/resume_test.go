@@ -28,13 +28,7 @@ func newResumeCPU(t *testing.T) (h *Harrier, span *isa.Span, tr *blockTrace, tra
 	t.Helper()
 	span = resumeLoop()
 	h = New(Config{Dataflow: true, BBFrequency: true, PromoteThreshold: 1, CleanThreshold: 1}, nil)
-	sum, ok := compileBlock(h.Store, span, 0, h.binTag(span.Image), h.hwTag)
-	if !ok {
-		t.Fatal("loop block did not summarize")
-	}
-	head := &blockSummary{Summary: *sum, owner: h, ctr: new(int64), key: bbKey{span.Image, span.Base}}
-	head.clean.initFootprint(sum.ops)
-	if tr = h.compileTrace(span, 0, head); tr == nil || !tr.clean.ok {
+	if tr = h.compileTrace(span, 0, false); tr == nil || !tr.clean.ok {
 		t.Fatal("loop did not compile to a clean-eligible trace")
 	}
 	span.SetBBSummary(0, tr)
@@ -178,5 +172,58 @@ func TestBareResumeRevalidates(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLongHeadBlockTrace: a hot block longer than the trace cap still
+// compiles to a trace — its first traceMaxInstrs instructions, ending
+// mid-block, where the interpreter carries on without a second block
+// entry — and runs bit-identically to the interpreter tier.
+func TestLongHeadBlockTrace(t *testing.T) {
+	var instrs []isa.Instr
+	for k := uint32(0); k < traceMaxInstrs+20; k++ {
+		instrs = append(instrs,
+			isa.Instr{Op: isa.ADD, A: isa.R(isa.EAX), B: isa.MemBase(isa.ECX, 4*(k%8))},
+			isa.Instr{Op: isa.MOV, A: isa.MemBase(isa.ECX, 0x100+4*(k%8)), B: isa.R(isa.EAX)})
+	}
+	span := isa.NewSpan(0x10000, "long", append(instrs, isa.Instr{Op: isa.HLT}), nil)
+	h := New(Config{Dataflow: true, BBFrequency: true, PromoteThreshold: 1}, nil)
+	tr := h.compileTrace(span, 0, false)
+	if tr == nil || tr.nInstr != traceMaxInstrs || tr.endEIP != span.Addr(traceMaxInstrs) || tr.endJumped {
+		t.Fatalf("long head block: trace %+v, want %d instructions ending mid-block", tr, traceMaxInstrs)
+	}
+	span.SetBBSummary(0, tr)
+	src := h.Store.Of(taint.Source{Type: taint.Socket, Name: "10.0.0.1:99"})
+	mk := func() *isa.CPU {
+		c := isa.NewCPU()
+		c.Code.Add(span)
+		c.EIP = span.Base
+		c.Shadow = taint.NewShadow(h.Store)
+		c.Regs[isa.ECX] = 0x2000
+		c.Shadow.SetRange(0x2008, 4, src)
+		c.Hooks.OnInstr = h.trackDataFlow
+		c.Hooks.OnInstrData = true
+		return c
+	}
+	interp, traced := mk(), mk()
+	traced.Hooks.OnBBSummary = h.onBBSummary
+	for _, c := range []*isa.CPU{interp, traced} {
+		for !c.Halted {
+			if err := c.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if h.stats.TraceHits != 1 {
+		t.Fatalf("trace hits %d, want 1", h.stats.TraceHits)
+	}
+	if interp.Regs != traced.Regs || interp.Steps != traced.Steps || interp.RegTags != traced.RegTags {
+		t.Fatalf("divergence: interp regs %v steps %d tags %v, traced regs %v steps %d tags %v",
+			interp.Regs, interp.Steps, interp.RegTags, traced.Regs, traced.Steps, traced.RegTags)
+	}
+	for a := uint32(0x2000); a < 0x2200; a++ {
+		if x, y := interp.Shadow.Get(a), traced.Shadow.Get(a); x != y {
+			t.Fatalf("shadow at %#x: interp tag%d, traced tag%d", a, x, y)
+		}
 	}
 }

@@ -6,24 +6,22 @@ import (
 	"repro/internal/taint"
 )
 
-// This file is the third execution tier of the tiered taint engine:
-// superblock traces. Where the summary tier (tier.go / summary.go)
-// replaces per-instruction dispatch with one taint-transfer call per
-// block and still lets the interpreter execute the block's
-// instructions, a trace goes the rest of the way: it chains hot blocks
-// across unconditional and predicted-conditional edges into one linear
-// sequence of fused micro-ops (mops) and *executes* them — taint
-// transfer and concrete semantics together — in a single hook call.
-// The interpreter's fetch/decode/hook loop disappears entirely for as
-// long as execution follows the traced path.
+// This file is the compiled tier of the tiered taint engine
+// (interpreter → trace → clean, tier.go): superblock traces. A hot
+// block compiles straight to a trace rooted at it, which chains hot
+// blocks across unconditional and predicted-conditional edges into
+// one linear sequence of fused micro-ops (mops) and *executes* them —
+// taint transfer and concrete semantics together — in a single hook
+// call. The interpreter's fetch/decode/hook loop disappears entirely
+// for as long as execution follows the traced path.
 //
 // Each mop reproduces one guest instruction in the interpreter's
 // order: the Track_DataFlow transfer first (the OnInstr hook runs
 // before the instruction executes), then the concrete operation.
 // Conditional branches are evaluated against live flags; when the
 // actual direction disagrees with the traced direction the run side-
-// exits, leaving EIP at the untraced target so the interpreter (or a
-// summary, or another trace) picks up at a genuine block entry.
+// exits, leaving EIP at the untraced target so the interpreter (or
+// another trace) picks up at a genuine block entry.
 //
 // A run also stops where the scheduler's quantum (CPU.TraceBudget)
 // runs out, on that exact instruction, even mid-block: every consumed
@@ -37,10 +35,10 @@ import (
 //
 // A trace has exactly two loops: runTraceTaint, the full transfer,
 // and runTraceBare, concrete semantics only, which runs only under a
-// live clean-tier verdict. The compiler also runs the summary
-// compiler's symbolic address domain over the whole path; when every
-// taint-touching address is expressible as entry-register +
-// displacement, that op stream yields the clean tier's footprint.
+// live clean-tier verdict. The compiler also runs a symbolic address
+// pass over the whole path (footprint.go); when every taint-touching
+// address is expressible as entry-register + displacement, its access
+// list yields the clean tier's footprint.
 const (
 	// traceMaxInstrs caps the guest instructions one trace may retire.
 	// A run needs no room in the quantum — a budget stop lands on the
@@ -148,19 +146,21 @@ type traceBlock struct {
 	entryJumped bool
 }
 
-// blockTrace is a compiled superblock trace, installed in the entry
-// leader's summary slot in place of its *blockSummary, which it keeps
-// as head for the ownership check and the clean tier's block key.
+// blockTrace is a compiled superblock trace, installed in its head
+// leader's span slot. owner is the Harrier that compiled it (the
+// ownership check) and key the head block (the clean tier's block key
+// and the self-loop test of clean-loop fusion).
 type blockTrace struct {
-	head   *blockSummary
+	owner  *Harrier
+	key    bbKey
 	mops   []mop
 	info   []mopInfo
 	blocks []traceBlock
 
-	// clean is the fourth-tier demotion state (see cleantier.go). Only
+	// clean is the clean-tier demotion state (see cleantier.go). Only
 	// initialized when the symbolic address pass held for the whole
 	// path (traceCompiler.symOK), because the footprint is derived from
-	// its entry-relative address stream.
+	// its entry-relative access list.
 	clean cleanState
 
 	nInstr    uint16 // instructions retired by a full run
@@ -188,11 +188,10 @@ func (op *mop) ea2(c *isa.CPU) uint32 {
 // --- trace compilation --------------------------------------------
 
 // traceCompiler walks the hot path from a head leader, chaining block
-// after block into the mop program. It carries the summary compiler's
-// symbolic address domain (sc) in parallel — not for emission, but to
-// derive the clean-tier footprint, which exists only when every
-// taint-touching address of the whole path is expressible as
-// entry-register + displacement (symOK).
+// after block into the mop program. It runs the symbolic address pass
+// (fp) in parallel to derive the clean-tier footprint, which exists
+// only when every taint-touching address of the whole path is
+// expressible as entry-register + displacement (symOK).
 type traceCompiler struct {
 	h      *Harrier
 	s      *isa.Span
@@ -203,33 +202,11 @@ type traceCompiler struct {
 	steps  int
 	nData  int
 
-	sc    sumCompiler
+	fp    footprintPass
 	symOK bool
 
 	endEIP    uint32
 	endJumped bool
-}
-
-// maybeTrace compiles a superblock trace rooted at leader and
-// publishes the promotion event. It returns nil when the head block
-// yields no traceable prefix (the caller pins the attempt on the
-// summary so it is never retried).
-func (h *Harrier) maybeTrace(c *isa.CPU, s *isa.Span, leader int, head *blockSummary) *blockTrace {
-	tr := h.compileTrace(s, leader, head)
-	if tr == nil {
-		return nil
-	}
-	h.stats.TraceCompiled++
-	if h.bus != nil {
-		if p := procOf(c); p != nil {
-			h.bus.Publish(obs.Event{
-				Time: p.OS.Clock, Layer: obs.LayerHarrier, Kind: obs.KindBBTrace,
-				PID: int32(p.PID), Num: uint64(head.key.addr), Num2: uint64(len(tr.mops)),
-				Str: head.key.image,
-			})
-		}
-	}
-	return tr
 }
 
 // traceCtr resolves (or creates) the frequency counter of a chained
@@ -250,14 +227,14 @@ func (h *Harrier) traceCtr(key bbKey) *int64 {
 // un-followable terminal ends the path. The terminal is *not*
 // consumed: the trace exits with EIP on it and the interpreter
 // executes it with its ordinary hooks, so CALL/RET/INT/NATIVE/HLT
-// semantics never need replicating here.
-func (h *Harrier) compileTrace(s *isa.Span, leader int, head *blockSummary) *blockTrace {
-	bin := h.binTag(s.Image)
-	tc := &traceCompiler{h: h, s: s, bin: bin, symOK: true}
-	tc.sc = sumCompiler{st: h.Store, bin: bin, hw: h.hwTag}
-	for r := range tc.sc.sym {
-		tc.sc.sym[r] = symVal{kind: symRegOff, reg: isa.Reg(r)}
-	}
+// semantics never need replicating here. isApp says whether s belongs
+// to the monitored application image (last-app attribution). It
+// returns nil when the head yields no traceable prefix. Compilation is
+// deterministic: the same span, leader and store state yield the same
+// trace, which is what makes re-promotion after an execve demotion
+// sound.
+func (h *Harrier) compileTrace(s *isa.Span, leader int, isApp bool) *blockTrace {
+	tc := &traceCompiler{h: h, s: s, bin: h.binTag(s.Image), fp: newFootprintPass(), symOK: true}
 
 	cur := leader
 	arrived := true // the head is always entered through the dispatch hook
@@ -267,8 +244,11 @@ walk:
 		for last+1 < len(s.Instrs) && s.BBLeader[last+1] == cur {
 			last++
 		}
+		// A chained block must fit whole; only the head may be cut at
+		// the instruction cap (below), so an over-long hot block still
+		// gets a trace.
 		blockN := last - cur + 1
-		if len(tc.blocks) >= traceMaxBlocks || tc.steps+blockN > traceMaxInstrs {
+		if len(tc.blocks) > 0 && (len(tc.blocks) >= traceMaxBlocks || tc.steps+blockN > traceMaxInstrs) {
 			tc.endEIP, tc.endJumped = s.Addr(cur), arrived
 			break walk
 		}
@@ -276,12 +256,16 @@ walk:
 		mopStart := len(tc.mops)
 		key := bbKey{s.Image, s.Addr(cur)}
 		tc.blocks = append(tc.blocks, traceBlock{
-			ctr: h.traceCtr(key), key: key, isApp: head.isApp,
+			ctr: h.traceCtr(key), key: key, isApp: isApp,
 			entryJumped: arrived,
 		})
 		tc.emit(mop{code: mBBEnter, disp: uint32(bIdx)}, s.Addr(cur))
 		consumed := 0
 		for i := cur; i <= last; i++ {
+			if tc.steps == traceMaxInstrs {
+				tc.endBefore(i, cur, bIdx, mopStart, consumed, arrived)
+				break walk
+			}
 			in := &s.Instrs[i]
 			if in.Op.IsControlTransfer() {
 				// Only the block's final instruction can be a transfer.
@@ -350,12 +334,13 @@ walk:
 		return nil
 	}
 	tr := &blockTrace{
-		head: head, mops: tc.mops, info: tc.info, blocks: tc.blocks,
+		owner: h, key: bbKey{s.Image, s.Addr(leader)},
+		mops: tc.mops, info: tc.info, blocks: tc.blocks,
 		nInstr: uint16(tc.steps), nData: uint16(tc.nData),
 		endEIP: tc.endEIP, endJumped: tc.endJumped,
 	}
 	if tc.symOK && h.cleanThreshold > 0 {
-		tr.clean.initFootprint(tc.sc.ops)
+		tr.clean.initFootprint(tc.fp.acc)
 	}
 	return tr
 }
@@ -386,7 +371,7 @@ func (tc *traceCompiler) emit(m mop, addr uint32) {
 // without a clean footprint (the trace itself stays valid — it simply
 // always runs with full taint transfer).
 func (tc *traceCompiler) scStep(in *isa.Instr) {
-	if tc.symOK && !tc.sc.instr(in) {
+	if tc.symOK && !tc.fp.instr(in) {
 		tc.symOK = false
 	}
 }
@@ -685,7 +670,7 @@ func (h *Harrier) runTrace(c *isa.CPU, tr *blockTrace, start int, bare bool, bud
 	// Step's contract with unbounded callers: one trace entry per call.
 	// Every run retires at least one instruction, so the budget
 	// strictly decreases.
-	for budget > 0 && ex.fault == nil && ex.eip == tr.head.key.addr {
+	for budget > 0 && ex.fault == nil && ex.eip == tr.key.addr {
 		rem := budget - int(ex.steps)
 		if rem <= 0 || !h.cleanProbeTrace(c, tr) {
 			break

@@ -29,8 +29,9 @@ type Span struct {
 	// lookup and an opcode-table lookup on the hot path.
 	meta []uint8
 
-	// summaries[i] is the instrumentation layer's compiled summary for
-	// the basic block led by instruction i (nil = none). The slice is
+	// summaries[i] is the instrumentation layer's slot for the basic
+	// block led by instruction i (nil = none): Harrier's compiled trace,
+	// or its marker for a block that compiled to nothing. The slice is
 	// allocated lazily on the first SetBBSummary, so spans that never
 	// promote a block cost one nil pointer. The slots hold opaque
 	// values: the ISA only stores and dispatches them (see
@@ -115,8 +116,8 @@ func (s *Span) analyzeBlocks() {
 	}
 }
 
-// BBSummary returns the compiled summary installed for the block led
-// by instruction i, or nil.
+// BBSummary returns the slot value installed for the block led by
+// instruction i, or nil.
 func (s *Span) BBSummary(i int) any {
 	if s.summaries == nil || i < 0 || i >= len(s.summaries) {
 		return nil
@@ -124,8 +125,8 @@ func (s *Span) BBSummary(i int) any {
 	return s.summaries[i]
 }
 
-// SetBBSummary installs (or replaces) the compiled summary for the
-// block led by instruction i. The slot array is allocated on first
+// SetBBSummary installs (or replaces) the slot value for the block led
+// by instruction i. The slot array is allocated on first
 // use.
 func (s *Span) SetBBSummary(i int, v any) {
 	if i < 0 || i >= len(s.Instrs) {
@@ -137,9 +138,9 @@ func (s *Span) SetBBSummary(i int, v any) {
 	s.summaries[i] = v
 }
 
-// DropSummaries discards every installed block summary, returning how
-// many slots were occupied. The monitor calls it when the code the
-// summaries were compiled from is about to be unmapped (execve).
+// DropSummaries empties every slot, returning how many were occupied.
+// The monitor calls it when the code its slots were compiled from is
+// about to be unmapped (execve).
 func (s *Span) DropSummaries() int {
 	n := 0
 	for i, v := range s.summaries {

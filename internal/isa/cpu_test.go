@@ -2,6 +2,7 @@ package isa
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -540,4 +541,123 @@ func TestWriteToImmediateFaults(t *testing.T) {
 	if err := c.Step(); err == nil {
 		t.Error("write to immediate did not fault")
 	}
+}
+
+// TestBBSummaryDispatch pins the Hooks.OnBBSummary contract the tiered
+// taint engine builds on: a declined slot is invisible (OnBB and
+// OnInstr run exactly as for an empty slot), a SummaryTrace answer
+// replaces the whole Step (no fetch, no OnInstr, EIP and Steps left
+// where ExitTrace and the hook put them), and a trace error halts the
+// CPU and is Step's own error.
+func TestBBSummaryDispatch(t *testing.T) {
+	type hook = func(c *CPU, s *Span, leader int, slot any) (SummaryAction, error)
+	// setup loads the program with logging OnBB/OnInstr hooks and the
+	// given OnBBSummary; slots lists the leaders that get a slot.
+	setup := func(summary hook, slots ...int) (*CPU, *Span, *[]string) {
+		span := NewSpan(0x1000, "test", []Instr{
+			{Op: MOV, A: R(EAX), B: Imm(1)}, // block 0
+			{Op: ADD, A: R(EAX), B: Imm(2)},
+			{Op: JMP, A: Imm(0x100c)},
+			{Op: DIVOP, A: R(EAX), B: Imm(0)}, // block 3: faults if executed
+			{Op: MOV, A: R(EBX), B: R(EAX)},
+			{Op: HLT},
+		}, nil)
+		for _, i := range slots {
+			span.SetBBSummary(i, i)
+		}
+		c := NewCPU()
+		c.Code.Add(span)
+		c.EIP = span.Base
+		log := new([]string)
+		c.Hooks.OnBB = func(c *CPU, s *Span, leader int) { *log = append(*log, fmt.Sprintf("bb%d", leader)) }
+		c.Hooks.OnInstr = func(c *CPU, s *Span, idx int) { *log = append(*log, fmt.Sprintf("in%d", idx)) }
+		c.Hooks.OnBBSummary = summary
+		return c, span, log
+	}
+	run := func(t *testing.T, c *CPU) error {
+		t.Helper()
+		for i := 0; i < 64 && !c.Halted; i++ {
+			if err := c.Step(); err != nil {
+				return err
+			}
+		}
+		if !c.Halted {
+			t.Fatal("program did not halt")
+		}
+		return nil
+	}
+
+	t.Run("decline", func(t *testing.T) {
+		var offered []int
+		decline := func(c *CPU, s *Span, leader int, slot any) (SummaryAction, error) {
+			offered = append(offered, leader)
+			if slot != leader {
+				t.Errorf("leader %d offered slot %v", leader, slot)
+			}
+			return SummaryDecline, nil
+		}
+		ref, _, refLog := setup(decline)
+		refErr := run(t, ref)
+		got, _, gotLog := setup(decline, 0, 3)
+		gotErr := run(t, got)
+		if fmt.Sprint(refErr) != fmt.Sprint(gotErr) || ref.Regs != got.Regs || ref.EIP != got.EIP || ref.Steps != got.Steps {
+			t.Fatalf("declined run diverged: err %v/%v regs %v/%v eip %#x/%#x steps %d/%d",
+				refErr, gotErr, ref.Regs, got.Regs, ref.EIP, got.EIP, ref.Steps, got.Steps)
+		}
+		if a, b := fmt.Sprint(*refLog), fmt.Sprint(*gotLog); a != b {
+			t.Fatalf("hooks diverged:\n  empty slot:    %s\n  declined slot: %s", a, b)
+		}
+		if fmt.Sprint(offered) != "[0 3]" {
+			t.Fatalf("offered leaders %v, want [0 3]", offered)
+		}
+	})
+
+	t.Run("trace", func(t *testing.T) {
+		// Stand in for a compiled trace of block 3 that retired its
+		// first instruction without faulting.
+		c, span, log := setup(func(c *CPU, s *Span, leader int, slot any) (SummaryAction, error) {
+			c.Regs[EAX] = 7
+			c.Steps++
+			c.ExitTrace(s.Addr(4), false)
+			return SummaryTrace, nil
+		}, 3)
+		for c.EIP != span.Addr(3) {
+			if err := c.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := len(*log)
+		if err := c.Step(); err != nil {
+			t.Fatalf("trace step: %v", err)
+		}
+		if c.EIP != span.Addr(4) || c.Steps != 4 || c.Regs[EAX] != 7 || c.Halted {
+			t.Fatalf("after the trace: eip %#x steps %d eax %d halted %v; want %#x, 4, 7, running",
+				c.EIP, c.Steps, c.Regs[EAX], c.Halted, span.Addr(4))
+		}
+		if len(*log) != before {
+			t.Fatalf("trace step ran hooks %v", (*log)[before:])
+		}
+		// Execution continues from the trace's exit point.
+		if err := run(t, c); err != nil {
+			t.Fatal(err)
+		}
+		if c.Regs[EBX] != 7 || c.Steps != 6 {
+			t.Fatalf("after the exit: ebx %d steps %d; want 7, 6", c.Regs[EBX], c.Steps)
+		}
+	})
+
+	t.Run("fault", func(t *testing.T) {
+		fault := &Fault{PC: 0x100c, Reason: "division by zero"}
+		c, _, _ := setup(func(c *CPU, s *Span, leader int, slot any) (SummaryAction, error) {
+			c.Steps++
+			c.ExitTrace(s.Addr(leader), false)
+			return SummaryTrace, fault
+		}, 3)
+		if err := run(t, c); err != fault || !c.Halted {
+			t.Fatalf("trace fault: err %v halted %v; want %v, halted", err, c.Halted, fault)
+		}
+		if err := c.Step(); !errors.Is(err, ErrHalted) {
+			t.Fatalf("step after the fault: %v, want ErrHalted", err)
+		}
+	})
 }

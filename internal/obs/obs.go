@@ -123,22 +123,16 @@ const (
 	// multiple of the rollover quantum (see harrier). Num = block
 	// leader address, Num2 = count, Str = owning image.
 	KindBBRoll
-	// KindBBPromote is a hot basic block crossing the tier promotion
-	// threshold and compiling into a dataflow summary. Num = block
-	// leader address, Num2 = compiled op count, Str = owning image.
-	KindBBPromote
-	// KindBBTrace is a summarized block crossing the trace threshold
-	// and compiling into a superblock trace (the third tier). Num =
-	// trace head leader address, Num2 = compiled mop count, Str =
-	// owning image. The kind itself is the tier discriminator replay
-	// tools use to tell summary promotions (bb.promote) from trace
-	// promotions.
+	// KindBBTrace is a hot basic block crossing the tier promotion
+	// threshold and compiling into a superblock trace. Num = trace
+	// head leader address, Num2 = compiled mop count, Str = owning
+	// image.
 	KindBBTrace
-	// KindBBClean is a compiled block or trace demoting onto the
-	// uninstrumented clean tier: its dataflow transfer was proved a
-	// no-op against the current taint state, so entries run with
-	// concrete semantics only until taint reaches their footprint.
-	// Num = block/trace leader address, Num2 = footprint page count,
+	// KindBBClean is a trace demoting onto the uninstrumented clean
+	// tier: its dataflow transfer was proved a no-op against the
+	// current taint state, so entries run with concrete semantics only
+	// until taint reaches their footprint. Num = trace head leader
+	// address, Num2 = footprint page count,
 	// Str = owning image.
 	KindBBClean
 	// KindTaintSample is a periodic snapshot of the taint substrate,
@@ -222,7 +216,6 @@ var kindNames = [numKinds]string{
 	KindFDOpen:       "fd.open",
 	KindFDClose:      "fd.close",
 	KindBBRoll:       "bb.roll",
-	KindBBPromote:    "bb.promote",
 	KindBBTrace:      "bb.trace",
 	KindBBClean:      "bb.clean",
 	KindTaintSample:  "taint.sample",

@@ -12,7 +12,7 @@ import (
 // carried it: one bounded edge list per taint source, grown at the
 // source's entry point (a read/recv tagging a buffer, an image map, a
 // CPUID), at every basic-block entry that observes the source live in
-// a register (both the interpreter and the summary tier attribute at
+// a register (both the interpreter and the trace tier attribute at
 // block granularity), at translation short-circuits (gethostbyname),
 // and at exit points (write/send/execve). The per-source chain renders
 // as the causal path a warning cites:
@@ -86,7 +86,7 @@ type Hop struct {
 	// Detail is the rendered operand: "read fd 3", "gethostbyname",
 	// "write fd 1", or the owning image for block hops.
 	Detail string
-	// Tier marks a block hop served by the summary tier.
+	// Tier marks a block hop served by a compiled (trace) tier.
 	Tier bool
 	// Count is how many consecutive identical occurrences this hop
 	// absorbed (≥ 1).
@@ -195,8 +195,8 @@ func (p *Provenance) EnsureEntry(id ProvID, t uint64, pid int32, detail string) 
 }
 
 // Block records the source live in a register at a basic-block entry.
-// image is kept on the hop (for exporters); tier marks the summary
-// tier.
+// image is kept on the hop (for exporters); tier marks a compiled
+// (trace) tier.
 func (p *Provenance) Block(id ProvID, t uint64, pid int32, addr uint32, image string, tier bool) {
 	p.record(id, Hop{Kind: HopBlock, Time: t, PID: pid, Addr: addr, Detail: image, Tier: tier})
 }

@@ -51,7 +51,7 @@ func TestProvenanceConsecutiveMerge(t *testing.T) {
 	if tr.Hops[0].Count != 2 {
 		t.Fatalf("first hop count = %d, want 2", tr.Hops[0].Count)
 	}
-	// A tier-flag change breaks the merge: interp and summary
+	// A tier-flag change breaks the merge: interp and trace
 	// sightings of the same block stay distinguishable.
 	p.Block(id, 5, 1, 0x10, "img", true)
 	if tr := p.Traces()[0]; len(tr.Hops) != 4 {

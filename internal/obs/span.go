@@ -271,7 +271,10 @@ func WriteChromeSpans(w io.Writer, traces map[string][]Span, nowNS int64) error 
 }
 
 // Execution tiers, in promotion order. These index TierTimer buckets
-// and name the per-tier child spans ("tier.interp", ...).
+// and name the per-tier child spans ("tier.interp", ...). No engine
+// tier touches TierSummary, so its bucket stays 0; it is kept only
+// because the cmd/hth-load benchmark pairs its tier mix with
+// TierNames' four entries in this order.
 const (
 	TierInterp = iota
 	TierSummary

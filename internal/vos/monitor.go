@@ -187,7 +187,7 @@ type Monitor interface {
 
 // PreExecMonitor is an optional Monitor extension: a monitor that
 // caches state keyed to a process's code spans (Harrier's compiled
-// block summaries) implements it to be notified immediately before
+// traces) implements it to be notified immediately before
 // execve tears the old code map down, while the spans are still
 // reachable through p.CPU.Code. It is discovered by type assertion so
 // existing Monitor implementations stay source-compatible.

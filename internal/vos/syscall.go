@@ -686,7 +686,7 @@ func (k *kernel) sysExecve(p *Process, args [5]uint32) {
 
 	// Replace the address space. Monitors that cache state keyed to
 	// the outgoing code spans get a last look while they are still
-	// mapped (Harrier drops its compiled block summaries here).
+	// mapped (Harrier drops its compiled traces here).
 	if pre, ok := p.Monitor.(PreExecMonitor); ok {
 		pre.PreExec(p)
 	}

@@ -114,7 +114,7 @@ func WithMaxOpenFDs(n int) Option {
 
 // WithTierThreshold sets the hot-block promotion threshold of the
 // tiered taint engine: a basic block whose execution counter reaches n
-// is compiled into a dataflow summary and leaves the per-instruction
+// is compiled into a superblock trace and leaves the per-instruction
 // interpreter tier. Zero keeps every block in the interpreter tier
 // (the pre-tiering behaviour); detections are bit-identical either
 // way, only throughput changes.
@@ -122,21 +122,12 @@ func WithTierThreshold(n int) Option {
 	return func(c *Config) { c.Monitor.PromoteThreshold = n }
 }
 
-// WithTraceThreshold sets the second promotion threshold of the tiered
-// taint engine: a summarized block whose execution counter reaches n is
-// compiled into a superblock trace — chained hot blocks executed in one
-// hook call. Zero disables the trace tier
-// and caps blocks at the summary tier; detections are bit-identical
-// either way, only throughput changes.
-func WithTraceThreshold(n int) Option {
-	return func(c *Config) { c.Monitor.TraceThreshold = n }
-}
-
-// WithCleanTier sets the demotion threshold of the clean tier, the
-// fourth execution tier: a compiled block or trace whose counter
-// reaches n and whose entire memory footprint resolves to taint-free
-// shadow pages is proven to transfer nothing and runs uninstrumented —
-// no shadow lookups, no tag unions, no per-instruction hooks. Taint
+// WithCleanTier arms the clean tier, the top rung of the interpreter →
+// trace → clean ladder, when n > 0: a trace whose entire memory
+// footprint resolves to taint-free shadow pages, and whose entry
+// register tags make every transfer a no-op, is proven to transfer
+// nothing and runs uninstrumented — no shadow lookups, no tag unions,
+// no per-instruction hooks. Taint
 // arriving at a footprint page (a zero→nonzero shadow page flip, or a
 // taint-source syscall) re-instruments affected blocks before their
 // next entry, so detections are bit-identical with the tier on or off;

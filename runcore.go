@@ -359,10 +359,7 @@ func (rc *runCore) publishRunEnd(runErr error, wall time.Duration) {
 			{"harrier.blocks", st.Blocks},
 			{"harrier.access_events", st.AccessEvents},
 			{"harrier.io_events", st.IOEvents},
-			{"harrier.tier.promoted", st.TierPromoted},
 			{"harrier.tier.pinned", st.TierPinned},
-			{"harrier.tier.demoted", st.TierDemoted},
-			{"harrier.tier.hits", st.TierHits},
 			{"harrier.tier.trace_demoted", st.TierTraceDemoted},
 			{"harrier.trace.compiled", st.TraceCompiled},
 			{"harrier.trace.hits", st.TraceHits},

@@ -348,12 +348,14 @@ type JobResult struct {
 }
 
 // TierMix is the execution-tier mix of a monitored run: how many
-// block entries each tier of the taint engine served. The four shares
-// partition Blocks — every entry is credited to exactly one tier — so
-// fleet views can aggregate mixes by plain addition. Reinstrumented
-// counts clean-tier verdicts flushed because taint reached their
-// footprint (not a block share, but the clean tier's safety valve, so
-// it travels with the mix).
+// block entries each tier of the taint engine served (interpreter,
+// trace, clean). The shares partition Blocks — every entry is credited
+// to exactly one tier — so fleet views can aggregate mixes by plain
+// addition. Reinstrumented counts clean-tier verdicts flushed because
+// taint reached their footprint (not a block share, but the clean
+// tier's safety valve, so it travels with the mix). Summary is always
+// 0: the engine has no summary tier, and the field is kept only
+// because the cmd/hth-load benchmark reads it.
 type TierMix struct {
 	Blocks         uint64 `json:"blocks"`
 	Interp         uint64 `json:"interp"`
@@ -367,8 +369,7 @@ type TierMix struct {
 func tierMixOf(st harrier.Stats) TierMix {
 	return TierMix{
 		Blocks:         st.Blocks,
-		Interp:         st.Blocks - st.TierHits - st.TraceHits - st.CleanHits,
-		Summary:        st.TierHits,
+		Interp:         st.Blocks - st.TraceHits - st.CleanHits,
 		Trace:          st.TraceHits,
 		Clean:          st.CleanHits,
 		Reinstrumented: st.Reinstrumented,
@@ -379,7 +380,6 @@ func tierMixOf(st harrier.Stats) TierMix {
 func (m *TierMix) add(o TierMix) {
 	m.Blocks += o.Blocks
 	m.Interp += o.Interp
-	m.Summary += o.Summary
 	m.Trace += o.Trace
 	m.Clean += o.Clean
 	m.Reinstrumented += o.Reinstrumented

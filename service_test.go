@@ -134,8 +134,8 @@ func TestServiceMatchesBatchRun(t *testing.T) {
 		t.Fatal("done job carries no tier mix")
 	}
 	m := *res.TierMix
-	if m.Blocks != batch.Stats.Blocks ||
-		m.Interp+m.Summary+m.Trace+m.Clean != m.Blocks {
+	if m.Blocks != batch.Stats.Blocks || m.Summary != 0 ||
+		m.Interp+m.Trace+m.Clean != m.Blocks {
 		t.Errorf("tier mix %+v does not partition %d blocks", m, batch.Stats.Blocks)
 	}
 	if hm := s.Health().TierMix; hm != m {
