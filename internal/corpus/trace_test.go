@@ -3,6 +3,7 @@ package corpus
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	hth "repro"
@@ -10,51 +11,69 @@ import (
 	"repro/internal/taint"
 )
 
-// TestTraceDifferentialSweep is the tiered engine's correctness gate:
+// TestTierDifferentialSweep is the tiered engine's correctness gate:
 // the full corpus runs once with every block pinned to the interpreter
 // tier (PromoteThreshold=0) and then with promotion to a trace after
-// one and after two executions, each crossed with provenance recording
-// off and on, and the sweep signatures — executed steps, scheduler
-// outcome, reproduction problems, injected faults, and an FNV-64a hash
-// over the full warning text — must match the interpreter's
-// element-wise in every cell. Detections, reported tag sets and
-// injected faults are therefore bit-identical whether blocks execute
-// in the interpreter or as compiled traces. The traces' tag-free loop
-// is exercised by TestCleanTierDifferentialSweep and
-// FuzzCleanReinstrument.
-func TestTraceDifferentialSweep(t *testing.T) {
-	scs := All()
-	cell := func(promoteThreshold int, prov bool) []RunOutcome {
-		return RunAllWith(scs, 0, func(_ *Scenario, cfg *hth.Config) {
-			cfg.Monitor.PromoteThreshold = promoteThreshold
-			cfg.Provenance = prov
-		})
-	}
-	ref := SweepSignature(cell(0, false))
+// one and after two executions, and the sweep signatures — executed
+// steps, scheduler outcome, reproduction problems, injected faults,
+// and an FNV-64a hash over the full warning text — must match the
+// interpreter's element-wise in every cell. Detections, reported tag
+// sets and injected faults are therefore bit-identical whether blocks
+// execute in the interpreter or as compiled traces.
+func TestTierDifferentialSweep(t *testing.T) {
 	for _, threshold := range []int{1, 2} {
-		for _, prov := range []bool{false, true} {
-			name := fmt.Sprintf("threshold=%d prov=%v", threshold, prov)
-			outs := cell(threshold, prov)
-			got := SweepSignature(outs)
-			for i := range ref {
-				if ref[i] != got[i] {
-					t.Errorf("%s divergence:\n  interp: %s\n  %s: %s", name, ref[i], name, got[i])
-				}
-			}
-			// Each cell must actually have exercised the trace tier, or
-			// the comparison proves nothing.
-			hits := 0
-			for _, o := range outs {
-				if o.Result != nil && o.Result.Stats.TraceHits > 0 {
-					hits++
-				}
-			}
-			if hits == 0 {
-				t.Fatalf("%s: no scenario took the trace tier; differential sweep is vacuous", name)
-			}
-			t.Logf("%s: trace tier exercised by %d/%d scenarios", name, hits, len(outs))
+		checkTracedCell(t, threshold, false)
+	}
+}
+
+// TestTraceDifferentialSweep crosses the same promotion cells with
+// provenance recording, which traces must also replay bit for bit; the
+// reference is still the interpreter tier with provenance off. The
+// traces' tag-free loop is exercised by TestCleanTierDifferentialSweep
+// and FuzzCleanReinstrument.
+func TestTraceDifferentialSweep(t *testing.T) {
+	for _, threshold := range []int{1, 2} {
+		checkTracedCell(t, threshold, true)
+	}
+}
+
+// interpSweep is the corpus sweep signature at the interpreter tier
+// with provenance off, computed once for every differential cell.
+var interpSweep = sync.OnceValue(func() []string {
+	return SweepSignature(RunAllWith(All(), 0, func(_ *Scenario, cfg *hth.Config) {
+		cfg.Monitor.PromoteThreshold = 0
+	}))
+})
+
+// checkTracedCell runs the corpus promoting to a trace after
+// promoteThreshold executions, with provenance as given, and fails t
+// unless its sweep signature matches interpSweep element-wise and at
+// least one scenario took the trace tier.
+func checkTracedCell(t *testing.T, promoteThreshold int, prov bool) {
+	t.Helper()
+	name := fmt.Sprintf("threshold=%d prov=%v", promoteThreshold, prov)
+	outs := RunAllWith(All(), 0, func(_ *Scenario, cfg *hth.Config) {
+		cfg.Monitor.PromoteThreshold = promoteThreshold
+		cfg.Provenance = prov
+	})
+	ref, got := interpSweep(), SweepSignature(outs)
+	for i := range ref {
+		if ref[i] != got[i] {
+			t.Errorf("%s divergence:\n  interp: %s\n  %s: %s", name, ref[i], name, got[i])
 		}
 	}
+	// Each cell must actually have exercised the trace tier, or the
+	// comparison proves nothing.
+	hits := 0
+	for _, o := range outs {
+		if o.Result != nil && o.Result.Stats.TraceHits > 0 {
+			hits++
+		}
+	}
+	if hits == 0 {
+		t.Fatalf("%s: no scenario took the trace tier; differential sweep is vacuous", name)
+	}
+	t.Logf("%s: trace tier exercised by %d/%d scenarios", name, hits, len(outs))
 }
 
 // forkLoopSrc reads stdin, forks, and runs the same two hot loops in

@@ -34,7 +34,7 @@ func FuzzCleanReinstrument(f *testing.F) {
 	f.Add([]byte{0x09, 0x11, 0x00, 0x00, 0x16, 0x00, 0x00, 0x00, 0x1b, 0x02, 0x00, 0x00}, uint16(7))
 
 	f.Fuzz(func(t *testing.T, data []byte, injectAt uint16) {
-		span := buildTraceFuzzSpan(data)
+		span := buildFuzzSpan(data, traceFuzzOps)
 		// The clean tier arms only on top of tiering, so its switches
 		// are on too; the hooks below are still wired by hand. The
 		// traces carry clean-tier footprints because the compiling

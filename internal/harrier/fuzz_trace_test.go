@@ -2,16 +2,17 @@ package harrier
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/isa"
 	"repro/internal/taint"
 )
 
-// FuzzTraceApply is the trace tier's differential oracle: a
-// pseudo-random program — straight-line, or with conditional and
-// unconditional branches — runs once under the interpreter tier and
-// once with superblock traces compiled at every leader, from the same
+// FuzzTraceApply is the trace tier's differential oracle at the
+// multi-block level: a pseudo-random program with conditional and
+// unconditional branches runs once under the interpreter tier and once
+// with superblock traces compiled at every leader, from the same
 // concrete and taint state against one shared tag store. Both runs are
 // driven in scheduler slices of 1–40 instructions (the length comes
 // from the input), so a trace's budget stops — mid-block ones included
@@ -32,7 +33,24 @@ func FuzzTraceApply(f *testing.F) {
 	f.Add([]byte{0x05, 0x09, 0x00, 0x20, 0x1a, 0x05, 0x00, 0x08})                         // alu + jz fwd
 	f.Add([]byte{0x14, 0x03, 0x00, 0x00, 0x15, 0x01, 0x00, 0x00})                         // push/pop
 	f.Add([]byte{0x09, 0x11, 0x00, 0x00, 0x16, 0x00, 0x00, 0x00, 0x1b, 0x02, 0x00, 0x00}) // div + cpuid + jcc
-	// Straight-line blocks: one trace covers the whole program.
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		span := buildFuzzSpan(data, traceFuzzOps)
+		h := New(Config{Dataflow: true}, nil)
+		if installTraces(h, span) == 0 {
+			return // nothing traceable: the comparison would be vacuous
+		}
+		compareTraced(t, h, span, data)
+	})
+}
+
+// FuzzStraightLineTrace is the single-block oracle: a pseudo-random
+// straight-line block — no control transfers, so every mutation goes
+// to the data-flow transfer rather than to branch shapes — compiles to
+// one trace at its entry, twice to a deep-equal trace, and then runs
+// under the interpreter tier and through that trace exactly as
+// FuzzTraceApply's programs do.
+func FuzzStraightLineTrace(f *testing.F) {
 	f.Add([]byte{0x02, 0x00, 0x00, 0x10})                         // lea
 	f.Add([]byte{0x05, 0x09, 0x00, 0x20, 0x02, 0x11, 0x00, 0x08}) // alu + lea
 	f.Add([]byte{0x14, 0x03, 0x00, 0x00, 0x15, 0x01, 0x00, 0x00}) // push/pop
@@ -40,45 +58,58 @@ func FuzzTraceApply(f *testing.F) {
 	f.Add([]byte{0x16, 0x00, 0x00, 0x00, 0x17, 0x00, 0x00, 0x00}) // cpuid/rdtsc
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		span := buildTraceFuzzSpan(data)
+		span := buildFuzzSpan(data, straightFuzzOps)
 		h := New(Config{Dataflow: true}, nil)
-
-		if installTraces(h, span) == 0 {
-			return // nothing traceable: the comparison would be vacuous
+		tr := h.compileTrace(span, 0, false)
+		if tr == nil {
+			return // pinned head: interpreter-only, nothing to compare
 		}
-
-		const bound = 4096
-		slice := 1 + int(data[len(data)-1])%40
-		cA := newFuzzCPU(span, h.Store, data)
-		cA.Hooks.OnInstr = h.trackDataFlow
-		cA.Hooks.OnInstrData = true
-		faultA := runBudgeted(cA, span, bound, slice)
-
-		cB := newFuzzCPU(span, h.Store, data)
-		cB.Hooks.OnInstr = h.trackDataFlow
-		cB.Hooks.OnInstrData = true
-		cB.Hooks.OnBBSummary = h.onBBSummary
-		faultB := runBudgeted(cB, span, bound, slice)
-
-		if cA.Regs != cB.Regs || cA.EIP != cB.EIP || cA.Steps != cB.Steps ||
-			cA.ZF != cB.ZF || cA.LT != cB.LT || faultA != faultB {
-			t.Fatalf("concrete divergence:\n  interp: regs %v eip %#x steps %d zf %v lt %v fault %v\n"+
-				"  trace:  regs %v eip %#x steps %d zf %v lt %v fault %v",
-				cA.Regs, cA.EIP, cA.Steps, cA.ZF, cA.LT, faultA,
-				cB.Regs, cB.EIP, cB.Steps, cB.ZF, cB.LT, faultB)
+		if again := h.compileTrace(span, 0, false); !reflect.DeepEqual(tr, again) {
+			t.Fatalf("nondeterministic trace compile:\n  first:  %+v\n  second: %+v", tr, again)
 		}
-		if faultA {
-			return // over-applied flows are unobservable after a fault
-		}
-		if cA.RegTags != cB.RegTags {
-			t.Fatalf("register tag divergence: interp %v, trace %v", cA.RegTags, cB.RegTags)
-		}
-		for addr := uint32(0); addr < 0x3000; addr++ {
-			if ta, tb := cA.Shadow.Get(addr), cB.Shadow.Get(addr); ta != tb {
-				t.Fatalf("shadow divergence at %#x: interp tag%d, trace tag%d", addr, ta, tb)
-			}
-		}
+		span.SetBBSummary(0, tr)
+		compareTraced(t, h, span, data)
 	})
+}
+
+// compareTraced runs span from data's initial state once under the
+// interpreter tier and once with the traces installed in span, both in
+// scheduler slices whose length comes from data's last byte, and fails
+// t on any concrete divergence, or on a taint divergence when the run
+// did not fault.
+func compareTraced(t *testing.T, h *Harrier, span *isa.Span, data []byte) {
+	t.Helper()
+	const bound = 4096
+	slice := 1 + int(data[len(data)-1])%40
+	cA := newFuzzCPU(span, h.Store, data)
+	cA.Hooks.OnInstr = h.trackDataFlow
+	cA.Hooks.OnInstrData = true
+	faultA := runBudgeted(cA, span, bound, slice)
+
+	cB := newFuzzCPU(span, h.Store, data)
+	cB.Hooks.OnInstr = h.trackDataFlow
+	cB.Hooks.OnInstrData = true
+	cB.Hooks.OnBBSummary = h.onBBSummary
+	faultB := runBudgeted(cB, span, bound, slice)
+
+	if cA.Regs != cB.Regs || cA.EIP != cB.EIP || cA.Steps != cB.Steps ||
+		cA.ZF != cB.ZF || cA.LT != cB.LT || faultA != faultB {
+		t.Fatalf("concrete divergence:\n  interp: regs %v eip %#x steps %d zf %v lt %v fault %v\n"+
+			"  trace:  regs %v eip %#x steps %d zf %v lt %v fault %v",
+			cA.Regs, cA.EIP, cA.Steps, cA.ZF, cA.LT, faultA,
+			cB.Regs, cB.EIP, cB.Steps, cB.ZF, cB.LT, faultB)
+	}
+	if faultA {
+		return // over-applied flows are unobservable after a fault
+	}
+	if cA.RegTags != cB.RegTags {
+		t.Fatalf("register tag divergence: interp %v, trace %v", cA.RegTags, cB.RegTags)
+	}
+	for addr := uint32(0); addr < 0x3000; addr++ {
+		if ta, tb := cA.Shadow.Get(addr), cB.Shadow.Get(addr); ta != tb {
+			t.Fatalf("shadow divergence at %#x: interp tag%d, trace tag%d", addr, ta, tb)
+		}
+	}
 }
 
 // installTraces compiles a trace at every leader that yields one and
@@ -98,13 +129,11 @@ func installTraces(h *Harrier, span *isa.Span) int {
 	return installed
 }
 
-// traceFuzzOps is the generator's op set: every data-moving shape the
-// compiler models (minus CALL, which ends a trace), compares and NOP,
-// and the control transfers the trace compiler chains across (or
-// side-exits through): every conditional jump plus JMP. DIVOP/MODOP
-// stay in deliberately — their runtime faults exercise the fault
-// exits.
-var traceFuzzOps = [...]isa.Op{
+// straightFuzzOps is the straight-line generator's op set: every
+// data-moving shape the compiler models (minus CALL, which ends a
+// trace), compares and NOP. DIVOP/MODOP stay in deliberately — their
+// runtime faults exercise the fault exits.
+var straightFuzzOps = []isa.Op{
 	isa.MOV, isa.MOVB, isa.LEA,
 	isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR,
 	isa.MUL, isa.DIVOP, isa.MODOP, isa.SHL, isa.SHR,
@@ -112,14 +141,19 @@ var traceFuzzOps = [...]isa.Op{
 	isa.CMP, isa.TEST, isa.NOP,
 	isa.PUSH, isa.POP,
 	isa.CPUID, isa.RDTSC,
-	isa.JMP, isa.JZ, isa.JNZ, isa.JL, isa.JLE, isa.JG, isa.JGE,
 }
 
-// buildTraceFuzzSpan decodes 4 bytes per instruction into a
-// multi-block program ending in HLT. Branch targets land on real
-// instruction slots (occasionally one past the end, exercising the
-// out-of-span exit), so programs form loops, diamonds and skips.
-func buildTraceFuzzSpan(data []byte) *isa.Span {
+// traceFuzzOps adds the control transfers the trace compiler chains
+// across (or side-exits through): every conditional jump plus JMP.
+var traceFuzzOps = append(straightFuzzOps[:len(straightFuzzOps):len(straightFuzzOps)],
+	isa.JMP, isa.JZ, isa.JNZ, isa.JL, isa.JLE, isa.JG, isa.JGE)
+
+// buildFuzzSpan decodes 4 bytes per instruction, drawn from ops, into
+// a program ending in HLT. Branch targets land on real instruction
+// slots (occasionally one past the end, exercising the out-of-span
+// exit), so with traceFuzzOps programs form loops, diamonds and skips;
+// with straightFuzzOps they are one straight-line block.
+func buildFuzzSpan(data []byte, ops []isa.Op) *isa.Span {
 	n := len(data) / 4
 	if n > 24 {
 		n = 24
@@ -127,7 +161,7 @@ func buildTraceFuzzSpan(data []byte) *isa.Span {
 	var instrs []isa.Instr
 	for k := 0; k < n; k++ {
 		b0, b1, b2, b3 := data[k*4], data[k*4+1], data[k*4+2], data[k*4+3]
-		op := traceFuzzOps[int(b0)%len(traceFuzzOps)]
+		op := ops[int(b0)%len(ops)]
 		in := isa.Instr{Op: op}
 		if op.IsControlTransfer() {
 			target := uint32(0x10000) + uint32(int(b1)%(n+1))*isa.InstrSize

@@ -42,10 +42,11 @@ go test -fuzz=FuzzChaos -fuzztime=10s ./internal/chaos
 # cut by the scheduler slice must resume bit-identically at slices of
 # 128 and 13, compiling any corpus leader twice must yield the same
 # trace (what re-promotion after execve relies on), and the trace
-# oracle gets a fuzz smoke beyond its checked-in corpus.
-go test -run 'TestTraceDifferentialSweep|TestTraceSliceResume' -count=1 ./internal/corpus
+# oracles get a fuzz smoke beyond their checked-in corpus.
+go test -run 'TestTierDifferentialSweep|TestTraceDifferentialSweep|TestTraceSliceResume' -count=1 ./internal/corpus
 go test -run 'TestTraceCompileDeterministic' -count=1 ./internal/harrier
 go test -fuzz=FuzzTraceApply -fuzztime=10s ./internal/harrier
+go test -fuzz=FuzzStraightLineTrace -fuzztime=10s ./internal/harrier
 # Clean-tier gates: the corpus must be bit-identical with the clean
 # tier off and on, the page-flip re-instrumentation seam holds under
 # the chaos-delayed recv regression, and the mid-run taint-injection
