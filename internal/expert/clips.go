@@ -155,9 +155,9 @@ func (c *Clips) evalAssert(f *sexpr, b *Bindings) (*Fact, error) {
 	}
 	// Multislot values given as single scalars are wrapped by the
 	// template check; wrap explicitly when the template says multi.
-	if t, ok := c.Eng.templates[tmpl]; ok {
+	if t := c.Eng.template(tmpl); t != nil {
 		for name, v := range slots {
-			if sd, ok := t.slot(name); ok && sd.Multi {
+			if i, ok := t.slot(name); ok && t.Slots[i].Multi {
 				if _, isList := Norm(v).([]Value); !isList {
 					slots[name] = []Value{Norm(v)}
 				}

@@ -352,3 +352,17 @@ func TestSexprEdgeCases(t *testing.T) {
 		t.Error("-5x should be a symbol")
 	}
 }
+
+func TestClipsRuleOnUndeclaredSlotRejected(t *testing.T) {
+	c, _ := newClips(t)
+	err := c.Eval(`
+(deftemplate ev (slot kind))
+(defrule r (ev (kidn x)) => (printout t "never" crlf))`)
+	undeclaredSlotErr(t, err, `"r"`, `"ev"`, `"kidn"`)
+}
+
+func TestClipsTemplateDuplicateSlotRejected(t *testing.T) {
+	c, _ := newClips(t)
+	err := c.Eval(`(deftemplate ev (slot kind) (multislot kind))`)
+	duplicateSlotErr(t, err, `"ev"`, `"kind"`)
+}

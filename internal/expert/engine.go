@@ -1,9 +1,10 @@
 package expert
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -19,6 +20,10 @@ type Rule struct {
 	Tests []func(b *Bindings) bool
 	// Action fires with the matched bindings.
 	Action func(ctx *Context, b *Bindings)
+	// LHS, when set, holds Patterns already compiled (Compile), so
+	// rules built per engine can share one compiled form; Patterns
+	// must then be empty.
+	LHS *LHS
 }
 
 // Context is handed to rule actions: it can assert and retract facts
@@ -37,8 +42,12 @@ func (c *Context) Assert(template string, slots map[string]Value) (*Fact, error)
 // Retract removes a fact from within an action.
 func (c *Context) Retract(id int) { c.E.Retract(id) }
 
-// Printf writes to the engine's output stream.
+// Printf writes to the engine's output stream; nothing is rendered
+// when that stream is io.Discard.
 func (c *Context) Printf(format string, args ...any) {
+	if c.E.Out == io.Discard {
+		return
+	}
 	fmt.Fprintf(c.E.Out, format, args...)
 }
 
@@ -59,18 +68,50 @@ func (fr FireRecord) String() string {
 }
 
 type activation struct {
-	rule *Rule
+	rule int // index into Engine.rules
 	ids  []int
-	b    *Bindings
-	seq  int // recency: assertion sequence that created it
+	b    Bindings
+	seq  int    // recency: assertion sequence that created it
+	key  actKey // computed once, for refraction and agenda dedup
+	// Small rules keep their fact ids and bindings in the activation.
+	idBuf  [2]int
+	valBuf [4]Value
+	ctx    Context
 }
 
-func activationKey(rule string, ids []int) string {
-	parts := make([]string, len(ids))
-	for i, id := range ids {
-		parts[i] = fmt.Sprint(id)
+// actKey identifies an activation: its rule's index and fact ids. The
+// first two ids are held inline, so the common one- and two-pattern
+// rules key without allocating; further ids are uvarint-encoded in
+// more.
+type actKey struct {
+	rule     int
+	id0, id1 int
+	more     string
+}
+
+// keyOf builds the key of rule ri over ids; buf is scratch for more.
+func keyOf(ri int, ids []int, buf []byte) (actKey, []byte) {
+	k := actKey{rule: ri}
+	if len(ids) > 0 {
+		k.id0 = ids[0]
 	}
-	return rule + "|" + strings.Join(parts, ",")
+	if len(ids) > 1 {
+		k.id1 = ids[1]
+	}
+	if len(ids) > 2 {
+		buf = buf[:0]
+		for _, id := range ids[2:] {
+			buf = binary.AppendUvarint(buf, uint64(id))
+		}
+		k.more = string(buf)
+	}
+	return k, buf
+}
+
+// engRule is a registered rule with its compiled left-hand side.
+type engRule struct {
+	*Rule
+	lhs *LHS
 }
 
 // Engine is the inference engine: working memory + rules + agenda.
@@ -85,252 +126,304 @@ type Engine struct {
 	// the record joins the fire trace and before the rule action runs.
 	OnFire func(FireRecord)
 
-	templates map[string]*Template
-	rules     []*Rule
-	facts     map[int]*Fact
-	order     []int // fact ids in assertion order
+	templates []*Template
+	rules     []engRule
+	facts     []*Fact // live facts in assertion (and so id) order
 	nextFact  int
 	seq       int
 
 	agenda []*activation
-	fired  map[string]bool // refraction memory
+	fired  map[actKey]struct{} // refraction memory
 
 	trace   []FireRecord
 	fireSeq int
+
+	// The join's scratch: the bindings stack, the fact ids of the
+	// tuple being built, key bytes, and the view rule tests get of the
+	// stack.
+	stack []Value
+	ids   []int
+	key   []byte
+	tb    Bindings
+
+	// slab holds preallocated facts, so an assert does not allocate
+	// its fact on its own.
+	slab []Fact
 }
+
+// factSlab is how many facts one slab allocation holds.
+const factSlab = 8
 
 // NewEngine returns an empty engine.
 func NewEngine() *Engine {
-	return &Engine{
-		Out:       io.Discard,
-		templates: make(map[string]*Template),
-		facts:     make(map[int]*Fact),
-		fired:     make(map[string]bool),
-	}
+	return &Engine{Out: io.Discard}
 }
 
-// DefTemplate registers a template.
+// DefTemplate registers a template, compiling its slot index on first
+// registration.
 func (e *Engine) DefTemplate(t *Template) error {
-	if _, dup := e.templates[t.Name]; dup {
+	if e.template(t.Name) != nil {
 		return fmt.Errorf("expert: duplicate template %q", t.Name)
 	}
-	e.templates[t.Name] = t
+	if err := t.compile(); err != nil {
+		return err
+	}
+	e.templates = append(e.templates, t)
 	return nil
 }
 
-// DefRule registers a rule. Existing facts are immediately eligible.
+func (e *Engine) template(name string) *Template {
+	return findTemplate(e.templates, name)
+}
+
+// DefRule registers a rule, compiling its patterns against the
+// engine's templates unless r.LHS already holds them compiled.
+// Existing facts are immediately eligible.
 func (e *Engine) DefRule(r *Rule) error {
 	for _, other := range e.rules {
 		if other.Name == r.Name {
 			return fmt.Errorf("expert: duplicate rule %q", r.Name)
 		}
 	}
-	for _, p := range r.Patterns {
-		if _, ok := e.templates[p.Template]; !ok {
-			return fmt.Errorf("expert: rule %q uses undefined template %q", r.Name, p.Template)
+	lhs := r.LHS
+	if lhs == nil {
+		var err error
+		if lhs, err = Compile(r.Name, e.templates, r.Patterns...); err != nil {
+			return err
+		}
+	} else {
+		if len(r.Patterns) > 0 {
+			return fmt.Errorf("expert: rule %q sets both Patterns and LHS", r.Name)
+		}
+		for i := range lhs.pats {
+			if t := lhs.pats[i].tmpl; e.template(t.Name) != t {
+				return fmt.Errorf("expert: rule %q was compiled against a template %q this engine does not hold", r.Name, t.Name)
+			}
 		}
 	}
-	e.rules = append(e.rules, r)
+	if e.rules == nil {
+		e.rules = make([]engRule, 0, 8) // rule bases are mostly small
+	}
+	e.rules = append(e.rules, engRule{Rule: r, lhs: lhs})
 	// Activate against current working memory.
-	e.activateRule(r, -1)
+	e.join(len(e.rules)-1, nil)
 	return nil
 }
 
 // Assert adds a fact, validating slots against the template and
 // applying defaults, then computes new activations.
 func (e *Engine) Assert(template string, slots map[string]Value) (*Fact, error) {
-	t, ok := e.templates[template]
-	if !ok {
+	t := e.template(template)
+	if t == nil {
 		return nil, fmt.Errorf("expert: assert of undefined template %q", template)
 	}
-	full := make(map[string]Value, len(t.Slots))
 	for name := range slots {
 		if _, ok := t.slot(name); !ok {
 			return nil, fmt.Errorf("expert: template %q has no slot %q", template, name)
 		}
 	}
-	for _, sd := range t.Slots {
+	vals := make([]Value, len(t.Slots))
+	for i, sd := range t.Slots {
 		v, present := slots[sd.Name]
 		if !present {
-			v = sd.Default
-			if v == nil && sd.Multi {
-				v = []Value{}
-			}
+			v = t.defaults[i]
 		}
-		v = Norm(v)
+		vals[i] = v
+	}
+	return e.AssertValues(t, vals)
+}
+
+// AssertValues adds a fact of a registered template whose values are
+// given in slot order, then computes new activations. The fact adopts
+// vals as its storage: the caller must not modify it afterwards.
+func (e *Engine) AssertValues(t *Template, vals []Value) (*Fact, error) {
+	if e.template(t.Name) != t {
+		return nil, fmt.Errorf("expert: assert of unregistered template %q", t.Name)
+	}
+	if len(vals) != len(t.Slots) {
+		return nil, fmt.Errorf("expert: template %q has %d slots, got %d values", t.Name, len(t.Slots), len(vals))
+	}
+	for i, sd := range t.Slots {
+		v := Norm(vals[i])
 		if sd.Multi {
 			if _, isList := v.([]Value); !isList {
-				return nil, fmt.Errorf("expert: slot %s.%s is a multislot", template, sd.Name)
+				return nil, fmt.Errorf("expert: slot %s.%s is a multislot", t.Name, sd.Name)
 			}
 		}
-		full[sd.Name] = v
+		vals[i] = v
 	}
 	e.nextFact++
-	f := &Fact{ID: e.nextFact, Template: template, Slots: full}
+	if len(e.slab) == 0 {
+		e.slab = make([]Fact, factSlab)
+	}
+	f := &e.slab[0]
+	e.slab = e.slab[1:]
+	*f = Fact{ID: e.nextFact, Template: t.Name, tmpl: t, vals: vals}
 	if e.Echo != nil {
 		fmt.Fprintf(e.Echo, "CLIPS> (assert %s)\n", f)
 	}
-	e.facts[f.ID] = f
-	e.order = append(e.order, f.ID)
+	e.facts = append(e.facts, f)
 	e.seq++
-	for _, r := range e.rules {
-		e.activate(r, f)
+	for i := range e.rules {
+		if e.rules[i].lhs.uses(t) {
+			e.join(i, f)
+		}
 	}
 	return f, nil
 }
 
 // Retract removes a fact and any agenda activations that used it.
 func (e *Engine) Retract(id int) {
-	if _, ok := e.facts[id]; !ok {
+	i, ok := e.find(id)
+	if !ok {
 		return
 	}
-	delete(e.facts, id)
-	for i, fid := range e.order {
-		if fid == id {
-			e.order = append(e.order[:i], e.order[i+1:]...)
-			break
-		}
-	}
-	kept := e.agenda[:0]
-	for _, a := range e.agenda {
-		uses := false
-		for _, fid := range a.ids {
-			if fid == id {
-				uses = true
-				break
-			}
-		}
-		if !uses {
-			kept = append(kept, a)
-		}
-	}
-	e.agenda = kept
+	e.facts = slices.Delete(e.facts, i, i+1)
+	e.agenda = slices.DeleteFunc(e.agenda, func(a *activation) bool {
+		return slices.Contains(a.ids, id)
+	})
 	// Retraction may re-enable negative conditional elements;
 	// recompute the rules that use them (refraction and the agenda
 	// dedup keep this idempotent).
-	for _, r := range e.rules {
-		for i := range r.Patterns {
-			if r.Patterns[i].Negated {
-				e.join(r, -1)
-				break
-			}
+	for i := range e.rules {
+		if e.rules[i].lhs.negated {
+			e.join(i, nil)
 		}
 	}
+}
+
+// find returns the position of a live fact.
+func (e *Engine) find(id int) (int, bool) {
+	i, ok := slices.BinarySearchFunc(e.facts, id, func(f *Fact, id int) int { return f.ID - id })
+	return i, ok
 }
 
 // Fact returns the fact with the given id.
 func (e *Engine) Fact(id int) (*Fact, bool) {
-	f, ok := e.facts[id]
-	return f, ok
+	if i, ok := e.find(id); ok {
+		return e.facts[i], true
+	}
+	return nil, false
 }
 
 // Facts returns all facts in assertion order.
 func (e *Engine) Facts() []*Fact {
-	out := make([]*Fact, 0, len(e.order))
-	for _, id := range e.order {
-		out = append(out, e.facts[id])
-	}
-	return out
+	return append([]*Fact(nil), e.facts...)
 }
 
-// activate finds activations of r that include the new fact.
-func (e *Engine) activate(r *Rule, newFact *Fact) {
-	e.join(r, newFact.ID)
-}
-
-// activateRule finds all activations of a freshly defined rule.
-func (e *Engine) activateRule(r *Rule, _ int) {
-	e.join(r, -1)
-}
-
-// anyMatch reports whether any current fact matches the pattern under
-// the given bindings (used for negative conditional elements; the
-// probe bindings are discarded).
-func (e *Engine) anyMatch(p *Pattern, b *Bindings) bool {
-	for _, fid := range e.order {
-		f := e.facts[fid]
-		if f.Template != p.Template {
-			continue
-		}
-		if p.match(f, b.clone()) {
+// anyMatch reports whether any current fact of t passes ops (used for
+// negative conditional elements; what ops bind on st is scratch).
+func (e *Engine) anyMatch(t *Template, ops []op, st []Value) bool {
+	for _, f := range e.facts {
+		if f.tmpl == t && matchOps(ops, f, st) {
 			return true
 		}
 	}
 	return false
 }
 
-// join enumerates complete pattern matches. When mustInclude >= 0,
-// only tuples containing that fact id are produced (incremental
-// activation on assert); -1 enumerates everything (new rule, or a
-// recomputation after retract re-enabled negative elements).
+// join enumerates complete matches of rule ri. With a new fact, only
+// tuples containing it are produced (incremental activation on
+// assert); nil enumerates everything (new rule, or a recomputation
+// after retract re-enabled negative elements). The patterns bind into
+// one stack, so a candidate that fails costs nothing to undo.
 // Negated patterns consume no fact: they hold when nothing matches,
 // and are re-verified at fire time (asserts between activation and
 // firing can defeat them).
-func (e *Engine) join(r *Rule, mustInclude int) {
-	n := len(r.Patterns)
-	if n == 0 {
+func (e *Engine) join(ri int, newFact *Fact) {
+	lhs := e.rules[ri].lhs
+	if len(lhs.pats) == 0 {
 		return
 	}
-	var ids []int // ids of positive-pattern facts, in pattern order
-	var rec func(i int, b *Bindings, used bool)
-	rec = func(i int, b *Bindings, used bool) {
-		if i == n {
-			if mustInclude >= 0 && !used {
-				return
-			}
-			key := activationKey(r.Name, ids)
-			if e.fired[key] {
-				return
-			}
-			for _, a := range e.agenda {
-				if activationKey(a.rule.Name, a.ids) == key {
-					return
-				}
-			}
-			fb := b.clone()
-			for _, test := range r.Tests {
-				if !test(fb) {
-					return
-				}
-			}
-			e.agenda = append(e.agenda, &activation{
-				rule: r, ids: append([]int(nil), ids...), b: fb, seq: e.seq,
-			})
+	if cap(e.stack) < len(lhs.vars) {
+		e.stack = make([]Value, len(lhs.vars))
+	}
+	e.ids = e.ids[:0]
+	e.extend(ri, lhs, 0, newFact, newFact == nil)
+}
+
+// extend matches pattern i onward; used reports whether the tuple so
+// far holds the new fact.
+func (e *Engine) extend(ri int, lhs *LHS, i int, newFact *Fact, used bool) {
+	st := e.stack[:len(lhs.vars)]
+	if i == len(lhs.pats) {
+		if used {
+			e.complete(ri, lhs, st)
+		}
+		return
+	}
+	p := &lhs.pats[i]
+	if p.negated {
+		if !e.anyMatch(p.tmpl, p.ops, st) {
+			e.extend(ri, lhs, i+1, newFact, used)
+		}
+		return
+	}
+	try := func(f *Fact) {
+		if f.tmpl != p.tmpl || slices.Contains(e.ids, f.ID) || !matchOps(p.ops, f, st) {
 			return
 		}
-		p := &r.Patterns[i]
-		if p.Negated {
-			if e.anyMatch(p, b) {
-				return
-			}
-			rec(i+1, b, used)
-			return
+		if p.binder >= 0 {
+			st[p.binder] = f
 		}
-		for _, fid := range e.order {
-			f := e.facts[fid]
-			if f.Template != p.Template {
-				continue
-			}
-			dup := false
-			for _, prev := range ids {
-				if prev == fid {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			nb := b.clone()
-			if !p.match(f, nb) {
-				continue
-			}
-			ids = append(ids, fid)
-			rec(i+1, nb, used || fid == mustInclude)
-			ids = ids[:len(ids)-1]
+		e.ids = append(e.ids, f.ID)
+		e.extend(ri, lhs, i+1, newFact, used || f == newFact)
+		e.ids = e.ids[:len(e.ids)-1]
+	}
+	if p.lastPos && !used {
+		// Only the new fact can complete the tuple.
+		try(newFact)
+		return
+	}
+	for _, f := range e.facts {
+		try(f)
+	}
+}
+
+// complete turns a full match into an activation unless refraction or
+// the agenda already holds it, or a rule test rejects it.
+func (e *Engine) complete(ri int, lhs *LHS, st []Value) {
+	var key actKey
+	key, e.key = keyOf(ri, e.ids, e.key)
+	if _, done := e.fired[key]; done {
+		return
+	}
+	for _, a := range e.agenda {
+		if a.key == key {
+			return
 		}
 	}
-	rec(0, NewBindings(), false)
+	vis := st[:lhs.nvis]
+	e.tb = Bindings{names: lhs.vars[:lhs.nvis], vals: vis}
+	for _, test := range e.rules[ri].Tests {
+		if !test(&e.tb) {
+			return
+		}
+	}
+	a := &activation{rule: ri, seq: e.seq, key: key}
+	a.ids = append(a.idBuf[:0], e.ids...)
+	a.b = Bindings{names: e.tb.names, vals: append(a.valBuf[:0:len(a.valBuf)], vis...)}
+	e.agenda = append(e.agenda, a)
+}
+
+// defeated re-verifies a's negative conditional elements: a fact
+// asserted after the activation was created may defeat them.
+func (e *Engine) defeated(a *activation) bool {
+	lhs := e.rules[a.rule].lhs
+	if !lhs.negated {
+		return false
+	}
+	if cap(e.stack) < len(lhs.vars) {
+		e.stack = make([]Value, len(lhs.vars))
+	}
+	st := e.stack[:len(lhs.vars)]
+	copy(st, a.b.vals)
+	for i := range lhs.pats {
+		if p := &lhs.pats[i]; p.negated && e.anyMatch(p.tmpl, p.fire, st) {
+			return true
+		}
+	}
+	return false
 }
 
 // Run fires agenda activations until the agenda empties or limit rules
@@ -343,44 +436,37 @@ func (e *Engine) Run(limit int) int {
 		}
 		a := e.pop()
 		// The activation may reference retracted facts if the agenda
-		// was manipulated; pop guards, but double-check.
+		// was manipulated; Retract guards, but double-check.
 		stale := false
 		for _, id := range a.ids {
-			if _, ok := e.facts[id]; !ok {
+			if _, ok := e.find(id); !ok {
 				stale = true
 				break
 			}
 		}
-		if stale {
+		if stale || e.defeated(a) {
 			continue
 		}
-		// Re-verify negative conditional elements: a fact asserted
-		// after this activation was created may defeat them.
-		defeated := false
-		for i := range a.rule.Patterns {
-			p := &a.rule.Patterns[i]
-			if p.Negated && e.anyMatch(p, a.b) {
-				defeated = true
-				break
-			}
-		}
-		if defeated {
+		if _, done := e.fired[a.key]; done {
 			continue
 		}
-		key := activationKey(a.rule.Name, a.ids)
-		if e.fired[key] {
-			continue
+		if e.fired == nil {
+			e.fired = make(map[actKey]struct{})
 		}
-		e.fired[key] = true
+		e.fired[a.key] = struct{}{}
+		r := e.rules[a.rule].Rule
 		e.fireSeq++
-		rec := FireRecord{Seq: e.fireSeq, Rule: a.rule.Name, FactIDs: a.ids}
+		rec := FireRecord{Seq: e.fireSeq, Rule: r.Name, FactIDs: a.ids}
 		e.trace = append(e.trace, rec)
 		if e.OnFire != nil {
 			e.OnFire(rec)
 		}
-		fmt.Fprintln(e.Out, rec.String())
-		if a.rule.Action != nil {
-			a.rule.Action(&Context{E: e, Rule: a.rule, IDs: a.ids}, a.b)
+		if e.Out != io.Discard {
+			fmt.Fprintln(e.Out, rec.String())
+		}
+		if r.Action != nil {
+			a.ctx = Context{E: e, Rule: r, IDs: a.ids}
+			r.Action(&a.ctx, &a.b)
 		}
 		fired++
 	}
@@ -388,13 +474,13 @@ func (e *Engine) Run(limit int) int {
 }
 
 // pop removes the highest-priority activation: salience desc, then
-// recency desc (depth strategy).
+// recency desc (depth strategy), then agenda order.
 func (e *Engine) pop() *activation {
 	best := 0
 	for i := 1; i < len(e.agenda); i++ {
 		a, b := e.agenda[i], e.agenda[best]
-		if a.rule.Salience > b.rule.Salience ||
-			(a.rule.Salience == b.rule.Salience && a.seq > b.seq) {
+		as, bs := e.rules[a.rule].Salience, e.rules[b.rule].Salience
+		if as > bs || (as == bs && a.seq > b.seq) {
 			best = i
 		}
 	}
@@ -412,10 +498,9 @@ func (e *Engine) Trace() []FireRecord { return e.trace }
 // Reset clears working memory, the agenda, refraction memory and the
 // trace, keeping templates and rules.
 func (e *Engine) Reset() {
-	e.facts = make(map[int]*Fact)
-	e.order = nil
+	e.facts = nil
 	e.agenda = nil
-	e.fired = make(map[string]bool)
+	e.fired = nil
 	e.trace = nil
 	e.nextFact = 0
 	e.fireSeq = 0
@@ -425,10 +510,8 @@ func (e *Engine) Reset() {
 // DumpFacts renders working memory for diagnostics.
 func (e *Engine) DumpFacts() string {
 	var b strings.Builder
-	ids := append([]int(nil), e.order...)
-	sort.Ints(ids)
-	for _, id := range ids {
-		fmt.Fprintf(&b, "f-%d %s\n", id, e.facts[id])
+	for _, f := range e.facts {
+		fmt.Fprintf(&b, "f-%d %s\n", f.ID, f)
 	}
 	return b.String()
 }

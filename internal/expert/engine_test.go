@@ -37,8 +37,8 @@ func TestAssertAndFactString(t *testing.T) {
 		t.Errorf("String = %s", s)
 	}
 	// Defaults: multislot defaults to empty list.
-	if tags, ok := f.Slots["tags"].([]Value); !ok || len(tags) != 0 {
-		t.Errorf("tags default = %v", f.Slots["tags"])
+	if tags, ok := f.Get("tags").([]Value); !ok || len(tags) != 0 {
+		t.Errorf("tags default = %v", f.Get("tags"))
 	}
 }
 
@@ -379,26 +379,50 @@ func TestFormatValue(t *testing.T) {
 	}
 }
 
-func TestVarBindsAndConstrains(t *testing.T) {
-	b := NewBindings()
-	m := Var("x")
-	if !m("hello", b) {
-		t.Fatal("first bind failed")
+// firesOn asserts each fact into a fresh engine holding one rule over
+// pattern p and reports, per fact, whether the rule fired.
+func firesOn(t *testing.T, p Pattern, facts ...map[string]Value) []bool {
+	t.Helper()
+	e := NewEngine()
+	if err := e.DefTemplate(&Template{Name: p.Template, Slots: []SlotDef{{Name: "a"}, {Name: "b"}}}); err != nil {
+		t.Fatal(err)
 	}
-	if !m("hello", b) {
+	var hit bool
+	if err := e.DefRule(&Rule{Name: "r", Patterns: []Pattern{p}, Action: func(*Context, *Bindings) { hit = true }}); err != nil {
+		t.Fatal(err)
+	}
+	out := make([]bool, len(facts))
+	for i, f := range facts {
+		hit = false
+		if _, err := e.Assert(p.Template, f); err != nil {
+			t.Fatal(err)
+		}
+		e.Run(0)
+		out[i] = hit
+	}
+	return out
+}
+
+func TestVarBindsAndConstrains(t *testing.T) {
+	got := firesOn(t, P("t", S("a", Var("x")), S("b", Var("x"))),
+		map[string]Value{"a": "hello", "b": "hello"},
+		map[string]Value{"a": "hello", "b": "other"})
+	if !got[0] {
 		t.Error("same value rejected")
 	}
-	if m("other", b) {
+	if got[1] {
 		t.Error("different value accepted")
 	}
 }
 
 func TestNotMatcher(t *testing.T) {
-	b := NewBindings()
-	if Not(Lit("x"))("x", b) {
+	got := firesOn(t, P("t", S("a", Not(Lit("x")))),
+		map[string]Value{"a": "x"},
+		map[string]Value{"a": "y"})
+	if got[0] {
 		t.Error("Not(Lit) matched the literal")
 	}
-	if !Not(Lit("x"))("y", b) {
+	if !got[1] {
 		t.Error("Not(Lit) rejected a non-match")
 	}
 }
@@ -496,5 +520,68 @@ func TestNegativePatternOnlyRule(t *testing.T) {
 	e.Run(0)
 	if count != 1 {
 		t.Errorf("count = %d", count)
+	}
+}
+
+// undeclaredSlotErr requires err to reject a pattern on a slot the
+// template does not declare, naming the rule, template and slot.
+func undeclaredSlotErr(t *testing.T, err error, rule, tmpl, slot string) {
+	t.Helper()
+	if err == nil {
+		t.Fatal("pattern on an undeclared slot accepted")
+	}
+	for _, want := range []string{rule, tmpl, slot} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+}
+
+func TestRuleOnUndeclaredSlotRejected(t *testing.T) {
+	e := newTestEngine(t)
+	err := e.DefRule(&Rule{Name: "typo", Patterns: []Pattern{P("person", S("nmae", Lit("x")))}})
+	undeclaredSlotErr(t, err, "typo", "person", "nmae")
+}
+
+// duplicateSlotErr checks that err rejects a template declaring a slot
+// twice, naming the template and the slot.
+func duplicateSlotErr(t *testing.T, err error, tmpl, slot string) {
+	t.Helper()
+	if err == nil {
+		t.Fatal("template declaring a slot twice accepted")
+	}
+	for _, want := range []string{tmpl, slot} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+}
+
+func TestTemplateDuplicateSlotRejected(t *testing.T) {
+	// A fact holds one value per slot position, so a second slot of the
+	// same name could never be read by name.
+	e := NewEngine()
+	err := e.DefTemplate(&Template{Name: "person", Slots: []SlotDef{{Name: "name"}, {Name: "age"}, {Name: "name"}}})
+	duplicateSlotErr(t, err, `"person"`, `"name"`)
+	if _, err := e.Assert("person", map[string]Value{"name": "x"}); err == nil {
+		t.Error("rejected template was registered")
+	}
+}
+
+func TestNegatedRuleOnUndeclaredSlotRejected(t *testing.T) {
+	// Before slots were checked, this negated pattern held for every
+	// fact, so its rule fired on facts it should not have.
+	e := newTestEngine(t)
+	e.Assert("person", map[string]Value{"name": "x", "age": 1})
+	fired := false
+	err := e.DefRule(&Rule{
+		Name:     "no-adult",
+		Patterns: []Pattern{P("person"), PNot("person", S("aeg", Lit(int64(1))))},
+		Action:   func(*Context, *Bindings) { fired = true },
+	})
+	undeclaredSlotErr(t, err, "no-adult", "person", "aeg")
+	e.Run(0)
+	if fired {
+		t.Error("rejected rule fired")
 	}
 }

@@ -110,46 +110,89 @@ type SlotDef struct {
 	Default Value // used when Assert omits the slot
 }
 
-// Template is a deftemplate: a named fact shape.
+// Template is a deftemplate: a named fact shape. Facts keep their
+// values in Slots order. NewTemplate, or the first DefTemplate,
+// compiles the template's slot index; after that the template is
+// read-only and may be registered in any number of engines. One
+// shared between goroutines must come from NewTemplate.
 type Template struct {
 	Name  string
 	Slots []SlotDef
+
+	index    map[string]int // slot name -> position
+	sorted   []int          // positions in slot-name order (Fact.String)
+	defaults []Value        // normalized defaults; a multislot's is an empty list
 }
 
-func (t *Template) slot(name string) (*SlotDef, bool) {
-	for i := range t.Slots {
-		if t.Slots[i].Name == name {
-			return &t.Slots[i], true
-		}
+// NewTemplate builds and compiles a template, ready to be shared. It
+// panics on a duplicate slot name.
+func NewTemplate(name string, slots ...SlotDef) *Template {
+	t := &Template{Name: name, Slots: slots}
+	if err := t.compile(); err != nil {
+		panic(err)
 	}
-	return nil, false
+	return t
 }
 
-// Fact is one working-memory element.
+// compile builds the slot index once; a compiled template is never
+// written again.
+func (t *Template) compile() error {
+	if t.index != nil {
+		return nil
+	}
+	index := make(map[string]int, len(t.Slots))
+	t.sorted = make([]int, len(t.Slots))
+	t.defaults = make([]Value, len(t.Slots))
+	for i, sd := range t.Slots {
+		if _, dup := index[sd.Name]; dup {
+			return fmt.Errorf("expert: template %q declares slot %q twice", t.Name, sd.Name)
+		}
+		index[sd.Name] = i
+		t.sorted[i] = i
+		v := sd.Default
+		if v == nil && sd.Multi {
+			v = []Value{}
+		}
+		t.defaults[i] = Norm(v)
+	}
+	sort.Slice(t.sorted, func(a, b int) bool { return t.Slots[t.sorted[a]].Name < t.Slots[t.sorted[b]].Name })
+	t.index = index
+	return nil
+}
+
+// slot returns the position of the named slot.
+func (t *Template) slot(name string) (int, bool) {
+	i, ok := t.index[name]
+	return i, ok
+}
+
+// Fact is one working-memory element. Its values are held in the
+// template's slot order.
 type Fact struct {
 	ID       int
 	Template string
-	Slots    map[string]Value
+	tmpl     *Template
+	vals     []Value
 }
 
-// Get returns a slot value.
-func (f *Fact) Get(slot string) Value { return f.Slots[slot] }
+// Get returns a slot value (nil for a slot the template lacks).
+func (f *Fact) Get(slot string) Value {
+	if i, ok := f.tmpl.index[slot]; ok {
+		return f.vals[i]
+	}
+	return nil
+}
 
 // Ref renders the fact's identifier CLIPS-style: f-7.
 func (f *Fact) Ref() string { return fmt.Sprintf("f-%d", f.ID) }
 
-// String renders the fact CLIPS-style:
+// String renders the fact CLIPS-style, slots in name order:
 // (template (slot value) (slot value)).
 func (f *Fact) String() string {
-	names := make([]string, 0, len(f.Slots))
-	for n := range f.Slots {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	var b strings.Builder
 	b.WriteString("(" + f.Template)
-	for _, n := range names {
-		b.WriteString(fmt.Sprintf(" (%s %s)", n, FormatValue(f.Slots[n])))
+	for _, i := range f.tmpl.sorted {
+		b.WriteString(fmt.Sprintf(" (%s %s)", f.tmpl.Slots[i].Name, FormatValue(f.vals[i])))
 	}
 	b.WriteString(")")
 	return b.String()

@@ -8,28 +8,139 @@ import (
 	"repro/internal/taint"
 )
 
-// defineRules installs the §4 policy:
+// onceKind names a resource-abuse warning issued at most once a run.
+type onceKind int
+
+const (
+	onceCloneCount onceKind = iota
+	onceCloneRate
+	onceMemHigh
+	onceMemVeryHigh
+	onceKinds
+)
+
+// policyRule is one rule of the §4 policy. Its patterns are compiled
+// once per process against the shared templates; its test and action
+// take the Secpert whose configuration and state they read.
+type policyRule struct {
+	name, doc string
+	salience  int
+	lhs       *expert.LHS
+	test      func(s *Secpert, b *expert.Bindings) bool
+	fire      func(s *Secpert, ctx *expert.Context, b *expert.Bindings)
+	enabled   func(Config) bool // nil: always defined
+}
+
+const policySize = 5
+
+// policy is the §4 rule base, in definition order:
 //
 //   - execution flow: check_execve (hardcoded / socket-originated /
 //     rarely-executed process names);
 //   - resource abuse: check_clone_count, check_clone_rate;
 //   - information flow: check_write (the §4.3 source×target matrix)
 //     plus the keylogger-style user-input rules motivated by
-//     PWSteal.Tarno.Q (§2.1).
+//     PWSteal.Tarno.Q (§2.1);
+//   - the §10 memory-abuse extension, when enabled.
+var policy = [policySize]policyRule{
+	{
+		name: "check_execve", doc: "check execve", salience: 10,
+		lhs: compile("check_execve", expert.P("system_call_access",
+			bindAccess(expert.S("system_call_name", expert.Lit("SYS_execve")))...)),
+		test: (*Secpert).execveTest, fire: (*Secpert).execveFire,
+	},
+	{
+		name: "check_clone_count", salience: 8,
+		lhs: compile("check_clone_count", expert.P("system_call_access",
+			expert.S("system_call_name", expert.Pred(isCloneCall)),
+			expert.S("clone_count", expert.Var("count")),
+			expert.S("time", expert.Var("time")),
+			expert.S("pid", expert.Var("pid")),
+		)),
+		test: (*Secpert).cloneCountTest, fire: (*Secpert).cloneCountFire,
+	},
+	{
+		name: "check_clone_rate", salience: 8,
+		lhs: compile("check_clone_rate", expert.P("system_call_access",
+			expert.S("system_call_name", expert.Pred(isCloneCall)),
+			expert.S("clone_rate", expert.Var("rate")),
+			expert.S("time", expert.Var("time")),
+			expert.S("pid", expert.Var("pid")),
+		)),
+		test: (*Secpert).cloneRateTest, fire: (*Secpert).cloneRateFire,
+	},
+	{
+		name: "check_write", salience: 5,
+		lhs: compile("check_write", expert.P("system_call_io",
+			expert.S("direction", expert.Lit("write")),
+			expert.S("data_source_type", expert.Var("dtypes")),
+			expert.S("data_source_name", expert.Var("dnames")),
+			expert.S("resource_name", expert.Var("name")),
+			expert.S("resource_type", expert.Var("rtype")),
+			expert.S("resource_origin_type", expert.Var("otypes")),
+			expert.S("resource_origin_name", expert.Var("onames")),
+			expert.S("head", expert.Var("head")),
+			expert.S("server", expert.Var("server")),
+			expert.S("server_addr", expert.Var("saddr")),
+			expert.S("server_origin_type", expert.Var("sotypes")),
+			expert.S("server_origin_name", expert.Var("sonames")),
+			expert.S("time", expert.Var("time")),
+			expert.S("frequency", expert.Var("freq")),
+			expert.S("pid", expert.Var("pid")),
+		)),
+		test: (*Secpert).writeTest, fire: (*Secpert).writeFire,
+		enabled: func(c Config) bool { return !c.DisableInfoFlow },
+	},
+	{
+		name: "check_memory_abuse", salience: 8,
+		lhs: compile("check_memory_abuse", expert.P("system_call_access",
+			expert.S("system_call_name", expert.Lit("SYS_brk")),
+			expert.S("mem_bytes", expert.Var("mem")),
+			expert.S("time", expert.Var("time")),
+			expert.S("pid", expert.Var("pid")),
+		)),
+		test: (*Secpert).memoryTest, fire: (*Secpert).memoryFire,
+		enabled: func(c Config) bool { return c.EnableMemoryAbuse },
+	},
+}
+
+// SharedPolicy returns the read-only data every Secpert in the process
+// shares: the Appendix A templates and the policy rules' compiled
+// patterns, in definition order.
+func SharedPolicy() ([]*expert.Template, []*expert.LHS) {
+	lhs := make([]*expert.LHS, len(policy))
+	for i := range policy {
+		lhs[i] = policy[i].lhs
+	}
+	return append([]*expert.Template(nil), templates...), lhs
+}
+
+// compile compiles a policy rule's patterns against the shared
+// templates.
+func compile(rule string, patterns ...expert.Pattern) *expert.LHS {
+	lhs, err := expert.Compile(rule, templates, patterns...)
+	if err != nil {
+		panic(err)
+	}
+	return lhs
+}
+
+// defineRules installs this run's policy rules on the engine.
 func (s *Secpert) defineRules() {
-	must := func(err error) {
-		if err != nil {
+	for i := range policy {
+		pr := &policy[i]
+		if pr.enabled != nil && !pr.enabled(s.cfg) {
+			continue
+		}
+		s.tests[i][0] = func(b *expert.Bindings) bool { return pr.test(s, b) }
+		s.rules[i] = expert.Rule{
+			Name: pr.name, Doc: pr.doc, Salience: pr.salience, LHS: pr.lhs,
+			Tests:  s.tests[i][:],
+			Action: func(ctx *expert.Context, b *expert.Bindings) { pr.fire(s, ctx, b) },
+		}
+		if err := s.eng.DefRule(&s.rules[i]); err != nil {
 			panic(err)
 		}
-	}
-	must(s.eng.DefRule(s.ruleCheckExecve()))
-	must(s.eng.DefRule(s.ruleCloneCount()))
-	must(s.eng.DefRule(s.ruleCloneRate()))
-	if !s.cfg.DisableInfoFlow {
-		must(s.eng.DefRule(s.ruleCheckWrite()))
-	}
-	if s.cfg.EnableMemoryAbuse {
-		must(s.eng.DefRule(s.ruleMemoryAbuse()))
 	}
 }
 
@@ -46,167 +157,115 @@ func bindAccess(extra ...expert.SlotMatch) []expert.SlotMatch {
 	return append(base, extra...)
 }
 
-// ruleCheckExecve reproduces the paper's check_execve (Appendix A.2):
-// warn when a new process's name is hardcoded (Low; Medium when the
-// code is rarely executed) or originated from a socket (High).
-func (s *Secpert) ruleCheckExecve() *expert.Rule {
-	return &expert.Rule{
-		Name:     "check_execve",
-		Doc:      "check execve",
-		Salience: 10,
-		Patterns: []expert.Pattern{
-			expert.P("system_call_access",
-				bindAccess(expert.S("system_call_name", expert.Lit("SYS_execve")))...),
-		},
-		Tests: []func(*expert.Bindings) bool{
-			func(b *expert.Bindings) bool {
-				srcs := listsToSources(b.List("otypes"), b.List("onames"))
-				if len(s.filterBinary(srcs)) > 0 || len(s.filterSocket(srcs)) > 0 {
-					return true
-				}
-				// Cross-session escalation (§10 item 6): executing
-				// a file a previous session created is suspicious
-				// regardless of the name's provenance.
-				if h := s.cfg.History; h != nil {
-					if _, written := h.WrittenIn(b.Str("name")); written {
-						return true
-					}
-				}
-				return false
-			},
-		},
-		Action: func(ctx *expert.Context, b *expert.Bindings) {
-			srcs := listsToSources(b.List("otypes"), b.List("onames"))
-			bins := s.filterBinary(srcs)
-			socks := s.filterSocket(srcs)
-			name := b.Str("name")
-			rare := s.isRare(b.Int("freq"), b.Int("time"))
-
-			sev := Low
-			if rare {
-				sev = Medium
-			}
-			if len(socks) > 0 {
-				sev = High
-			}
-			var msg strings.Builder
-			fmt.Fprintf(&msg, "Found SYS_execve call (%q)", name)
-			switch {
-			case len(socks) > 0:
-				fmt.Fprintf(&msg, "\n    (%q) originated from %s", name, quoteList(socks))
-			case len(bins) > 0:
-				fmt.Fprintf(&msg, "\n    (%q) originated from %s", name, quoteList(bins))
-			}
-			if h := s.cfg.History; h != nil {
-				if session, written := h.WrittenIn(name); written {
-					sev = High
-					fmt.Fprintf(&msg, "\n    %s", historyLine(name, session))
-				}
-			}
-			if rare {
-				msg.WriteString("\n    This code is rarely executed...")
-			}
-			s.warn(ctx, ExecutionFlow, sev, int(b.Int("pid")), uint64(b.Int("time")), msg.String())
-		},
+// execveTest and execveFire reproduce the paper's check_execve
+// (Appendix A.2): warn when a new process's name is hardcoded (Low;
+// Medium when the code is rarely executed) or originated from a
+// socket (High).
+func (s *Secpert) execveTest(b *expert.Bindings) bool {
+	srcs := listsToSources(b.List("otypes"), b.List("onames"))
+	if len(s.filterBinary(srcs)) > 0 || len(s.filterSocket(srcs)) > 0 {
+		return true
 	}
+	// Cross-session escalation (§10 item 6): executing a file a
+	// previous session created is suspicious regardless of the name's
+	// provenance.
+	if h := s.cfg.History; h != nil {
+		if _, written := h.WrittenIn(b.Str("name")); written {
+			return true
+		}
+	}
+	return false
 }
 
-// ruleMemoryAbuse is the §10-item-4 extension: a process tree whose
-// heap has grown past the configured thresholds is draining OS
-// resources (the Trojan.Vundo behaviour of §2.1).
-func (s *Secpert) ruleMemoryAbuse() *expert.Rule {
-	return &expert.Rule{
-		Name:     "check_memory_abuse",
-		Salience: 8,
-		Patterns: []expert.Pattern{
-			expert.P("system_call_access",
-				expert.S("system_call_name", expert.Lit("SYS_brk")),
-				expert.S("mem_bytes", expert.Var("mem")),
-				expert.S("time", expert.Var("time")),
-				expert.S("pid", expert.Var("pid")),
-			),
-		},
-		Tests: []func(*expert.Bindings) bool{
-			func(b *expert.Bindings) bool { return b.Int("mem") >= s.cfg.MemHighBytes },
-		},
-		Action: func(ctx *expert.Context, b *expert.Bindings) {
-			mem := b.Int("mem")
-			sev := Low
-			key := "mem_high"
-			detail := "The process is allocating a large amount of memory"
-			if mem >= s.cfg.MemVeryHighBytes {
-				sev = Medium
-				key = "mem_very_high"
-				detail = "The process is allocating a very large amount of memory"
-			}
-			if s.once[key] {
-				return
-			}
-			s.once[key] = true
-			msg := fmt.Sprintf("Found excessive memory allocation (%d bytes)\n    %s", mem, detail)
-			s.warn(ctx, ResourceAbuse, sev, int(b.Int("pid")), uint64(b.Int("time")), msg)
-		},
+func (s *Secpert) execveFire(ctx *expert.Context, b *expert.Bindings) {
+	srcs := listsToSources(b.List("otypes"), b.List("onames"))
+	bins := s.filterBinary(srcs)
+	socks := s.filterSocket(srcs)
+	name := b.Str("name")
+	rare := s.isRare(b.Int("freq"), b.Int("time"))
+
+	sev := Low
+	if rare {
+		sev = Medium
 	}
+	if len(socks) > 0 {
+		sev = High
+	}
+	var msg strings.Builder
+	fmt.Fprintf(&msg, "Found SYS_execve call (%q)", name)
+	switch {
+	case len(socks) > 0:
+		fmt.Fprintf(&msg, "\n    (%q) originated from %s", name, quoteList(socks))
+	case len(bins) > 0:
+		fmt.Fprintf(&msg, "\n    (%q) originated from %s", name, quoteList(bins))
+	}
+	if h := s.cfg.History; h != nil {
+		if session, written := h.WrittenIn(name); written {
+			sev = High
+			fmt.Fprintf(&msg, "\n    %s", historyLine(name, session))
+		}
+	}
+	if rare {
+		msg.WriteString("\n    This code is rarely executed...")
+	}
+	s.warn(ctx, ExecutionFlow, sev, int(b.Int("pid")), uint64(b.Int("time")), msg.String())
+}
+
+// memoryTest and memoryFire are the §10-item-4 extension: a process
+// tree whose heap has grown past the configured thresholds is
+// draining OS resources (the Trojan.Vundo behaviour of §2.1).
+func (s *Secpert) memoryTest(b *expert.Bindings) bool { return b.Int("mem") >= s.cfg.MemHighBytes }
+
+func (s *Secpert) memoryFire(ctx *expert.Context, b *expert.Bindings) {
+	mem := b.Int("mem")
+	sev := Low
+	key := onceMemHigh
+	detail := "The process is allocating a large amount of memory"
+	if mem >= s.cfg.MemVeryHighBytes {
+		sev = Medium
+		key = onceMemVeryHigh
+		detail = "The process is allocating a very large amount of memory"
+	}
+	if s.once[key] {
+		return
+	}
+	s.once[key] = true
+	msg := fmt.Sprintf("Found excessive memory allocation (%d bytes)\n    %s", mem, detail)
+	s.warn(ctx, ResourceAbuse, sev, int(b.Int("pid")), uint64(b.Int("time")), msg)
 }
 
 func isCloneCall(v expert.Value) bool {
 	return v == "SYS_clone" || v == "SYS_fork"
 }
 
-// ruleCloneCount is §4.2 rule 1: the number of new processes created
-// is high — Low.
-func (s *Secpert) ruleCloneCount() *expert.Rule {
-	return &expert.Rule{
-		Name:     "check_clone_count",
-		Salience: 8,
-		Patterns: []expert.Pattern{
-			expert.P("system_call_access",
-				expert.S("system_call_name", expert.Pred(isCloneCall)),
-				expert.S("clone_count", expert.Var("count")),
-				expert.S("time", expert.Var("time")),
-				expert.S("pid", expert.Var("pid")),
-			),
-		},
-		Tests: []func(*expert.Bindings) bool{
-			func(b *expert.Bindings) bool { return b.Int("count") >= s.cfg.CloneCountHigh },
-		},
-		Action: func(ctx *expert.Context, b *expert.Bindings) {
-			if s.once["clone_count"] {
-				return
-			}
-			s.once["clone_count"] = true
-			msg := "Found several SYS_clone calls\n    This call was frequent"
-			s.warn(ctx, ResourceAbuse, Low, int(b.Int("pid")), uint64(b.Int("time")), msg)
-		},
-	}
+// cloneCountTest and cloneCountFire are §4.2 rule 1: the number of new
+// processes created is high — Low.
+func (s *Secpert) cloneCountTest(b *expert.Bindings) bool {
+	return b.Int("count") >= s.cfg.CloneCountHigh
 }
 
-// ruleCloneRate is §4.2 rule 2: the rate of new process creation is
-// high — Medium.
-func (s *Secpert) ruleCloneRate() *expert.Rule {
-	return &expert.Rule{
-		Name:     "check_clone_rate",
-		Salience: 8,
-		Patterns: []expert.Pattern{
-			expert.P("system_call_access",
-				expert.S("system_call_name", expert.Pred(isCloneCall)),
-				expert.S("clone_rate", expert.Var("rate")),
-				expert.S("time", expert.Var("time")),
-				expert.S("pid", expert.Var("pid")),
-			),
-		},
-		Tests: []func(*expert.Bindings) bool{
-			func(b *expert.Bindings) bool { return b.Int("rate") >= s.cfg.CloneRateHigh },
-		},
-		Action: func(ctx *expert.Context, b *expert.Bindings) {
-			if s.once["clone_rate"] {
-				return
-			}
-			s.once["clone_rate"] = true
-			msg := "Found several SYS_clone calls\n    This call was very frequent in a short period of time"
-			s.warn(ctx, ResourceAbuse, Medium, int(b.Int("pid")), uint64(b.Int("time")), msg)
-		},
+func (s *Secpert) cloneCountFire(ctx *expert.Context, b *expert.Bindings) {
+	if s.once[onceCloneCount] {
+		return
 	}
+	s.once[onceCloneCount] = true
+	msg := "Found several SYS_clone calls\n    This call was frequent"
+	s.warn(ctx, ResourceAbuse, Low, int(b.Int("pid")), uint64(b.Int("time")), msg)
+}
+
+// cloneRateTest and cloneRateFire are §4.2 rule 2: the rate of new
+// process creation is high — Medium.
+func (s *Secpert) cloneRateTest(b *expert.Bindings) bool {
+	return b.Int("rate") >= s.cfg.CloneRateHigh
+}
+
+func (s *Secpert) cloneRateFire(ctx *expert.Context, b *expert.Bindings) {
+	if s.once[onceCloneRate] {
+		return
+	}
+	s.once[onceCloneRate] = true
+	msg := "Found several SYS_clone calls\n    This call was very frequent in a short period of time"
+	s.warn(ctx, ResourceAbuse, Medium, int(b.Int("pid")), uint64(b.Int("time")), msg)
 }
 
 // finding is one information-flow conclusion about a write.
@@ -215,48 +274,20 @@ type finding struct {
 	lines []string
 }
 
-// ruleCheckWrite implements the §4.3 information-flow matrix over
-// write events. One write may yield several findings (the paper's
-// pwsafe run emits one warning per data source), each reported as its
-// own warning.
-func (s *Secpert) ruleCheckWrite() *expert.Rule {
-	return &expert.Rule{
-		Name:     "check_write",
-		Salience: 5,
-		Patterns: []expert.Pattern{
-			expert.P("system_call_io",
-				expert.S("direction", expert.Lit("write")),
-				expert.S("data_source_type", expert.Var("dtypes")),
-				expert.S("data_source_name", expert.Var("dnames")),
-				expert.S("resource_name", expert.Var("name")),
-				expert.S("resource_type", expert.Var("rtype")),
-				expert.S("resource_origin_type", expert.Var("otypes")),
-				expert.S("resource_origin_name", expert.Var("onames")),
-				expert.S("head", expert.Var("head")),
-				expert.S("server", expert.Var("server")),
-				expert.S("server_addr", expert.Var("saddr")),
-				expert.S("server_origin_type", expert.Var("sotypes")),
-				expert.S("server_origin_name", expert.Var("sonames")),
-				expert.S("time", expert.Var("time")),
-				expert.S("frequency", expert.Var("freq")),
-				expert.S("pid", expert.Var("pid")),
-			),
-		},
-		Tests: []func(*expert.Bindings) bool{
-			// Writes to the console are the program talking to its
-			// user, not an information-flow target.
-			func(b *expert.Bindings) bool {
-				n := b.Str("name")
-				return n != "stdout" && n != "stderr"
-			},
-		},
-		Action: func(ctx *expert.Context, b *expert.Bindings) {
-			findings := s.analyzeWrite(b)
-			for _, f := range findings {
-				msg := strings.Join(f.lines, "\n    ")
-				s.warn(ctx, InformationFlow, f.sev, int(b.Int("pid")), uint64(b.Int("time")), msg)
-			}
-		},
+// writeTest and writeFire implement the §4.3 information-flow matrix
+// over write events. One write may yield several findings (the
+// paper's pwsafe run emits one warning per data source), each
+// reported as its own warning. Writes to the console are the program
+// talking to its user, not an information-flow target.
+func (s *Secpert) writeTest(b *expert.Bindings) bool {
+	n := b.Str("name")
+	return n != "stdout" && n != "stderr"
+}
+
+func (s *Secpert) writeFire(ctx *expert.Context, b *expert.Bindings) {
+	for _, f := range s.analyzeWrite(b) {
+		msg := strings.Join(f.lines, "\n    ")
+		s.warn(ctx, InformationFlow, f.sev, int(b.Int("pid")), uint64(b.Int("time")), msg)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
+	"strconv"
 
 	"repro/internal/events"
 	"repro/internal/expert"
@@ -227,7 +227,16 @@ type Secpert struct {
 
 	// once dedupes the resource-abuse warnings, which would otherwise
 	// repeat on every clone past the threshold.
-	once map[string]bool
+	once [onceKinds]bool
+
+	// rules and tests hold this run's policy rules: the compiled
+	// patterns are process-shared, the tests and actions read this
+	// Secpert's configuration.
+	rules [policySize]expert.Rule
+	tests [policySize][1]func(*expert.Bindings) bool
+
+	// boxes holds the boxed form of the event values this run repeats.
+	boxes boxCache
 
 	// sessionWrites collects file paths written this session, for
 	// History.commit.
@@ -255,9 +264,12 @@ func New(cfg Config, advisor Advisor) *Secpert {
 		eng:     expert.NewEngine(),
 		advisor: advisor,
 		origins: make(map[string][]taint.Source),
-		once:    make(map[string]bool),
 	}
-	s.defineTemplates()
+	for _, t := range templates {
+		if err := s.eng.DefTemplate(t); err != nil {
+			panic(err)
+		}
+	}
 	s.defineRules()
 	return s
 }
@@ -346,7 +358,7 @@ func (s *Secpert) HandleAccess(ev *events.Access) Decision {
 		s.curDesc = eventDesc(ev.Call, ev.Resource.Name, ev.PID, ev.Time)
 	}
 	s.pending = Proceed
-	f, err := s.eng.Assert("system_call_access", accessSlots(ev))
+	f, err := s.eng.AssertValues(accessTemplate, s.boxes.accessValues(ev))
 	if err != nil {
 		panic(fmt.Sprintf("secpert: internal: %v", err))
 	}
@@ -366,7 +378,7 @@ func (s *Secpert) HandleIO(ev *events.IO) Decision {
 		s.curDesc = eventDesc(ev.Call, ev.Resource.Name, ev.PID, ev.Time)
 	}
 	s.pending = Proceed
-	f, err := s.eng.Assert("system_call_io", ioSlots(ev))
+	f, err := s.eng.AssertValues(ioTemplate, s.boxes.ioValues(ev))
 	if err != nil {
 		panic(fmt.Sprintf("secpert: internal: %v", err))
 	}
@@ -417,19 +429,8 @@ func (s *Secpert) warn(ctx *expert.Context, cat Category, sev Severity, pid int,
 	}
 }
 
-// sourceLists converts sources into the parallel (types, names)
-// multifields used in facts.
-func sourceLists(srcs []taint.Source) (types, names []expert.Value) {
-	types = make([]expert.Value, len(srcs))
-	names = make([]expert.Value, len(srcs))
-	for i, src := range srcs {
-		types[i] = src.Type.String()
-		names[i] = src.Name
-	}
-	return types, names
-}
-
-// listsToSources is the inverse of sourceLists, used by rule actions.
+// listsToSources is the inverse of boxCache.sources, used by rule
+// actions.
 func listsToSources(types, names []expert.Value) []taint.Source {
 	n := len(types)
 	if len(names) < n {
@@ -488,9 +489,12 @@ func eventDesc(call, name string, pid int, t uint64) string {
 }
 
 func quoteList(names []string) string {
-	parts := make([]string, len(names))
+	b := []byte{'('}
 	for i, n := range names {
-		parts[i] = fmt.Sprintf("%q", n)
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendQuote(b, n)
 	}
-	return "(" + strings.Join(parts, " ") + ")"
+	return string(append(b, ')'))
 }

@@ -47,6 +47,14 @@ go test -run 'TestTierDifferentialSweep|TestTraceDifferentialSweep|TestTraceSlic
 go test -run 'TestTraceCompileDeterministic' -count=1 ./internal/harrier
 go test -fuzz=FuzzTraceApply -fuzztime=10s ./internal/harrier
 go test -fuzz=FuzzStraightLineTrace -fuzztime=10s ./internal/harrier
+# Expert-engine gates: the undeclared- and duplicate-slot rejections,
+# Secpert's allocation ceilings, the shared-policy immutability guard
+# (its service sweep under the race detector), and a fuzz smoke of the
+# compiled matcher against the nested-loop reference engine.
+go test -count=1 -run 'TestRuleOnUndeclaredSlotRejected|TestNegatedRuleOnUndeclaredSlotRejected|TestClipsRuleOnUndeclaredSlotRejected|TestTemplateDuplicateSlotRejected|TestClipsTemplateDuplicateSlotRejected' ./internal/expert
+go test -count=1 -run 'TestSecpertAllocs' ./internal/corpus
+go test -race -count=1 -run 'TestSharedPolicyImmutable' ./internal/corpus
+go test -fuzz=FuzzEngineReference -fuzztime=10s ./internal/expert
 # Clean-tier gates: the corpus must be bit-identical with the clean
 # tier off and on, the page-flip re-instrumentation seam holds under
 # the chaos-delayed recv regression, and the mid-run taint-injection
