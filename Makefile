@@ -58,13 +58,15 @@ clean-tier:
 	$(GO) test -count=1 -run 'TestBareResumeRevalidates' ./internal/harrier
 	$(GO) test -fuzz=FuzzCleanReinstrument -fuzztime=10s ./internal/harrier
 
-# The span-tracing gate: the hth-trace span/summary goldens, the
-# Prometheus latency-histogram golden, the span-recorder stress test
+# The span-tracing gate: the hth-trace span/summary goldens, every
+# consumer of the one Chrome trace_event writer (provenance export,
+# hostile-string escaping), the Prometheus latency-histogram golden, the span-recorder stress test
 # under the race detector, the service span-lifecycle suite, and the
 # spans-off/on corpus differential sweep (span recording must be
 # provably inert).
 spans:
 	$(GO) test -count=1 -run 'TestReplaySummaryGolden|TestReplaySpansChrome' ./cmd/hth-trace
+	$(GO) test -count=1 -run 'TestProvenanceChromeTrace|TestChromeTraceEscapesStrings' ./internal/obs
 	$(GO) test -count=1 -run 'TestPrometheusLatencyGolden|TestTenantCardinalityCap|TestSSEWedgedSubscriber' ./internal/obs
 	$(GO) test -race -count=1 -run 'TestSpanRecorder|TestTierTimer|TestLatency' ./internal/obs
 	$(GO) test -race -count=1 -run 'TestServiceJobSpanTree|TestServiceCrashRetrySpans|TestServiceDeadlineSpanStatus|TestServiceHealthLatencyRollups' .

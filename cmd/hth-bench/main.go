@@ -9,7 +9,6 @@
 //	hth-bench -table all -parallel 4   # sweep scenarios on 4 workers
 //	hth-bench -table perf -json        # also write BENCH_<date>.json
 //	hth-bench -chaos 0xC0FFEE,0.05     # seeded fault-injection gate
-//	hth-bench -serve -json             # corpus through hth.Service: jobs/s + identity
 //
 // The -chaos mode replaces table reproduction with the robustness
 // gate: it verifies a zero-rate plan leaves the corpus bit-identical
@@ -42,7 +41,6 @@ func main() {
 	parallel := flag.Int("parallel", 1, "scenario worker-pool width (0 = GOMAXPROCS)")
 	jsonOut := flag.Bool("json", false, "write perf measurements to BENCH_<date>.json")
 	chaosSpec := flag.String("chaos", "", "run the fault-injection gate with plan \"seed,rate[,kind...]\"")
-	serve := flag.Bool("serve", false, "benchmark the analysis service: corpus through hth.Service, verify signature identity, report jobs/s")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	introspect := flag.String("introspect", "", "serve live introspection (/metrics, /events, /flight, /debug/pprof) on this address")
@@ -60,12 +58,7 @@ func main() {
 	}
 
 	stopProfiles := startProfiles(*cpuProfile, *memProfile)
-	var code int
-	if *serve {
-		code = runServe(*parallel, *jsonOut)
-	} else {
-		code = run(*table, *parallel, *jsonOut, *chaosSpec, intro)
-	}
+	code := run(*table, *parallel, *jsonOut, *chaosSpec, intro)
 	stopProfiles()
 	if intro != nil {
 		if *hold {

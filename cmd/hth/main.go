@@ -67,6 +67,18 @@ type opts struct {
 	policy                               string
 }
 
+// attachCLIPS prints the expert engine's fire trace (-verbose) and
+// assert echo (-trace) to stdout as the run progresses. The bus
+// delivers synchronously, so all of it is out before the report.
+func (o opts) attachCLIPS(cfg *hth.Config) {
+	switch {
+	case o.verbose && o.trace:
+		hth.WithObserver(hth.CLIPSTranscript(os.Stdout))(cfg)
+	case o.verbose:
+		hth.WithObserver(hth.CLIPSText(os.Stdout))(cfg)
+	}
+}
+
 // applyPolicy overlays a policy file onto cfg.
 func applyPolicy(cfg *hth.Config, file string) {
 	if file == "" {
@@ -97,10 +109,7 @@ func runScenario(name string, o opts) {
 		sc.Tweak(&cfg)
 	}
 	applyPolicy(&cfg, o.policy)
-	if o.verbose {
-		cfg.Verbose = os.Stdout
-		cfg.TraceAsserts = o.trace
-	}
+	o.attachCLIPS(&cfg)
 	res, err := sys.Run(cfg, sc.Spec)
 	if err != nil {
 		fatalf("%v", err)
@@ -129,10 +138,7 @@ func runProgram(path, stdin, kill string, o opts, args []string) {
 	cfg := hth.DefaultConfig()
 	cfg.Monitor.Dataflow = !o.noflow
 	applyPolicy(&cfg, o.policy)
-	if o.verbose {
-		cfg.Verbose = os.Stdout
-		cfg.TraceAsserts = o.trace
-	}
+	o.attachCLIPS(&cfg)
 	if kill != "" {
 		sev, err := parseSeverity(kill)
 		if err != nil {

@@ -23,13 +23,11 @@ package hth
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/expert"
 	"repro/internal/guestlib"
 	"repro/internal/harrier"
 	"repro/internal/image"
@@ -129,20 +127,6 @@ type Config struct {
 	// owns its trace.
 	spanRec    *obs.SpanRecorder
 	spanParent uint64
-	// Verbose, when set, receives Secpert's CLIPS-style fire trace
-	// and warning printout as the run progresses.
-	//
-	// Deprecated: attach CLIPSText(w) with WithObserver instead; the
-	// rendered bytes are identical. Verbose keeps working and may be
-	// combined with observers.
-	Verbose io.Writer
-	// TraceAsserts additionally echoes every event fact asserted
-	// into the expert system (the Appendix A.1 transcript style);
-	// requires Verbose.
-	//
-	// Deprecated: attach CLIPSTranscript(w) with WithObserver instead;
-	// the rendered bytes are identical.
-	TraceAsserts bool
 }
 
 // DefaultConfig mirrors the paper's prototype: full instrumentation,
@@ -166,8 +150,6 @@ type RunSpec struct {
 type Result struct {
 	// Warnings are Secpert's alerts in emission order.
 	Warnings []secpert.Warning
-	// Trace is the expert engine's rule-fire history.
-	Trace []expert.FireRecord
 	// Console is everything the guest tree wrote to stdout/stderr.
 	Console []byte
 	// Process is the root guest process (inspect exit state).
@@ -190,9 +172,6 @@ type Result struct {
 	Chaos []chaos.Fault
 	// Secpert is the expert-system instance (nil when unmonitored).
 	Secpert *secpert.Secpert
-	// Metrics is a snapshot of the first Metrics observer attached to
-	// the run (nil when none was configured).
-	Metrics *MetricsSnapshot
 	// Flight is the flight-recorder contents at end of run, oldest
 	// first (nil when the recorder was not armed).
 	Flight []Event
@@ -392,8 +371,8 @@ type Session struct {
 
 // NewSession creates a shared monitoring session on this system. The
 // configuration is applied through the same normalized path as
-// System.Run, so budgets, chaos plans, observers, and the deprecated
-// Verbose/TraceAsserts writers all behave identically.
+// System.Run, so budgets, chaos plans and observers (the CLIPSText and
+// CLIPSTranscript sinks among them) all behave identically.
 func (s *System) NewSession(cfg Config) *Session {
 	return &Session{rc: newRunCore(s, cfg)}
 }

@@ -1,7 +1,6 @@
 package hth_test
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -58,8 +57,8 @@ func TestRunMonitored(t *testing.T) {
 	if res.Stats.Instructions == 0 {
 		t.Error("no instrumentation stats")
 	}
-	if len(res.Trace) != 1 {
-		t.Errorf("trace = %v", res.Trace)
+	if tr := res.Secpert.Trace(); len(tr) != 1 {
+		t.Errorf("trace = %v", tr)
 	}
 }
 
@@ -135,22 +134,6 @@ func TestInstallSourceDiagnosticsEquivalence(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "bogus") {
 		t.Errorf("diagnostic does not name the offending mnemonic: %s", err)
-	}
-}
-
-func TestVerboseOutput(t *testing.T) {
-	sys := hth.NewSystem()
-	sys.MustInstallSource("/bin/ls", lsSrc)
-	sys.MustInstallSource("/bin/trojan", trojanSrc)
-	var out bytes.Buffer
-	cfg := hth.DefaultConfig()
-	cfg.Verbose = &out
-	if _, err := sys.Run(cfg, hth.RunSpec{Path: "/bin/trojan"}); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	if !strings.Contains(s, "FIRE 1 check_execve") || !strings.Contains(s, "Warning [LOW]") {
-		t.Errorf("verbose output = %q", s)
 	}
 }
 

@@ -344,28 +344,8 @@ func (b *Bus) Close() error {
 	return first
 }
 
-// Unwrapper is implemented by decorating sinks (Sampling) so registry
-// discovery can reach the wrapped sink.
+// Unwrapper is implemented by decorating sinks (Sampling) so ResetErrs
+// can reach the wrapped sink.
 type Unwrapper interface {
 	Unwrap() Sink
-}
-
-// FindMetrics returns every *Metrics registry reachable from the
-// given sinks, unwrapping decorators.
-func FindMetrics(sinks []Sink) []*Metrics {
-	var out []*Metrics
-	for _, s := range sinks {
-		for s != nil {
-			if m, ok := s.(*Metrics); ok {
-				out = append(out, m)
-				break
-			}
-			u, ok := s.(Unwrapper)
-			if !ok {
-				break
-			}
-			s = u.Unwrap()
-		}
-	}
-	return out
 }

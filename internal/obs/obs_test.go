@@ -118,15 +118,6 @@ func TestSampling(t *testing.T) {
 	}
 }
 
-func TestFindMetricsUnwrapsDecorators(t *testing.T) {
-	m := NewMetrics()
-	sinks := []Sink{JSONL(&bytes.Buffer{}), Sampling(4, m)}
-	got := FindMetrics(sinks)
-	if len(got) != 1 || got[0] != m {
-		t.Fatalf("FindMetrics = %v, want the wrapped registry", got)
-	}
-}
-
 func TestMetricsSnapshot(t *testing.T) {
 	m := NewMetrics()
 	for _, e := range []Event{

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -315,18 +314,6 @@ func (p *Provenance) Chains() []string {
 	return out
 }
 
-// chromeEvent is one trace_event record of the Chrome tracing format
-// (the JSON Perfetto and chrome://tracing ingest).
-type chromeEvent struct {
-	Name  string         `json:"name"`
-	Phase string         `json:"ph"`
-	TS    uint64         `json:"ts"`
-	PID   int            `json:"pid"`
-	TID   uint64         `json:"tid"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
 // WriteChromeTrace emits the recorded chains in Chrome trace_event
 // JSON: one track (tid) per source, named by its label, with every hop
 // an instant event at its virtual timestamp. Load the output in
@@ -334,42 +321,39 @@ type chromeEvent struct {
 // deterministic guest (IDs are intern-ordered, hops are recorded
 // in causal order, and no wall-clock value is emitted).
 func (p *Provenance) WriteChromeTrace(w io.Writer) error {
-	traces := p.Traces()
-	doc := struct {
-		TraceEvents     []chromeEvent `json:"traceEvents"`
-		DisplayTimeUnit string        `json:"displayTimeUnit"`
-	}{DisplayTimeUnit: "ns"}
-	for _, tr := range traces {
+	c := newChromeWriter(w, "ns")
+	for _, tr := range p.Traces() {
 		tid := uint64(tr.ID)
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-			Name: "thread_name", Phase: "M", PID: 1, TID: tid,
-			Args: map[string]any{"name": tr.Label},
-		})
+		c.begin("thread_name", "", "M", tid)
+		c.uint("ts", 0)
+		c.args()
+		c.str("name", tr.Label)
+		c.end()
 		for i := range tr.Hops {
 			h := &tr.Hops[i]
-			args := map[string]any{"kind": h.Kind.String()}
-			if h.Count > 1 {
-				args["count"] = h.Count
-			}
-			if h.Tier {
-				args["tier"] = true
-			}
-			if h.PID != 0 {
-				args["guest_pid"] = h.PID
-			}
 			name := h.Detail
 			if h.Kind == HopBlock {
 				name = fmt.Sprintf("bb 0x%x", h.Addr)
-				if h.Detail != "" {
-					args["image"] = h.Detail
-				}
 			}
-			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-				Name: name, Phase: "i", TS: h.Time, PID: 1, TID: tid,
-				Scope: "t", Args: args,
-			})
+			c.begin(name, "", "i", tid)
+			c.uint("ts", h.Time)
+			c.str("s", "t")
+			c.args()
+			c.str("kind", h.Kind.String())
+			if h.Count > 1 {
+				c.uint("count", h.Count)
+			}
+			if h.Tier {
+				c.flag("tier")
+			}
+			if h.PID != 0 {
+				c.int("guest_pid", int64(h.PID))
+			}
+			if h.Kind == HopBlock && h.Detail != "" {
+				c.str("image", h.Detail)
+			}
+			c.end()
 		}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
+	return c.close()
 }

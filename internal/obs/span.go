@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -225,49 +223,6 @@ func (r *SpanRecorder) NamedDuration(name string) (total int64, n int) {
 // up to "now" with an open=true arg.
 func (r *SpanRecorder) WriteChromeTrace(w io.Writer) error {
 	return WriteChromeSpans(w, map[string][]Span{r.trace: r.Spans()}, r.Now())
-}
-
-// WriteChromeSpans renders one or more traces as Chrome trace_event
-// JSON: complete ("X") events, one tid per trace so multi-job dumps
-// stack cleanly, microsecond timestamps. Traces are emitted in sorted
-// trace-ID order and spans in start order, so output is deterministic
-// for a given input.
-func WriteChromeSpans(w io.Writer, traces map[string][]Span, nowNS int64) error {
-	ids := make([]string, 0, len(traces))
-	for id := range traces {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	if _, err := io.WriteString(w, `{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
-		return err
-	}
-	first := true
-	for tid, id := range ids {
-		spans := append([]Span(nil), traces[id]...)
-		sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
-		for _, sp := range spans {
-			end, open := sp.End, ""
-			if end == 0 {
-				end, open = nowNS, `,"open":true`
-			}
-			if end < sp.Start {
-				end = sp.Start
-			}
-			sep := ","
-			if first {
-				sep, first = "", false
-			}
-			if _, err := fmt.Fprintf(w,
-				`%s{"name":%q,"cat":"hth","ph":"X","pid":1,"tid":%d,"ts":%d.%03d,"dur":%d.%03d,"args":{"trace":%q,"status":%q%s}}`,
-				sep, sp.Name, tid+1,
-				sp.Start/1000, sp.Start%1000, (end-sp.Start)/1000, (end-sp.Start)%1000,
-				id, sp.Status, open); err != nil {
-				return err
-			}
-		}
-	}
-	_, err := io.WriteString(w, "]}\n")
-	return err
 }
 
 // Execution tiers, in promotion order. These index TierTimer buckets

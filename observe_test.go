@@ -1,7 +1,6 @@
 // Tests for the observability API: functional options, the event bus
-// wired through every layer, sink composition, the CLIPS byte-identity
-// guarantee of the deprecated Verbose/TraceAsserts writers, and the
-// metrics registry surfaced in Result.Metrics.
+// wired through every layer, sink composition, the CLIPS text sinks,
+// and the metrics registry a run feeds.
 package hth_test
 
 import (
@@ -96,56 +95,50 @@ func TestEventStreamShape(t *testing.T) {
 	}
 }
 
-// TestCLIPSTextByteIdentical is the satellite golden test: the
-// deprecated Verbose/TraceAsserts writers and the CLIPSText/
-// CLIPSTranscript observer sinks must render byte-identical output.
+// TestCLIPSTextByteIdentical checks the CLIPSText and CLIPSTranscript
+// sinks render Secpert's printout: the rule-fire trace and warning
+// text, and with the transcript the Appendix-A.1 assert echo. The
+// transcript is the fire trace with assert lines interleaved, so
+// dropping those lines must give back CLIPSText's bytes exactly.
 func TestCLIPSTextByteIdentical(t *testing.T) {
-	run := func(cfg hth.Config) *hth.Result {
-		res, err := trojanSystem().Run(cfg, hth.RunSpec{Path: "/bin/trojan"})
+	run := func(sink hth.Observer) {
+		_, err := trojanSystem().Run(hth.NewConfig(hth.WithObserver(sink)), hth.RunSpec{Path: "/bin/trojan"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
 	}
 
-	var legacy, sink bytes.Buffer
-	legacyCfg := hth.DefaultConfig()
-	legacyCfg.Verbose = &legacy
-	run(legacyCfg)
-	run(hth.NewConfig(hth.WithObserver(hth.CLIPSText(&sink))))
-	if legacy.String() != sink.String() {
-		t.Errorf("CLIPSText diverges from Verbose:\n--- Verbose ---\n%s--- CLIPSText ---\n%s",
-			legacy.String(), sink.String())
+	var text, transcript bytes.Buffer
+	run(hth.CLIPSText(&text))
+	run(hth.CLIPSTranscript(&transcript))
+	s := text.String()
+	if !strings.Contains(s, "FIRE 1 check_execve") || !strings.Contains(s, "Warning [LOW]") {
+		t.Errorf("no fire trace or warning in output: %q", s)
 	}
-	if !strings.Contains(sink.String(), "FIRE 1 check_execve") {
-		t.Errorf("no fire trace in output: %q", sink.String())
+	if strings.Contains(s, "CLIPS> (assert") {
+		t.Errorf("CLIPSText echoed asserts: %q", s)
 	}
-
-	var legacyTr, sinkTr bytes.Buffer
-	legacyCfg = hth.DefaultConfig()
-	legacyCfg.Verbose = &legacyTr
-	legacyCfg.TraceAsserts = true
-	run(legacyCfg)
-	run(hth.NewConfig(hth.WithObserver(hth.CLIPSTranscript(&sinkTr))))
-	if legacyTr.String() != sinkTr.String() {
-		t.Errorf("CLIPSTranscript diverges from Verbose+TraceAsserts:\n--- legacy ---\n%s--- sink ---\n%s",
-			legacyTr.String(), sinkTr.String())
+	if !strings.Contains(transcript.String(), "CLIPS> (assert") {
+		t.Errorf("no assert echo in transcript: %q", transcript.String())
 	}
-	if !strings.Contains(sinkTr.String(), "CLIPS> (assert") {
-		t.Errorf("no assert echo in transcript: %q", sinkTr.String())
+	var rest strings.Builder
+	for _, line := range strings.SplitAfter(transcript.String(), "\n") {
+		if !strings.HasPrefix(line, "CLIPS> (assert ") {
+			rest.WriteString(line)
+		}
+	}
+	if rest.String() != s {
+		t.Errorf("transcript minus asserts diverges from CLIPSText:\n--- transcript ---\n%s--- CLIPSText ---\n%s",
+			rest.String(), s)
 	}
 }
 
-// TestSessionHonorsTraceAsserts is the regression test for the bug
-// where NewSession dropped cfg.TraceAsserts: both Run and Session now
-// share runCore, so the assert echo must appear either way.
-func TestSessionHonorsTraceAsserts(t *testing.T) {
+// TestSessionCLIPSTranscript is the regression test for the bug where
+// NewSession dropped the assert echo: Run and Session share runCore, so
+// a CLIPSTranscript attached to a session must see it too.
+func TestSessionCLIPSTranscript(t *testing.T) {
 	var out bytes.Buffer
-	cfg := hth.DefaultConfig()
-	cfg.Verbose = &out
-	cfg.TraceAsserts = true
-
-	sn := trojanSystem().NewSession(cfg)
+	sn := trojanSystem().NewSession(hth.NewConfig(hth.WithObserver(hth.CLIPSTranscript(&out))))
 	if _, err := sn.Start(hth.RunSpec{Path: "/bin/trojan"}); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +146,7 @@ func TestSessionHonorsTraceAsserts(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "CLIPS> (assert") {
-		t.Errorf("session dropped TraceAsserts; verbose output = %q", out.String())
+		t.Errorf("session dropped the assert echo; transcript = %q", out.String())
 	}
 }
 
@@ -191,39 +184,28 @@ func TestChaosFaultsOnBus(t *testing.T) {
 	}
 }
 
-// TestResultMetrics checks Result.Metrics snapshots an attached
-// registry — including one wrapped in a Sampling decorator.
-func TestResultMetrics(t *testing.T) {
+// TestMetricsObserver checks a run feeds an attached registry: syscall
+// and warning counters, and the end-of-run gauges.
+func TestMetricsObserver(t *testing.T) {
 	m := hth.NewMetrics()
-	res, err := trojanSystem().Run(
+	_, err := trojanSystem().Run(
 		hth.NewConfig(hth.WithObserver(m)),
 		hth.RunSpec{Path: "/bin/trojan"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics == nil {
-		t.Fatal("Result.Metrics is nil with a Metrics observer attached")
+	snap := m.Snapshot()
+	if snap.Counters["syscall.SYS_execve"] != 1 {
+		t.Errorf("syscall.SYS_execve = %d, want 1", snap.Counters["syscall.SYS_execve"])
 	}
-	if res.Metrics.Counters["syscall.SYS_execve"] != 1 {
-		t.Errorf("syscall.SYS_execve = %d, want 1", res.Metrics.Counters["syscall.SYS_execve"])
+	if snap.Counters["warning.check_execve"] != 1 {
+		t.Errorf("warning.check_execve = %d, want 1", snap.Counters["warning.check_execve"])
 	}
-	if res.Metrics.Counters["warning.check_execve"] != 1 {
-		t.Errorf("warning.check_execve = %d, want 1", res.Metrics.Counters["warning.check_execve"])
-	}
-	if res.Metrics.Gauges["harrier.instructions"] == 0 {
+	if snap.Gauges["harrier.instructions"] == 0 {
 		t.Error("harrier.instructions gauge missing")
 	}
-	if res.Metrics.Gauges["guest_instrs_per_sec"] == 0 {
+	if snap.Gauges["guest_instrs_per_sec"] == 0 {
 		t.Error("guest_instrs_per_sec gauge missing")
-	}
-
-	// No observers -> nil Metrics and a disabled bus.
-	res, err = trojanSystem().Run(hth.DefaultConfig(), hth.RunSpec{Path: "/bin/trojan"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics != nil {
-		t.Error("Result.Metrics set without observers")
 	}
 }
 

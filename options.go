@@ -22,8 +22,7 @@ type Observer = obs.Sink
 type Event = obs.Event
 
 // Metrics is the counters/histograms registry sink: attach one with
-// WithObserver(m) and read m.Snapshot() — or Result.Metrics, which
-// snapshots the first attached registry automatically.
+// WithObserver(m) and read m.Snapshot() once the run returns.
 type Metrics = obs.Metrics
 
 // MetricsSnapshot is a JSON-ready view of a Metrics registry.
@@ -43,12 +42,13 @@ func NewMetrics() *Metrics { return obs.NewMetrics() }
 func Sampling(n int, sink Observer) Observer { return obs.Sampling(n, sink) }
 
 // CLIPSText returns an Observer rendering Secpert's CLIPS-style fire
-// trace and warning printout to w — byte-identical to what the
-// deprecated Config.Verbose writer receives.
+// trace and warning printout to w, exactly the bytes the engine
+// writes, in order. It is how `hth -verbose` prints the trace.
 func CLIPSText(w io.Writer) Observer { return obs.CLIPSText(w) }
 
-// CLIPSTranscript is CLIPSText plus the Appendix-A.1 assert echo —
-// byte-identical to Config.Verbose with Config.TraceAsserts set.
+// CLIPSTranscript is CLIPSText plus the Appendix-A.1 assert echo: a
+// "CLIPS> (assert ...)" line before every event fact Secpert judges
+// (`hth -verbose -trace`).
 func CLIPSTranscript(w io.Writer) Observer { return obs.CLIPSTranscript(w) }
 
 // Option mutates a Config under construction; see NewConfig.

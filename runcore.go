@@ -1,7 +1,6 @@
 package hth
 
 import (
-	"io"
 	"sort"
 	"strings"
 	"time"
@@ -48,8 +47,7 @@ type runCore struct {
 // instruction/wall/descriptor budgets, the event bus (attached to
 // every layer, or detached when no observers are configured), the
 // chaos injector, and — unless Unmonitored — a fresh Secpert+Harrier
-// pair with both the legacy Verbose/TraceAsserts writers and the bus
-// text taps wired.
+// pair with the engine's text taps wired onto the bus.
 func newRunCore(s *System, cfg Config) *runCore {
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = 50_000_000
@@ -176,36 +174,17 @@ func (rc *runCore) abort() {
 	}
 }
 
-// wireSecpert connects the expert engine's text output. The deprecated
-// Config.Verbose/TraceAsserts writers and the bus taps receive the
-// same Write calls through one MultiWriter, which is what makes the
-// CLIPSText/CLIPSTranscript sinks byte-identical to the legacy path.
+// wireSecpert taps the expert engine's text output onto the bus: the
+// fire trace and warning printout as sec.text events, the assert echo
+// as sec.assert events, which the CLIPSText and CLIPSTranscript sinks
+// render back to bytes. Without a bus the engine renders nothing.
 func (rc *runCore) wireSecpert() {
-	var out, echo io.Writer
-	if rc.cfg.Verbose != nil {
-		out = rc.cfg.Verbose
-		if rc.cfg.TraceAsserts {
-			echo = rc.cfg.Verbose
-		}
+	if rc.bus == nil {
+		return
 	}
-	if rc.bus != nil {
-		out = tee(out, obs.TextWriter(rc.bus, obs.LayerSecpert, obs.KindSecText))
-		echo = tee(echo, obs.TextWriter(rc.bus, obs.LayerSecpert, obs.KindSecAssert))
-		rc.sec.SetBus(rc.bus)
-	}
-	if out != nil {
-		rc.sec.SetOutput(out)
-	}
-	if echo != nil {
-		rc.sec.SetAssertEcho(echo)
-	}
-}
-
-func tee(a, b io.Writer) io.Writer {
-	if a == nil {
-		return b
-	}
-	return io.MultiWriter(a, b)
+	rc.sec.SetOutput(obs.TextWriter(rc.bus, obs.LayerSecpert, obs.KindSecText))
+	rc.sec.SetAssertEcho(obs.TextWriter(rc.bus, obs.LayerSecpert, obs.KindSecAssert))
+	rc.sec.SetBus(rc.bus)
 }
 
 // start launches one program under this core's monitor (if any),
@@ -242,8 +221,7 @@ func (rc *runCore) start(spec RunSpec) (*vos.Process, error) {
 }
 
 // finish assembles the Result, publishes the end-of-run metric events,
-// closes the bus, and snapshots the first attached Metrics registry
-// into Result.Metrics.
+// and closes the bus.
 func (rc *runCore) finish(root *vos.Process, runErr error, wall time.Duration) *Result {
 	if rc.tt != nil {
 		rc.tierNs = rc.tt.Flush()
@@ -258,7 +236,6 @@ func (rc *runCore) finish(root *vos.Process, runErr error, wall time.Duration) *
 	if rc.h != nil {
 		rc.sec.FinishSession() // commit cross-session history, if any
 		res.Warnings = rc.sec.Warnings()
-		res.Trace = rc.sec.Trace()
 		res.Stats = rc.h.Stats()
 		res.Events = rc.h.EventLog()
 		res.Secpert = rc.sec
@@ -289,9 +266,6 @@ func (rc *runCore) finish(root *vos.Process, runErr error, wall time.Duration) *
 	if rc.bus != nil {
 		rc.publishRunEnd(runErr, wall)
 		res.ObserverErr = rc.bus.Close()
-		if ms := obs.FindMetrics(rc.cfg.Observers); len(ms) > 0 {
-			res.Metrics = ms[0].Snapshot()
-		}
 	}
 	res.Provenance = rc.prov
 	res.Introspection = rc.intro
