@@ -4,25 +4,38 @@ import "encoding/binary"
 
 // Memory is a sparse, paged, little-endian 32-bit guest address space.
 // Reads from unmapped pages return zero; writes allocate pages on
-// demand. Every process owns one Memory; fork() clones it.
+// demand. Every process owns one Memory.
+//
+// fork() shares pages copy-on-write: Clone hands the child the
+// parent's page pointers and bumps each page's owner count, and the
+// first write from either side to a shared page copies it, so a
+// forked child pays only for the pages it or its parent writes. The
+// owner counts are plain integers, not atomics: one job's processes
+// run on one goroutine, and no page crosses jobs.
 //
 // The hot paths mirror taint.Shadow's: 32-bit accesses that stay
 // inside one page are a single page lookup plus one 4-byte move, and
 // a small software TLB short-circuits the page map for the local
 // access streams the §9 benchmarks show.
 type Memory struct {
-	pages map[uint32]*memPage
+	pages map[uint32]*memPage // nil until the first page is allocated
 
 	// Software TLB, direct-mapped by the low page-index bits: a copy
 	// kernel alternating between a source and a destination page — the
 	// dominant §9 access shape — keeps both resident instead of
-	// evicting one with every access. A nil page marks an empty slot.
+	// evicting one with every access. A nil data pointer marks an
+	// empty slot.
 	tlb [memTLBWays]memTLBEnt
 }
 
+// memTLBEnt is one TLB slot: the bytes of page idx. w, the writable
+// bit, is set only by the write slow path once the page is this
+// Memory's alone, so a store that finds it set writes in place; a read
+// refill leaves it clear, and Clone clears it in every slot.
 type memTLBEnt struct {
 	idx  uint32
-	page *memPage
+	w    bool
+	data *[memPageSize]byte
 }
 
 const (
@@ -32,53 +45,72 @@ const (
 	memTLBWays   = 4 // direct-mapped slots; must be a power of two
 )
 
+// memPage is one resident page. refs counts the Memories whose page
+// table holds it; while refs > 1 the page is shared copy-on-write and
+// no owner writes it in place. The bytes live in their own array so a
+// page stays one 4 KiB allocation.
 type memPage struct {
-	data [memPageSize]byte
+	data *[memPageSize]byte
+	refs int32
 }
 
 // NewMemory returns an empty address space.
-func NewMemory() *Memory {
-	return &Memory{pages: make(map[uint32]*memPage)}
-}
+func NewMemory() *Memory { return &Memory{} }
 
-// page resolves a page index through the TLB, returning nil when the
-// page is unallocated.
-func (m *Memory) page(idx uint32) *memPage {
+// page resolves a page index through the TLB for a read, returning nil
+// when the page is unallocated.
+func (m *Memory) page(idx uint32) *[memPageSize]byte {
 	e := &m.tlb[idx&(memTLBWays-1)]
-	if e.page != nil && e.idx == idx {
-		return e.page
+	if e.data != nil && e.idx == idx {
+		return e.data
 	}
 	p := m.pages[idx]
-	if p != nil {
-		e.idx, e.page = idx, p
+	if p == nil {
+		return nil
 	}
-	return p
+	e.idx, e.w, e.data = idx, false, p.data
+	return p.data
 }
 
-// pageAlloc resolves a page index, allocating the page on demand.
-func (m *Memory) pageAlloc(idx uint32) *memPage {
-	if p := m.page(idx); p != nil {
-		return p
-	}
-	p := &memPage{}
-	m.pages[idx] = p
+// pageW resolves a page index for a write: it allocates the page if it
+// is absent, copies it if it is shared, and marks its TLB slot
+// writable.
+func (m *Memory) pageW(idx uint32) *[memPageSize]byte {
 	e := &m.tlb[idx&(memTLBWays-1)]
-	e.idx, e.page = idx, p
-	return p
+	if e.w && e.idx == idx {
+		return e.data
+	}
+	p := m.pages[idx]
+	switch {
+	case p == nil:
+		if m.pages == nil {
+			m.pages = make(map[uint32]*memPage)
+		}
+		p = &memPage{data: new([memPageSize]byte), refs: 1}
+		m.pages[idx] = p
+	case p.refs > 1:
+		p.refs--
+		cp := &memPage{data: new([memPageSize]byte), refs: 1}
+		*cp.data = *p.data
+		p = cp
+		m.pages[idx] = p
+	}
+	e.idx, e.w, e.data = idx, true, p.data
+	return p.data
 }
 
 // Load8 reads one byte.
 func (m *Memory) Load8(addr uint32) byte {
-	p := m.page(addr >> memPageShift)
-	if p == nil {
+	d := m.page(addr >> memPageShift)
+	if d == nil {
 		return 0
 	}
-	return p.data[addr&memPageMask]
+	return d[addr&memPageMask]
 }
 
 // Store8 writes one byte.
 func (m *Memory) Store8(addr uint32, v byte) {
-	m.pageAlloc(addr >> memPageShift).data[addr&memPageMask] = v
+	m.pageW(addr >> memPageShift)[addr&memPageMask] = v
 }
 
 // Load32 reads a little-endian 32-bit word. Accesses that stay inside
@@ -86,11 +118,11 @@ func (m *Memory) Store8(addr uint32, v byte) {
 func (m *Memory) Load32(addr uint32) uint32 {
 	off := addr & memPageMask
 	if off <= memPageSize-4 {
-		p := m.page(addr >> memPageShift)
-		if p == nil {
+		d := m.page(addr >> memPageShift)
+		if d == nil {
 			return 0
 		}
-		return binary.LittleEndian.Uint32(p.data[off : off+4])
+		return binary.LittleEndian.Uint32(d[off : off+4])
 	}
 	return uint32(m.Load8(addr)) |
 		uint32(m.Load8(addr+1))<<8 |
@@ -99,19 +131,20 @@ func (m *Memory) Load32(addr uint32) uint32 {
 }
 
 // Store32 writes a little-endian 32-bit word. The TLB probe is open-
-// coded so the resident-page fast path — every store of a hot loop
-// after the first — stays a single inlinable branch, not a call chain
-// through pageAlloc.
+// coded so the fast path — every store of a hot loop after the first —
+// is one test of a writable slot, not a call chain through pageW. A
+// writable slot always holds a page, so the writable bit costs no
+// compare over the old nil check.
 func (m *Memory) Store32(addr uint32, v uint32) {
 	off := addr & memPageMask
 	if off <= memPageSize-4 {
 		idx := addr >> memPageShift
 		e := &m.tlb[idx&(memTLBWays-1)]
-		p := e.page
-		if p == nil || e.idx != idx {
-			p = m.pageAlloc(idx)
+		d := e.data
+		if !e.w || e.idx != idx {
+			d = m.pageW(idx)
 		}
-		binary.LittleEndian.PutUint32(p.data[off:off+4], v)
+		binary.LittleEndian.PutUint32(d[off:off+4], v)
 		return
 	}
 	m.Store8(addr, byte(v))
@@ -130,8 +163,8 @@ func (m *Memory) ReadBytes(addr, n uint32) []byte {
 		if chunk > n-done {
 			chunk = n - done
 		}
-		if p := m.page((addr + done) >> memPageShift); p != nil {
-			copy(out[done:done+chunk], p.data[off:off+chunk])
+		if d := m.page((addr + done) >> memPageShift); d != nil {
+			copy(out[done:done+chunk], d[off:off+chunk])
 		}
 		done += chunk
 	}
@@ -146,8 +179,8 @@ func (m *Memory) WriteBytes(addr uint32, b []byte) {
 		if chunk > uint32(len(b))-done {
 			chunk = uint32(len(b)) - done
 		}
-		p := m.pageAlloc((addr + done) >> memPageShift)
-		copy(p.data[off:off+chunk], b[done:done+chunk])
+		d := m.pageW((addr + done) >> memPageShift)
+		copy(d[off:off+chunk], b[done:done+chunk])
 		done += chunk
 	}
 }
@@ -187,21 +220,34 @@ func (m *Memory) WriteCString(addr uint32, s string) uint32 {
 	return uint32(len(s)) + 1
 }
 
-// Clone returns a deep copy of the address space (fork()). The clone
-// starts with a cold page cache.
+// Clone returns a copy-on-write copy of the address space (fork()):
+// the clone shares every page, each page's owner count goes up by one,
+// and the parent's TLB slots lose their writable bit, so the first
+// store from either side to a shared page copies it. The clone starts
+// with a cold TLB.
 func (m *Memory) Clone() *Memory {
-	out := NewMemory()
-	for idx, p := range m.pages {
-		cp := &memPage{}
-		cp.data = p.data
-		out.pages[idx] = cp
+	out := &Memory{}
+	if len(m.pages) > 0 {
+		out.pages = make(map[uint32]*memPage, len(m.pages))
+		for idx, p := range m.pages {
+			p.refs++
+			out.pages[idx] = p
+		}
+	}
+	for i := range m.tlb {
+		m.tlb[i].w = false
 	}
 	return out
 }
 
-// Reset drops all pages (execve()).
+// Reset drops all pages (execve(), or a settled job releasing its
+// memory), giving up this Memory's share of each. It allocates
+// nothing: the page map is rebuilt by the first write.
 func (m *Memory) Reset() {
-	m.pages = make(map[uint32]*memPage)
+	for _, p := range m.pages {
+		p.refs--
+	}
+	m.pages = nil
 	m.tlb = [memTLBWays]memTLBEnt{}
 }
 

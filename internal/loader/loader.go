@@ -249,7 +249,7 @@ func (m *Map) load(cpu *isa.CPU, img *image.Image, env *Env, root bool) (*Loaded
 		}
 		cpu.Mem.WriteBytes(li.SectionBases[i], sec.Data)
 		if cpu.Shadow != nil && len(sec.Data) > 0 {
-			cpu.Shadow.SetRange(li.SectionBases[i], uint32(len(sec.Data)), binTag)
+			cpu.Shadow.SetRange(li.SectionBases[i], li.tagLen(i), binTag)
 		}
 	}
 
@@ -329,6 +329,36 @@ func (m *Map) load(cpu *isa.CPU, img *image.Image, env *Env, root bool) (*Loaded
 		env.OnLoad(li)
 	}
 	return li, nil
+}
+
+// tagLen returns how many bytes from the base of data section i the
+// loader tags BINARY: the section's length, rounded up to a whole word
+// when the rest of its last word is free — inside the image's range
+// and in no other section of the image. A section whose length is not
+// a multiple of 4 then leaves its shadow page in word mode instead of
+// splitting its last word between two tags and degrading the page to
+// byte mode. The pad holds no data; its tag only ever reaches a guest
+// that reads past the section's end. Auto-laid sections start on page
+// boundaries, so the rule always holds for them; an ELF layout that
+// packs another section into that word keeps the exact length.
+func (li *Loaded) tagLen(i int) uint32 {
+	n := li.Image.Sections[i].Size()
+	end := uint64(li.SectionBases[i]) + uint64(n)
+	pad := (4 - end&3) & 3
+	if pad == 0 || end+pad > uint64(li.End) {
+		return n
+	}
+	for j := range li.Image.Sections {
+		other := &li.Image.Sections[j]
+		if j == i || other.Size() == 0 {
+			continue
+		}
+		lo := uint64(li.SectionBases[j])
+		if lo < end+pad && end < lo+uint64(other.Size()) {
+			return n
+		}
+	}
+	return n + uint32(pad)
 }
 
 func resolveDep(env *Env, name string) (*image.Image, error) {

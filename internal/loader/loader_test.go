@@ -367,3 +367,40 @@ _start:
 		seen[im.Base] = true
 	}
 }
+
+// TestDataTailTagging pins the loader's word-tail rule: a data
+// section's trailing partial word is tagged whole when no other
+// section of the image occupies the rest of it, so its shadow page
+// stays in word mode, and a layout that packs another section into
+// that word keeps the exact length.
+func TestDataTailTagging(t *testing.T) {
+	im := image.New("/bin/tail")
+	im.Entry = "_start"
+	im.Sections = []image.Section{
+		{Name: ".text", Kind: image.Text, Instrs: []isa.Instr{{Op: isa.HLT}}},
+		{Name: ".free", Kind: image.Data, Data: make([]byte, 5), Addr: ExecBase + 0x3000},
+		{Name: ".packed", Kind: image.Data, Data: make([]byte, 5), Addr: ExecBase + 0x4000},
+		{Name: ".next", Kind: image.Data, Data: make([]byte, 3), Addr: ExecBase + 0x4005},
+		{Name: ".auto", Kind: image.Data, Data: make([]byte, 9)},
+	}
+	im.Symbols["_start"] = image.Symbol{Section: 0, Offset: 0}
+	cpu, st := newCPUWithShadow()
+	li, err := NewMap().Load(cpu, im, &Env{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range map[int]uint32{1: 8, 2: 5, 3: 3, 4: 12} {
+		if got := li.tagLen(i); got != want {
+			t.Errorf("%s: tagged %d bytes, want %d", im.Sections[i].Name, got, want)
+		}
+	}
+	bin := st.Of(taint.Source{Type: taint.Binary, Name: "/bin/tail"})
+	if got := cpu.Shadow.GetWord(ExecBase + 0x3004); got != bin {
+		t.Errorf(".free tail word tag = %s, want the whole word %s", st.String(got), st.String(bin))
+	}
+	// Only the packed page splits a word between the tagged tail of
+	// .packed and a not-yet-tagged .next, so only it degrades.
+	if n := cpu.Shadow.BytePages(); n != 1 {
+		t.Errorf("%d shadow pages degraded to byte mode, want 1 (the packed one)", n)
+	}
+}

@@ -47,12 +47,12 @@ func TestShadowPopulation(t *testing.T) {
 	// byte split degrades it.
 	sh.SetWord(0x2200, tag)
 	sh.SetWord(0x2200, tag) // redundant
-	if pop := pagePop(t, sh, 2); pop != 4 || sh.bytePages() != 1 {
-		t.Fatalf("word write: pop=%d byte pages=%d, want 4/1", pop, sh.bytePages())
+	if pop := pagePop(t, sh, 2); pop != 4 || sh.BytePages() != 1 {
+		t.Fatalf("word write: pop=%d byte pages=%d, want 4/1", pop, sh.BytePages())
 	}
 	sh.Set(0x2201, tag2) // splits the word into byte granularity
-	if pop := pagePop(t, sh, 2); pop != 4 || sh.bytePages() != 2 {
-		t.Fatalf("byte split: pop=%d byte pages=%d, want 4/2", pop, sh.bytePages())
+	if pop := pagePop(t, sh, 2); pop != 4 || sh.BytePages() != 2 {
+		t.Fatalf("byte split: pop=%d byte pages=%d, want 4/2", pop, sh.BytePages())
 	}
 	sh.SetWord(0x2200, Empty)
 	if pop := pagePop(t, sh, 2); pop != 0 {
@@ -107,7 +107,7 @@ func TestShadowSourceAfterCachedNil(t *testing.T) {
 		t.Fatalf("Get after cached-nil lookup = %d, want %d", got, tag)
 	}
 
-	// Same sequence through the word path (Set/SetWord share allocPage).
+	// Same sequence through the word path (Set/SetWord share pageW).
 	if sh.Get(0x5000) != Empty {
 		t.Fatal("fresh page not empty")
 	}

@@ -18,20 +18,31 @@ package taint
 // observationally identical; see DESIGN.md "Shadow memory fast
 // paths".
 //
+// fork() shares pages copy-on-write, as isa.Memory does: Clone hands
+// the child the parent's page pointers and bumps each page's owner
+// count, and the first write from either side to a shared page copies
+// it. The copy keeps the page's index and population, so no page flip
+// fires and the clean tier's verdicts carry over. The owner counts
+// are plain integers, not atomics: one job's processes run on one
+// goroutine, and no page crosses jobs.
+//
 // A small direct-mapped software TLB — the design isa.Memory uses for
 // guest pages — short-circuits the page map for the local access
-// streams the benchmarks show. It is cleared whenever the page table
-// is replaced (Reset) and never shared with Clones.
+// streams the benchmarks show. Each slot carries a writable bit, set
+// only by the write slow path once the page is this shadow's alone;
+// Clone clears it in every parent slot, so a store to a shared page
+// leaves the fast path. The TLB is cleared whenever the page table is
+// replaced (Reset) and never shared with Clones.
 type Shadow struct {
 	store *Store
-	pages map[uint32]*shadowPage
+	pages map[uint32]*shadowPage // nil until the first page is allocated
 
 	// Software TLB, direct-mapped by the low page-index bits: a kernel
 	// that reads A, reads B and writes D — three pages per iteration —
 	// keeps all three resident instead of evicting one with every
 	// access. Entries cache negative results too: an untainted working
 	// set resolves every access to "unallocated", and caching that
-	// verdict keeps the hot path off the page map entirely. allocPage
+	// verdict keeps the hot path off the page map entirely. pageW
 	// refreshes the slot of the page it creates, so a negative entry
 	// never hides a page allocated after it was cached.
 	tlb [shadowTLBWays]shadowTLBEnt
@@ -55,10 +66,13 @@ type Shadow struct {
 
 // shadowTLBEnt is one TLB slot: the resolution of page idx, where a
 // nil page is a cached "unallocated". valid is false only in a slot
-// nothing has been cached in since NewShadow or Reset.
+// nothing has been cached in since NewShadow or Reset. w, the writable
+// bit, means the page is non-nil and this shadow's alone, so a write
+// may change it in place; a read refill leaves it clear.
 type shadowTLBEnt struct {
 	idx   uint32
 	valid bool
+	w     bool
 	page  *shadowPage
 }
 
@@ -84,6 +98,10 @@ type shadowPage struct {
 	// which page flipped.
 	idx uint32
 	pop int32
+
+	// refs counts the shadows whose page table holds the page; while
+	// refs > 1 it is shared copy-on-write and no owner writes it.
+	refs int32
 }
 
 // degrade switches the page to byte mode, expanding each word tag to
@@ -166,7 +184,7 @@ func (sh *Shadow) pageFlipped(p *shadowPage) {
 
 // NewShadow returns an empty shadow map backed by the given store.
 func NewShadow(store *Store) *Shadow {
-	return &Shadow{store: store, pages: make(map[uint32]*shadowPage)}
+	return &Shadow{store: store}
 }
 
 // Store returns the tag store this shadow resolves tags against.
@@ -182,7 +200,7 @@ func (sh *Shadow) page(idx uint32) *shadowPage {
 	}
 	sh.tlbMisses++
 	p := sh.pages[idx]
-	e.idx, e.valid, e.page = idx, true, p
+	e.idx, e.valid, e.w, e.page = idx, true, false, p
 	return p
 }
 
@@ -192,14 +210,47 @@ func (sh *Shadow) TLBStats() (probes, misses uint64) {
 	return sh.tlbProbes, sh.tlbMisses
 }
 
-// allocPage creates page idx, which the caller's page probe has just
-// found unallocated, and refreshes its TLB slot over the negative
-// entry that probe cached. It does not probe again, so an allocating
-// write counts as one TLB probe, like any other access.
-func (sh *Shadow) allocPage(idx uint32) *shadowPage {
-	p := &shadowPage{idx: idx}
-	sh.pages[idx] = p
-	sh.tlb[idx&(shadowTLBWays-1)] = shadowTLBEnt{idx: idx, valid: true, page: p}
+// pageW resolves a page index for a write of tag t, counting one TLB
+// probe like page. It returns nil when t is Empty and the page is
+// absent, since the write cannot change it. Otherwise it returns the
+// page, allocating it if it is absent and copying it if it is shared,
+// with its TLB slot marked writable. An allocating write is one probe,
+// like any other access.
+func (sh *Shadow) pageW(idx uint32, t Tag) *shadowPage {
+	sh.tlbProbes++
+	e := &sh.tlb[idx&(shadowTLBWays-1)]
+	if e.w && e.idx == idx {
+		return e.page
+	}
+	var p *shadowPage
+	if e.valid && e.idx == idx {
+		p = e.page
+	} else {
+		sh.tlbMisses++
+		p = sh.pages[idx]
+	}
+	switch {
+	case p == nil:
+		if t == Empty {
+			e.idx, e.valid, e.w, e.page = idx, true, false, nil
+			return nil
+		}
+		if sh.pages == nil {
+			sh.pages = make(map[uint32]*shadowPage)
+		}
+		p = &shadowPage{idx: idx, refs: 1}
+		sh.pages[idx] = p
+	case p.refs > 1:
+		p.refs--
+		cp := &shadowPage{words: p.words, idx: p.idx, pop: p.pop, refs: 1}
+		if p.bytes != nil {
+			b := *p.bytes
+			cp.bytes = &b
+		}
+		p = cp
+		sh.pages[idx] = p
+	}
+	e.idx, e.valid, e.w, e.page = idx, true, true, p
 	return p
 }
 
@@ -215,14 +266,9 @@ func (sh *Shadow) Get(addr uint32) Tag {
 // Set assigns the tag of the byte at addr. Setting Empty on an
 // unallocated page is a no-op (no page is created).
 func (sh *Shadow) Set(addr uint32, t Tag) {
-	p := sh.page(addr >> pageShift)
-	if p == nil {
-		if t == Empty {
-			return
-		}
-		p = sh.allocPage(addr >> pageShift)
+	if p := sh.pageW(addr>>pageShift, t); p != nil {
+		p.setByte(sh, addr&pageMask, t)
 	}
-	p.setByte(sh, addr&pageMask, t)
 }
 
 // GetWord returns the union of the four byte tags at addr (the tag of
@@ -257,12 +303,16 @@ func (sh *Shadow) SetWord(addr uint32, t Tag) {
 		sh.SetRange(addr, 4, t) // crosses a page boundary
 		return
 	}
-	p := sh.page(addr >> pageShift)
-	if p == nil {
-		if t == Empty {
-			return
-		}
-		p = sh.allocPage(addr >> pageShift)
+	// The writable-slot probe is open-coded, as in isa.Memory.Store32,
+	// so the resident-page fast path makes no call: the writable bit
+	// stands in for the nil/valid test a read probe makes.
+	idx := addr >> pageShift
+	e := &sh.tlb[idx&(shadowTLBWays-1)]
+	p := e.page
+	if e.w && e.idx == idx {
+		sh.tlbProbes++
+	} else if p = sh.pageW(idx, t); p == nil {
+		return
 	}
 	if p.bytes == nil && off&3 == 0 {
 		p.setWordSlot(sh, off>>2, t)
@@ -285,13 +335,7 @@ func (sh *Shadow) SetRange(addr, n uint32, t Tag) {
 		if chunk > n {
 			chunk = n
 		}
-		p := sh.page(idx)
-		if p == nil {
-			if t != Empty {
-				p = sh.allocPage(idx)
-				p.setRange(sh, off, chunk, t)
-			}
-		} else {
+		if p := sh.pageW(idx, t); p != nil {
 			p.setRange(sh, off, chunk, t)
 		}
 		addr += chunk
@@ -362,38 +406,24 @@ func (sh *Shadow) GetRange(addr, n uint32) Tag {
 	return out
 }
 
-// Copy copies n byte tags from src to dst, preserving per-byte
-// precision (used when guest memory is copied wholesale, e.g. fork).
-// Overlapping ranges behave like memmove.
-func (sh *Shadow) Copy(dst, src, n uint32) {
-	if dst == src || n == 0 {
-		return
-	}
-	if dst < src {
-		for i := uint32(0); i < n; i++ {
-			sh.Set(dst+i, sh.Get(src+i))
-		}
-		return
-	}
-	for i := n; i > 0; i-- {
-		sh.Set(dst+i-1, sh.Get(src+i-1))
-	}
-}
-
-// Clone returns a deep copy of the shadow map sharing the same store.
-// Used by fork(): the child inherits the parent's taint state. The
-// clone starts with a cold page cache.
+// Clone returns a copy-on-write copy of the shadow map sharing the
+// same store (fork(): the child inherits the parent's taint state).
+// Every page is shared, each page's owner count goes up by one, and
+// the parent's TLB slots lose their writable bit, so the first write
+// from either side to a shared page copies it. The clone starts with
+// the parent's flip generation and a cold TLB.
 func (sh *Shadow) Clone() *Shadow {
-	out := NewShadow(sh.store)
-	for idx, p := range sh.pages {
-		cp := &shadowPage{words: p.words, idx: p.idx, pop: p.pop}
-		if p.bytes != nil {
-			b := *p.bytes
-			cp.bytes = &b
+	out := &Shadow{store: sh.store, flipGen: sh.flipGen}
+	if len(sh.pages) > 0 {
+		out.pages = make(map[uint32]*shadowPage, len(sh.pages))
+		for idx, p := range sh.pages {
+			p.refs++
+			out.pages[idx] = p
 		}
-		out.pages[idx] = cp
 	}
-	out.flipGen = sh.flipGen
+	for i := range sh.tlb {
+		sh.tlb[i].w = false
+	}
 	return out
 }
 
@@ -403,10 +433,16 @@ func (sh *Shadow) ClearRange(addr, n uint32) {
 	sh.SetRange(addr, n, Empty)
 }
 
-// Reset drops all pages, returning the shadow to the untainted state.
-// Used by execve(), which replaces the address space.
+// Reset drops all pages, giving up this shadow's share of each, and
+// returns it to the untainted state. Used by execve(), which replaces
+// the address space, and by a settled job releasing its pages. It
+// allocates nothing: the page map is rebuilt by the first tainting
+// write.
 func (sh *Shadow) Reset() {
-	sh.pages = make(map[uint32]*shadowPage)
+	for _, p := range sh.pages {
+		p.refs--
+	}
+	sh.pages = nil
 	sh.tlb = [shadowTLBWays]shadowTLBEnt{}
 	// Belt and braces: dropping every page can only make pages cleaner,
 	// but bumping the flip generation forces cached clean verdicts to
@@ -443,9 +479,9 @@ func (sh *Shadow) PageClean(idx uint32) bool {
 // uses it to flush demoted blocks before the next block boundary.
 func (sh *Shadow) OnPageFlip(fn func(idx uint32)) { sh.onFlip = fn }
 
-// bytePages returns how many allocated pages have degraded to byte
+// BytePages returns how many allocated pages have degraded to byte
 // mode (exposed for tests and stats).
-func (sh *Shadow) bytePages() int {
+func (sh *Shadow) BytePages() int {
 	n := 0
 	for _, p := range sh.pages {
 		if p.bytes != nil {

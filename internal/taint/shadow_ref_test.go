@@ -45,21 +45,6 @@ func (r *refShadow) GetRange(addr, n uint32) Tag {
 func (r *refShadow) GetWord(addr uint32) Tag    { return r.GetRange(addr, 4) }
 func (r *refShadow) SetWord(addr uint32, t Tag) { r.SetRange(addr, 4, t) }
 
-func (r *refShadow) Copy(dst, src, n uint32) {
-	if dst == src || n == 0 {
-		return
-	}
-	if dst < src {
-		for i := uint32(0); i < n; i++ {
-			r.Set(dst+i, r.Get(src+i))
-		}
-		return
-	}
-	for i := n; i > 0; i-- {
-		r.Set(dst+i-1, r.Get(src+i-1))
-	}
-}
-
 func (r *refShadow) Clone() *refShadow {
 	out := newRefShadow(r.store)
 	for a, t := range r.tags {
@@ -114,8 +99,8 @@ func TestShadowEquivAlignedWords(t *testing.T) {
 		ref.SetWord(a, tg)
 	}
 	checkEquiv(t, "aligned words", sh, ref)
-	if sh.bytePages() != 0 {
-		t.Errorf("aligned word traffic degraded %d pages to byte mode", sh.bytePages())
+	if sh.BytePages() != 0 {
+		t.Errorf("aligned word traffic degraded %d pages to byte mode", sh.BytePages())
 	}
 }
 
@@ -205,43 +190,6 @@ func TestShadowEquivRanges(t *testing.T) {
 		}
 	}
 	checkEquiv(t, "ranges", sh, ref)
-}
-
-// TestShadowEquivCopyOverlap checks Copy over overlapping ranges in
-// both directions, across mixed-mode pages.
-func TestShadowEquivCopyOverlap(t *testing.T) {
-	st := NewStore()
-	sh, ref := NewShadow(st), newRefShadow(st)
-	tags := tagPalette(st)
-	rng := rand.New(rand.NewSource(5))
-	base := uint32(0x10000)
-	// Seed mixed word/byte state.
-	for i := 0; i < 2000; i++ {
-		a := base + uint32(rng.Intn(refWindow))
-		tg := tags[rng.Intn(len(tags))]
-		if rng.Intn(2) == 0 && a&3 == 0 {
-			sh.SetWord(a, tg)
-			ref.SetWord(a, tg)
-		} else {
-			sh.Set(a, tg)
-			ref.Set(a, tg)
-		}
-	}
-	for i := 0; i < 300; i++ {
-		src := base + uint32(rng.Intn(refWindow/2))
-		n := uint32(rng.Intn(200))
-		// Bias toward overlapping moves in both directions.
-		dst := src + uint32(rng.Intn(300)) - 150
-		if dst < base {
-			dst = base
-		}
-		if dst+n > base+refWindow || src+n > base+refWindow {
-			continue
-		}
-		sh.Copy(dst, src, n)
-		ref.Copy(dst, src, n)
-	}
-	checkEquiv(t, "copy overlap", sh, ref)
 }
 
 // TestShadowEquivCloneDiverge clones mid-stream and checks parent and
@@ -372,12 +320,12 @@ func TestShadowWordModeStaysWordMode(t *testing.T) {
 		sh.SetWord(a, tg)
 	}
 	sh.Set(8, tg) // same tag: must not degrade
-	if sh.bytePages() != 0 {
+	if sh.BytePages() != 0 {
 		t.Fatal("same-tag byte write degraded the page")
 	}
 	other := st.Of(Source{Socket, "s"})
 	sh.Set(8, other) // differing tag: must degrade, stay correct
-	if sh.bytePages() != 1 {
+	if sh.BytePages() != 1 {
 		t.Fatal("differing byte write did not degrade the page")
 	}
 	if sh.Get(8) != other || sh.Get(9) != tg || sh.GetWord(8) != st.Union(tg, other) {

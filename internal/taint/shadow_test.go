@@ -81,59 +81,6 @@ func TestShadowWordOps(t *testing.T) {
 	}
 }
 
-func TestShadowCopyForward(t *testing.T) {
-	st, sh := newTestShadow()
-	a := st.Of(Source{File, "a"})
-	b := st.Of(Source{File, "b"})
-	sh.Set(10, a)
-	sh.Set(11, b)
-	sh.Copy(20, 10, 2)
-	if sh.Get(20) != a || sh.Get(21) != b {
-		t.Error("forward copy failed")
-	}
-	// Source preserved.
-	if sh.Get(10) != a {
-		t.Error("copy destroyed source")
-	}
-}
-
-func TestShadowCopyOverlapping(t *testing.T) {
-	st, sh := newTestShadow()
-	tags := make([]Tag, 8)
-	for i := range tags {
-		tags[i] = st.Of(Source{File, string(rune('a' + i))})
-		sh.Set(uint32(100+i), tags[i])
-	}
-	// Overlapping copy forward (dst > src): like memmove.
-	sh.Copy(102, 100, 8)
-	for i := 0; i < 8; i++ {
-		if got := sh.Get(uint32(102 + i)); got != tags[i] {
-			t.Fatalf("overlap copy byte %d = %d, want %d", i, got, tags[i])
-		}
-	}
-	// Overlapping copy backward (dst < src).
-	_, sh2 := st, NewShadow(st)
-	for i := range tags {
-		sh2.Set(uint32(200+i), tags[i])
-	}
-	sh2.Copy(198, 200, 8)
-	for i := 0; i < 8; i++ {
-		if got := sh2.Get(uint32(198 + i)); got != tags[i] {
-			t.Fatalf("backward overlap byte %d = %d, want %d", i, got, tags[i])
-		}
-	}
-}
-
-func TestShadowCopySelfNoop(t *testing.T) {
-	st, sh := newTestShadow()
-	tag := st.Of(Source{File, "x"})
-	sh.Set(50, tag)
-	sh.Copy(50, 50, 4)
-	if sh.Get(50) != tag {
-		t.Error("self-copy corrupted data")
-	}
-}
-
 func TestShadowClone(t *testing.T) {
 	st, sh := newTestShadow()
 	tag := st.Of(Source{UserInput, "stdin"})

@@ -119,6 +119,7 @@ const (
 	ENOMEM     = 12
 	EACCES     = 13
 	EINVAL     = 22
+	EFBIG      = 27
 	ENFILE     = 23
 	EMFILE     = 24
 	ENOEXEC    = 8

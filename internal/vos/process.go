@@ -221,7 +221,10 @@ func (p *Process) closeFD(n int, fd *FDesc) {
 
 // setupStack writes argc/argv/envp onto a fresh stack and tags every
 // byte USER_INPUT (paper §7.3.3: "Harrier will tag all the initial
-// stack with the USER INPUT data source").
+// stack with the USER INPUT data source"). Each string block is padded
+// to a whole word, the pad tagged like its block, so argv[] and envp[]
+// sit word-aligned, as the i386 ABI has them, and no word of the stack
+// mixes two tags: the stack's shadow page stays in word mode.
 func (p *Process) setupStack() {
 	mem := p.CPU.Mem
 	addr := uint32(stackTop - stackArea)
@@ -246,6 +249,7 @@ func (p *Process) setupStack() {
 			ptrs[i] = addr
 			addr += mem.WriteCString(addr, s)
 		}
+		addr = (addr + 3) &^ 3
 		tag(start, addr, t)
 		return ptrs
 	}

@@ -1,6 +1,7 @@
 package vos
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/image"
@@ -145,7 +146,10 @@ func (k *kernel) sysFork(p *Process, num uint32, args [5]uint32) {
 	p.notifyExit(sc)
 }
 
-// forkProcess duplicates p: memory, shadow, registers, descriptors.
+// forkProcess duplicates p: registers and descriptors are copied,
+// while guest memory and the taint shadow share their pages with the
+// parent copy-on-write, so the child pays only for the pages either
+// side writes afterwards.
 func (os *OS) forkProcess(p *Process) *Process {
 	child := &Process{
 		PID:        os.nextPID,
@@ -459,13 +463,28 @@ func (k *kernel) writeCommon(p *Process, fd *FDesc, sock *SockInfo, args [5]uint
 		k.os.appendConsole(p, data)
 		res = nlen
 	case FDFile:
-		f := fd.file
-		for len(f.Data) < fd.off {
-			f.Data = append(f.Data, 0)
+		// The offset is guest-controlled too (lseek past the end
+		// leaves a hole the write fills with zeros): bound the file
+		// like Linux under RLIMIT_FSIZE, writing the part below the
+		// budget and failing a write that starts at or past it.
+		if fd.off >= MaxFileSize {
+			res = errno(EFBIG)
+			break
 		}
-		f.Data = append(f.Data[:fd.off], append(data, f.Data[min(fd.off+len(data), len(f.Data)):]...)...)
-		fd.off += len(data)
-		res = nlen
+		if room := MaxFileSize - fd.off; len(data) > room {
+			data = data[:room]
+		}
+		f := fd.file
+		end := fd.off + len(data)
+		if n := len(f.Data); end > n {
+			f.Data = slices.Grow(f.Data, end-n)[:end]
+			if fd.off > n {
+				clear(f.Data[n:fd.off]) // Grow may reuse stale capacity
+			}
+		}
+		copy(f.Data[fd.off:], data)
+		fd.off = end
+		res = uint32(len(data))
 	case FDSock:
 		if fd.conn == nil || fd.conn.Write(data) < 0 {
 			res = errno(32) // EPIPE

@@ -43,6 +43,14 @@ var (
 // transfer.
 const MaxRWCount = 1 << 20
 
+// MaxFileSize caps the size a guest write can grow a file to, like
+// Linux's RLIMIT_FSIZE: a write that starts at or past the cap fails
+// with EFBIG, and one that crosses it is cut short at the cap. Without
+// it one lseek(fd, 0x7FFFFFFF, SEEK_SET) and a 1-byte write would make
+// the kernel allocate the 2 GiB hole as host memory. 16 MiB is orders
+// of magnitude above any legitimate corpus file.
+const MaxFileSize = 16 << 20
+
 // DefaultMaxConsoleBytes is the console capture budget applied when
 // Options.MaxConsoleBytes is zero. Output past the budget is counted
 // in OS.ConsoleDropped instead of stored, so a guest spinning in a

@@ -37,6 +37,11 @@ go run ./cmd/hth-bench -chaos 0xC0FFEE,0.05 -parallel 4 >/dev/null
 make soak
 # Fuzz smoke: the chaos plan parser must never panic on hostile specs.
 go test -fuzz=FuzzChaos -fuzztime=10s ./internal/chaos
+# Copy-on-write fork: random stores, Clone chains and Resets over guest
+# memory and over the taint shadow must match a deep-copy reference,
+# with no page flip fired by a page copy.
+go test -fuzz=FuzzCloneIsolation -fuzztime=10s ./internal/isa
+go test -fuzz=FuzzCloneIsolation -fuzztime=10s ./internal/taint
 # Trace-tier gates: the full corpus must be bit-identical at the
 # interpreter tier and with traces (crossed with provenance), a trace
 # cut by the scheduler slice must resume bit-identically at slices of
