@@ -181,10 +181,7 @@ func BenchmarkAblationNoDataflow(b *testing.B) {
 }
 
 func BenchmarkAblationNoFrequency(b *testing.B) {
-	ablationDetections(b, func(cfg *hth.Config) {
-		cfg.Monitor.BBFrequency = false
-		cfg.Policy.DisableFrequency = true
-	})
+	ablationDetections(b, func(cfg *hth.Config) { cfg.Policy.DisableFrequency = true })
 }
 
 func BenchmarkAblationNoTrustedFilter(b *testing.B) {

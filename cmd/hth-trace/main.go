@@ -1,7 +1,12 @@
-// Command hth-trace single-steps a guest program and prints every
-// executed instruction with its taint effects — a debugging lens on
-// exactly what Harrier's Track_DataFlow sees — or replays a recorded
-// JSONL event trace (the hth.JSONL observer's output).
+// Command hth-trace runs a guest program and prints every data-moving
+// instruction with its taint effects — a debugging lens on exactly
+// what Harrier's Track_DataFlow sees through its OnInstrData hook;
+// compares and branches move no data and are not shown — or replays a
+// recorded JSONL event trace (the hth.JSONL observer's output). The
+// lens pins the run to the interpreter tier: a block promoted to a
+// compiled trace would run its transfers without the per-instruction
+// hook, so the lens would go blind. Verdicts are identical at every
+// tier.
 //
 //	hth-trace -in prog.s [-limit 200] [-taint] [-provenance] [-symbols] [-perfetto out.json] [arg ...]
 //	hth-trace -replay run.jsonl[.gz] [-layer vos] [-pid 1] [-kind syscall.enter] [-rule RULE]
@@ -17,6 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -88,47 +94,19 @@ func main() {
 		fatalf("assemble: %v", err)
 	}
 
-	// Build the monitored world through the Session API so we can
-	// splice a tracing hook in front of Harrier's.
 	cfg := hth.DefaultConfig()
 	if *prov {
 		cfg.Provenance = true
 		cfg.Symbolize = *symbols
 	}
-	sn := sys.NewSession(cfg)
-	p, err := sn.Start(hth.RunSpec{
+	res, err := lens(os.Stdout, sys, cfg, hth.RunSpec{
 		Path:  guestPath,
 		Argv:  append([]string{guestPath}, flag.Args()...),
 		Stdin: []byte(*stdin),
-	})
+	}, *limit, *showTaint)
 	if err != nil {
 		fatalf("%v", err)
 	}
-
-	count := 0
-	store := storeOf(p)
-	inner := p.CPU.Hooks.OnInstr
-	p.CPU.Hooks.OnInstr = func(c *isa.CPU, s *isa.Span, idx int) {
-		if count < *limit {
-			fmt.Printf("%08x %-14s %s\n", s.Addr(idx), shortImage(s.Image), s.Instrs[idx])
-			if *showTaint && store != nil {
-				printTags(c, store)
-			}
-		}
-		if count == *limit {
-			fmt.Printf("... trace limit reached (%d), continuing silently\n", *limit)
-		}
-		count++
-		if inner != nil {
-			inner(c, s, idx)
-		}
-	}
-
-	res, err := sn.Wait()
-	if err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("\n%d instruction(s) executed; %d traced\n", res.TotalSteps, min(count, *limit))
 	fmt.Print(res.Report())
 	if *prov && res.Provenance != nil {
 		fmt.Println("provenance chains:")
@@ -151,6 +129,44 @@ func main() {
 	}
 }
 
+// lens runs spec on sys under cfg, pinned to the interpreter tier,
+// and prints to out the first limit data-moving instructions (with the
+// tagged registers after each when showTaint is set), then a count
+// line. The tracing hook is spliced in front of Harrier's through the
+// Session API.
+func lens(out io.Writer, sys *hth.System, cfg hth.Config, spec hth.RunSpec, limit int, showTaint bool) (*hth.Result, error) {
+	cfg.Monitor.PromoteThreshold = 0
+	sn := sys.NewSession(cfg)
+	p, err := sn.Start(spec)
+	if err != nil {
+		return nil, err
+	}
+	count := 0
+	store := storeOf(p)
+	inner := p.CPU.Hooks.OnInstr
+	p.CPU.Hooks.OnInstr = func(c *isa.CPU, s *isa.Span, idx int) {
+		if count < limit {
+			fmt.Fprintf(out, "%08x %-14s %s\n", s.Addr(idx), shortImage(s.Image), s.Instrs[idx])
+			if showTaint && store != nil {
+				printTags(out, c, store)
+			}
+		}
+		if count == limit {
+			fmt.Fprintf(out, "... trace limit reached (%d), continuing silently\n", limit)
+		}
+		count++
+		if inner != nil {
+			inner(c, s, idx)
+		}
+	}
+	res, err := sn.Wait()
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(out, "\n%d instruction(s) executed; %d traced\n", res.TotalSteps, min(count, limit))
+	return res, nil
+}
+
 func storeOf(p *vos.Process) *taint.Store {
 	if p.CPU.Shadow == nil {
 		return nil
@@ -158,7 +174,7 @@ func storeOf(p *vos.Process) *taint.Store {
 	return p.CPU.Shadow.Store()
 }
 
-func printTags(c *isa.CPU, store *taint.Store) {
+func printTags(out io.Writer, c *isa.CPU, store *taint.Store) {
 	var parts []string
 	for r := isa.EAX; r < isa.NumRegs; r++ {
 		if t := c.RegTags[r]; t != taint.Empty {
@@ -166,7 +182,7 @@ func printTags(c *isa.CPU, store *taint.Store) {
 		}
 	}
 	if len(parts) > 0 {
-		fmt.Printf("         tags: %s\n", strings.Join(parts, " "))
+		fmt.Fprintf(out, "         tags: %s\n", strings.Join(parts, " "))
 	}
 }
 

@@ -73,9 +73,9 @@ type opts struct {
 func (o opts) attachCLIPS(cfg *hth.Config) {
 	switch {
 	case o.verbose && o.trace:
-		hth.WithObserver(hth.CLIPSTranscript(os.Stdout))(cfg)
+		cfg.Observers = append(cfg.Observers, hth.CLIPSTranscript(os.Stdout))
 	case o.verbose:
-		hth.WithObserver(hth.CLIPSText(os.Stdout))(cfg)
+		cfg.Observers = append(cfg.Observers, hth.CLIPSText(os.Stdout))
 	}
 }
 

@@ -8,7 +8,9 @@
 //   - information-flow warnings with full provenance,
 //   - the continue/kill advisor loop of paper §4,
 //   - recording a replayable JSONL event trace (-trace FILE; inspect
-//     it with `hth-trace -replay FILE`).
+//     it with `hth-trace -replay FILE`),
+//   - a live introspection server attached as an observer
+//     (-introspect ADDR; curl /metrics or /flight while it serves).
 package main
 
 import (
@@ -82,36 +84,41 @@ func main() {
 	introspect := flag.String("introspect", "", "serve run 1's live introspection (/metrics, /events, /flight) on this address")
 	flag.Parse()
 
-	// The trace observer is attached to run 1 only: the observe run is
+	observe := hth.DefaultConfig()
+	observe.Provenance = *provenance
+	enforce := observe
+	enforce.Advisor = secpert.KillAtOrAbove(secpert.High)
+
+	// The observers are attached to run 1 only: the observe run is
 	// deterministic end to end, so its trace can be diffed or replayed.
-	var opts []hth.Option
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer f.Close()
-		opts = append(opts, hth.WithObserver(hth.JSONL(f)))
-	}
-	var opts2 []hth.Option
-	if *provenance {
-		opts = append(opts, hth.WithProvenance())
-		opts2 = append(opts2, hth.WithProvenance())
+		observe.Observers = append(observe.Observers, hth.JSONL(f))
 	}
 	if *introspect != "" {
-		opts = append(opts, hth.WithIntrospection(*introspect))
+		intro := hth.NewIntrospection()
+		if err := intro.Start(*introspect); err != nil {
+			log.Fatal(err)
+		}
+		defer intro.Shutdown()
+		fmt.Printf("introspection served on http://%s/ for run 1\n", intro.Addr())
+		observe.Observers = append(observe.Observers, intro)
 	}
 
 	fmt.Println("=== run 1: observe (continue past warnings) ===")
-	stolen := runOnce(nil, opts...)
+	stolen := runOnce(observe)
 	fmt.Printf("bytes that reached the attacker: %d\n\n", stolen)
 
 	fmt.Println("=== run 2: enforce (kill at High) ===")
-	stolen = runOnce(secpert.KillAtOrAbove(secpert.High), opts2...)
+	stolen = runOnce(enforce)
 	fmt.Printf("bytes that reached the attacker: %d\n", stolen)
 }
 
-func runOnce(advisor secpert.Advisor, opts ...hth.Option) int {
+func runOnce(cfg hth.Config) int {
 	sys := hth.NewSystem()
 	sys.CreateFile("/.pwsafe.dat", []byte("site1:alice:hunter2\n"))
 
@@ -121,16 +128,11 @@ func runOnce(advisor secpert.Advisor, opts ...hth.Option) int {
 	})
 	sys.MustInstallSource("/bin/pwsafe", pwunsafe)
 
-	cfg := hth.NewConfig(append(opts, hth.WithAdvisor(advisor))...)
 	res, err := sys.Run(cfg, hth.RunSpec{Path: "/bin/pwsafe", Argv: []string{"/bin/pwsafe", "--exportdb"}})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(res.Report())
-	if res.Introspection != nil {
-		fmt.Printf("introspection served on http://%s/ for this run\n", res.Introspection.Addr())
-		res.Introspection.Shutdown()
-	}
 	if res.Process.Killed {
 		fmt.Println("guest was KILLED by the monitor")
 	}

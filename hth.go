@@ -70,47 +70,30 @@ type Config struct {
 	MaxOpenFDs int
 	// Observers receive the run's structured event stream (syscalls,
 	// scheduler decisions, taint samples, rule fires, warnings, chaos
-	// faults). Attach with WithObserver; see JSONL, NewMetrics,
-	// Sampling, CLIPSText. With no observers the bus is disabled and
-	// every publish site costs one nil-check.
+	// faults). See JSONL, NewMetrics, CLIPSText and NewIntrospection.
+	// With no observers the bus is disabled and every publish site
+	// costs one nil-check.
 	Observers []Observer
 	// Provenance enables causal provenance tracing: every taint source
 	// gets a stable ID at its entry point and accumulates a bounded hop
 	// list, and each warning carries the rendered chains of the sources
 	// behind it (Warning.Chain). Recording is read-only with respect to
 	// taint state, so detections and tag sets are bit-identical with it
-	// on or off. Off by default; enable with WithProvenance.
+	// on or off. Off by default.
 	Provenance bool
 	// Symbolize renders provenance block hops symbolically when the
 	// owning image carries symbols: "bb /bin/suspect:_start+0x8" instead
 	// of "bb 0x8048008" (frames without a covering symbol keep the raw
 	// address). Requires Provenance; it changes only how chains render,
 	// never what is recorded or detected. Off by default — the default
-	// rendering stays byte-identical to earlier releases — enable with
-	// WithSymbolizedChains.
+	// rendering stays byte-identical to earlier releases.
 	Symbolize bool
-	// FlightSize arms the flight recorder: a fixed-size, allocation-free
-	// ring holding the last N events even when no other observer is
-	// attached. Zero leaves it off unless FlightPath or Introspect is
-	// set, in which case the default size (obs.DefaultFlightSize) is
-	// used. See WithFlightRecorder.
-	FlightSize int
-	// FlightPath, when set, dumps the flight ring as gzipped JSONL to
-	// this file when the run ends with a warning, a scheduler error, a
-	// guest fault, or injected chaos faults. See WithFlightDump.
+	// FlightPath arms the flight recorder, a fixed-size ring holding
+	// the run's last obs.DefaultFlightSize events, and dumps it as
+	// gzipped JSONL to this file when the run ends with a warning, a
+	// scheduler error, a guest fault, or injected chaos faults. Replay
+	// the dump with `hth-trace -replay path`.
 	FlightPath string
-	// JobTag, when set alongside FlightPath, makes the dump path
-	// unique per run: "<path>.<tag>.jsonl.gz" (any ".jsonl"/".jsonl.gz"
-	// suffix on FlightPath is folded in first). Pooled runs sharing a
-	// dump location set this to their job id so concurrent workers
-	// cannot clobber each other's post-mortem dumps. See WithJobTag.
-	JobTag string
-	// Introspect, when set, serves live introspection over HTTP on this
-	// address for the duration of the run: /metrics (Prometheus text),
-	// /events (filtered SSE stream), /flight (ring dump), and
-	// /debug/pprof. The server stays up after the run until
-	// Result.Introspection.Shutdown. See WithIntrospection.
-	Introspect string
 	// Spans arms job-lifecycle span tracing: the run records a
 	// wall-clock span tree (load / instrument / execute / report, with
 	// per-tier time children under execute) into Result.Spans, and
@@ -118,7 +101,7 @@ type Config struct {
 	// attached. Spans are a pure observer — detections, taint state,
 	// and the event stream's deterministic kinds are bit-identical
 	// with spans on or off — and a disabled recorder costs one
-	// nil-check per engine dispatch. See WithSpans.
+	// nil-check per engine dispatch.
 	Spans bool
 	// spanRec/spanParent let an embedding service graft this run's
 	// phase spans under its own job trace: the run publishes into the
@@ -172,16 +155,9 @@ type Result struct {
 	Chaos []chaos.Fault
 	// Secpert is the expert-system instance (nil when unmonitored).
 	Secpert *secpert.Secpert
-	// Flight is the flight-recorder contents at end of run, oldest
-	// first (nil when the recorder was not armed).
-	Flight []Event
 	// Provenance is the provenance recorder with every source's chain
 	// (nil unless Config.Provenance).
 	Provenance *obs.Provenance
-	// Introspection is the live HTTP server, still running so the run
-	// can be inspected post-mortem; the caller owns Shutdown (nil
-	// unless Config.Introspect).
-	Introspection *obs.Introspection
 	// Spans is the run's lifecycle span recorder (nil unless
 	// Config.Spans): the load/instrument/execute/report phase spans
 	// with per-tier time children under execute. Export with
@@ -346,10 +322,6 @@ func (s *System) Run(cfg Config, spec RunSpec) (res *Result, err error) {
 	defer s.running.Store(0)
 	defer contain("run", &res, &err)
 	rc := newRunCore(s, cfg)
-	if err := rc.setupErr(); err != nil {
-		rc.abort()
-		return nil, err
-	}
 	p, err := rc.start(spec)
 	if err != nil {
 		rc.abort()
@@ -380,9 +352,6 @@ func (s *System) NewSession(cfg Config) *Session {
 // Start launches a program under this session's shared monitor. The
 // program does not run until Wait.
 func (sn *Session) Start(spec RunSpec) (*vos.Process, error) {
-	if err := sn.rc.setupErr(); err != nil {
-		return nil, err
-	}
 	p, err := sn.rc.start(spec)
 	if err != nil {
 		return nil, err

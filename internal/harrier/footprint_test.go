@@ -14,7 +14,7 @@ import (
 // any register, register-tag or shadow difference.
 func runFootprintPair(t *testing.T, span *isa.Span, regs map[isa.Reg]uint32, taintAt, taintLen uint32) (h *Harrier, tr *blockTrace) {
 	t.Helper()
-	h = New(Config{Dataflow: true, BBFrequency: true, PromoteThreshold: 1, CleanThreshold: 1}, nil)
+	h = New(Config{Dataflow: true, PromoteThreshold: 1, CleanThreshold: 1}, nil)
 	if tr = h.compileTrace(span, 0, false); tr == nil || !tr.clean.ok {
 		t.Fatalf("trace %+v is not clean-eligible", tr)
 	}

@@ -39,7 +39,7 @@ func FuzzCleanReinstrument(f *testing.F) {
 		// are on too; the hooks below are still wired by hand. The
 		// traces carry clean-tier footprints because the compiling
 		// Harrier has the tier armed.
-		h := New(Config{Dataflow: true, BBFrequency: true, PromoteThreshold: 1, CleanThreshold: 1}, nil)
+		h := New(Config{Dataflow: true, PromoteThreshold: 1, CleanThreshold: 1}, nil)
 		if installTraces(h, span) == 0 {
 			return // nothing compiled: the clean tier can't engage
 		}

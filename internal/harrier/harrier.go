@@ -46,9 +46,6 @@ type Config struct {
 	// information-flow analysis degrades to nothing (the mw macro
 	// benchmark runs this way, §8.4.2).
 	Dataflow bool
-	// BBFrequency enables basic-block counting and last-app-BB
-	// attribution.
-	BBFrequency bool
 	// CloneRateWindow is the width (virtual ticks) of the sliding
 	// window used for the clone-rate measurement (§4.2).
 	CloneRateWindow uint64
@@ -67,8 +64,8 @@ type Config struct {
 	// transfer fused with concrete semantics) in a single hook call
 	// instead of one OnInstr dispatch per instruction (see trace.go).
 	// 0 disables tiering — every block stays in the interpreter tier.
-	// Tiering requires both Dataflow and BBFrequency; detections and
-	// reported tag sets are bit-identical across tiers.
+	// Tiering requires Dataflow; detections and reported tag sets are
+	// bit-identical across tiers.
 	PromoteThreshold int
 	// TraceThreshold is ignored: a hot block compiles straight to a
 	// trace at PromoteThreshold. The field is kept only because the
@@ -89,7 +86,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Dataflow:         true,
-		BBFrequency:      true,
 		CloneRateWindow:  20_000,
 		KeepEventLog:     true,
 		PromoteThreshold: 64,
@@ -182,8 +178,8 @@ type Harrier struct {
 	appCacheKey bbKey
 
 	// tierThreshold caches Config.PromoteThreshold as the counter's
-	// type, non-zero only when the config combination supports tiering
-	// (Dataflow + BBFrequency). One int64 compare per block entry.
+	// type, non-zero only when the config supports tiering (Dataflow).
+	// One int64 compare per block entry.
 	tierThreshold int64
 	// cleanThreshold caches Config.CleanThreshold the same way.
 	// cleanEpoch is the monitor-side invalidation clock of the clean
@@ -232,7 +228,7 @@ func New(cfg Config, sec *secpert.Secpert) *Harrier {
 		natSave:     make(map[int]taint.Tag),
 		appCachePID: -1,
 	}
-	if cfg.Dataflow && cfg.BBFrequency && cfg.PromoteThreshold > 0 {
+	if cfg.Dataflow && cfg.PromoteThreshold > 0 {
 		h.tierThreshold = int64(cfg.PromoteThreshold)
 		if cfg.CleanThreshold > 0 {
 			h.cleanThreshold = int64(cfg.CleanThreshold)
@@ -308,15 +304,12 @@ func (h *Harrier) binTag(image string) taint.Tag {
 
 // Started installs the CPU hooks on a monitored root process.
 func (h *Harrier) Started(p *vos.Process) {
-	hooks := isa.Hooks{}
+	hooks := isa.Hooks{OnBB: h.collectBBFrequency}
 	if h.cfg.Dataflow {
 		hooks.OnInstr = h.trackDataFlow
 		hooks.OnInstrData = true
 		hooks.OnNativePre = h.nativePre
 		hooks.OnNativePost = h.nativePost
-	}
-	if h.cfg.BBFrequency {
-		hooks.OnBB = h.collectBBFrequency
 	}
 	if h.tierThreshold > 0 {
 		hooks.OnBBSummary = h.onBBSummary

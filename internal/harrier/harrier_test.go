@@ -444,7 +444,7 @@ func TestShortCircuitDisabledLosesOrigin(t *testing.T) {
 	// Ablation: without dataflow instrumentation the resolved address
 	// carries no BINARY origin and the flow is not flagged High.
 	w := newWorld(t)
-	w.h = New(Config{Dataflow: false, BBFrequency: true, CloneRateWindow: 20000}, w.sec)
+	w.h = New(Config{Dataflow: false, CloneRateWindow: 20000}, w.sec)
 	w.os.Net.AddHost("pop.mail.yahoo.com", "216.136.173.10")
 	w.os.Net.AddRemote("216.136.173.10:110", func() vos.RemoteScript {
 		return sendNameScript{name: ""}

@@ -27,7 +27,7 @@ func resumeLoop() *isa.Span {
 func newResumeCPU(t *testing.T) (h *Harrier, span *isa.Span, tr *blockTrace, traced, interp *isa.CPU) {
 	t.Helper()
 	span = resumeLoop()
-	h = New(Config{Dataflow: true, BBFrequency: true, PromoteThreshold: 1, CleanThreshold: 1}, nil)
+	h = New(Config{Dataflow: true, PromoteThreshold: 1, CleanThreshold: 1}, nil)
 	if tr = h.compileTrace(span, 0, false); tr == nil || !tr.clean.ok {
 		t.Fatal("loop did not compile to a clean-eligible trace")
 	}
@@ -187,7 +187,7 @@ func TestLongHeadBlockTrace(t *testing.T) {
 			isa.Instr{Op: isa.MOV, A: isa.MemBase(isa.ECX, 0x100+4*(k%8)), B: isa.R(isa.EAX)})
 	}
 	span := isa.NewSpan(0x10000, "long", append(instrs, isa.Instr{Op: isa.HLT}), nil)
-	h := New(Config{Dataflow: true, BBFrequency: true, PromoteThreshold: 1}, nil)
+	h := New(Config{Dataflow: true, PromoteThreshold: 1}, nil)
 	tr := h.compileTrace(span, 0, false)
 	if tr == nil || tr.nInstr != traceMaxInstrs || tr.endEIP != span.Addr(traceMaxInstrs) || tr.endJumped {
 		t.Fatalf("long head block: trace %+v, want %d instructions ending mid-block", tr, traceMaxInstrs)

@@ -38,26 +38,18 @@ type Introspection struct {
 	lis   net.Listener
 }
 
-// NewIntrospection builds the endpoint around the given flight ring;
-// a nil flight gets a private ring of DefaultFlightSize. The endpoint
-// owns feeding the ring: attach the Introspection as the observer, not
-// the ring as a second one.
-func NewIntrospection(flight *Flight) *Introspection {
-	if flight == nil {
-		flight = NewFlight(0)
-	}
+// NewIntrospection builds the endpoint with its own metrics registry
+// and a flight ring of DefaultFlightSize, both fed by Event.
+func NewIntrospection() *Introspection {
 	return &Introspection{
 		metrics: NewMetrics(),
-		flight:  flight,
+		flight:  NewFlight(0),
 		subs:    make(map[uint64]chan Event),
 	}
 }
 
 // Metrics returns the endpoint's registry (the /metrics source).
 func (in *Introspection) Metrics() *Metrics { return in.metrics }
-
-// Flight returns the endpoint's flight ring (the /flight source).
-func (in *Introspection) Flight() *Flight { return in.flight }
 
 // Event feeds one event to the registry, the ring, and every live
 // subscriber. Slow subscribers drop events rather than stalling the

@@ -12,7 +12,7 @@ import (
 
 func startTestIntro(t *testing.T) *Introspection {
 	t.Helper()
-	in := NewIntrospection(NewFlight(64))
+	in := NewIntrospection()
 	if err := in.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestIntrospectionStartErrors(t *testing.T) {
 	if err := in.Start("127.0.0.1:0"); err == nil {
 		t.Fatal("second Start succeeded")
 	}
-	in2 := NewIntrospection(nil)
+	in2 := NewIntrospection()
 	if err := in2.Start(in.Addr()); err == nil {
 		in2.Shutdown()
 		t.Fatal("Start on an occupied address succeeded")
@@ -229,7 +229,7 @@ func TestJSONLSurfacesWriteError(t *testing.T) {
 }
 
 func TestIntrospectionSlowSubscriberDrops(t *testing.T) {
-	in := NewIntrospection(nil)
+	in := NewIntrospection()
 	id, _ := in.subscribe()
 	defer in.unsubscribe(id)
 	// Never drain: the 1024-cap channel fills and publishes drop.

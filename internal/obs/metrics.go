@@ -201,16 +201,6 @@ var counterPrefix = map[Kind]string{
 	KindJobAbort:     "job_aborted.",
 }
 
-// Gauge returns the latest value of the named gauge, 0 when it has
-// never been set. The analysis service reads its worker-health gauges
-// back out of the registry through this accessor to drive admission
-// decisions.
-func (m *Metrics) Gauge(name string) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.gauges[name]
-}
-
 // NamedCount returns the count of kind events carrying the given
 // string dimension (e.g. KindJobDone per tenant).
 func (m *Metrics) NamedCount(k Kind, name string) uint64 {

@@ -4,7 +4,7 @@
 // (taint-state samples, basic-block counter rollovers), secpert (rule
 // fires, warning emissions, CLIPS-style text), and chaos (injected
 // faults) — plus composable sinks (JSONL streaming, a metrics
-// registry, sampling) that consume the stream.
+// registry, the flight recorder) that consume the stream.
 //
 // The bus is built for a hot path that is almost always cold: a
 // disabled bus is a nil *Bus, and every publish site is guarded by a
@@ -342,10 +342,4 @@ func (b *Bus) Close() error {
 		}
 	}
 	return first
-}
-
-// Unwrapper is implemented by decorating sinks (Sampling) so ResetErrs
-// can reach the wrapped sink.
-type Unwrapper interface {
-	Unwrap() Sink
 }

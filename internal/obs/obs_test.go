@@ -99,25 +99,6 @@ func TestDecodeJSONLRejectsUnknownNames(t *testing.T) {
 	}
 }
 
-func TestSampling(t *testing.T) {
-	var c Collector
-	s := Sampling(3, &c)
-	for i := 1; i <= 10; i++ {
-		s.Event(Event{Seq: uint64(i)})
-	}
-	if len(c.Events) != 3 {
-		t.Fatalf("forwarded %d events, want 3", len(c.Events))
-	}
-	for i, want := range []uint64{3, 6, 9} {
-		if c.Events[i].Seq != want {
-			t.Errorf("sample %d: Seq = %d, want %d", i, c.Events[i].Seq, want)
-		}
-	}
-	if Sampling(1, &c) != Sink(&c) {
-		t.Error("Sampling(1) should return the sink unchanged")
-	}
-}
-
 func TestMetricsSnapshot(t *testing.T) {
 	m := NewMetrics()
 	for _, e := range []Event{

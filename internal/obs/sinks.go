@@ -141,34 +141,6 @@ func ReadJSONL(r io.Reader, fn func(Event) error) error {
 	return sc.Err()
 }
 
-// samplingSink forwards one event in n to the wrapped sink.
-type samplingSink struct {
-	n    uint64
-	seen uint64
-	sink Sink
-}
-
-// Sampling decimates the stream: every n-th event reaches sink
-// (n <= 1 forwards everything). Counter-style sinks downstream see a
-// 1/n sample; multiply accordingly.
-func Sampling(n int, sink Sink) Sink {
-	if n <= 1 {
-		return sink
-	}
-	return &samplingSink{n: uint64(n), sink: sink}
-}
-
-func (s *samplingSink) Event(e Event) {
-	s.seen++
-	if s.seen%s.n == 0 {
-		s.sink.Event(e)
-	}
-}
-
-func (s *samplingSink) Close() error { return s.sink.Close() }
-
-func (s *samplingSink) Unwrap() Sink { return s.sink }
-
 // textSink re-emits the byte chunks of selected text-carrying kinds.
 type textSink struct {
 	w       io.Writer
@@ -214,21 +186,13 @@ type ErrResetter interface {
 	ResetErr()
 }
 
-// ResetErrs clears the sticky error of every ErrResetter reachable
-// from the given sinks, unwrapping decorators. The run core calls
-// this during setup so Result.ObserverErr reflects only the current
-// run.
+// ResetErrs clears the sticky error of every ErrResetter among the
+// given sinks. The run core calls this during setup so
+// Result.ObserverErr reflects only the current run.
 func ResetErrs(sinks []Sink) {
 	for _, s := range sinks {
-		for s != nil {
-			if r, ok := s.(ErrResetter); ok {
-				r.ResetErr()
-			}
-			u, ok := s.(Unwrapper)
-			if !ok {
-				break
-			}
-			s = u.Unwrap()
+		if r, ok := s.(ErrResetter); ok {
+			r.ResetErr()
 		}
 	}
 }

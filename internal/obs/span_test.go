@@ -323,7 +323,7 @@ func TestLatencyRollup(t *testing.T) {
 // dropped deterministically (buffer fills, the rest fall), and the
 // drops surface as the hth_sse_dropped_total registry counter.
 func TestSSEWedgedSubscriber(t *testing.T) {
-	in := NewIntrospection(nil)
+	in := NewIntrospection()
 	wedgedID, ch := in.subscribe() // never read from
 	defer in.unsubscribe(wedgedID)
 

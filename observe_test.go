@@ -1,6 +1,6 @@
-// Tests for the observability API: functional options, the event bus
-// wired through every layer, sink composition, the CLIPS text sinks,
-// and the metrics registry a run feeds.
+// Tests for the observability API: the event bus wired through every
+// layer, sink composition, the CLIPS text sinks, and the metrics
+// registry a run feeds.
 package hth_test
 
 import (
@@ -20,23 +20,11 @@ func trojanSystem() *hth.System {
 	return sys
 }
 
-func TestNewConfigOptions(t *testing.T) {
-	var sink obs.Collector
-	plan := &chaos.Plan{Seed: 1}
-	cfg := hth.NewConfig(
-		hth.WithUnmonitored(),
-		hth.WithMaxSteps(123),
-		hth.WithChaos(plan),
-		hth.WithMaxOpenFDs(-1),
-		hth.WithObserver(&sink),
-		hth.WithObserver(hth.NewMetrics()),
-	)
-	if !cfg.Unmonitored || cfg.MaxSteps != 123 || cfg.Chaos != plan || cfg.MaxOpenFDs != -1 {
-		t.Errorf("options not applied: %+v", cfg)
-	}
-	if len(cfg.Observers) != 2 {
-		t.Errorf("WithObserver should accumulate, got %d observers", len(cfg.Observers))
-	}
+// observed is DefaultConfig with the given observers attached.
+func observed(sinks ...hth.Observer) hth.Config {
+	cfg := hth.DefaultConfig()
+	cfg.Observers = sinks
+	return cfg
 }
 
 // TestEventStreamShape runs the canonical trojan guest with a
@@ -46,7 +34,7 @@ func TestNewConfigOptions(t *testing.T) {
 func TestEventStreamShape(t *testing.T) {
 	var c obs.Collector
 	res, err := trojanSystem().Run(
-		hth.NewConfig(hth.WithObserver(&c)),
+		observed(&c),
 		hth.RunSpec{Path: "/bin/trojan"})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +90,7 @@ func TestEventStreamShape(t *testing.T) {
 // dropping those lines must give back CLIPSText's bytes exactly.
 func TestCLIPSTextByteIdentical(t *testing.T) {
 	run := func(sink hth.Observer) {
-		_, err := trojanSystem().Run(hth.NewConfig(hth.WithObserver(sink)), hth.RunSpec{Path: "/bin/trojan"})
+		_, err := trojanSystem().Run(observed(sink), hth.RunSpec{Path: "/bin/trojan"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +126,7 @@ func TestCLIPSTextByteIdentical(t *testing.T) {
 // a CLIPSTranscript attached to a session must see it too.
 func TestSessionCLIPSTranscript(t *testing.T) {
 	var out bytes.Buffer
-	sn := trojanSystem().NewSession(hth.NewConfig(hth.WithObserver(hth.CLIPSTranscript(&out))))
+	sn := trojanSystem().NewSession(observed(hth.CLIPSTranscript(&out)))
 	if _, err := sn.Start(hth.RunSpec{Path: "/bin/trojan"}); err != nil {
 		t.Fatal(err)
 	}
@@ -155,10 +143,8 @@ func TestSessionCLIPSTranscript(t *testing.T) {
 func TestChaosFaultsOnBus(t *testing.T) {
 	var c obs.Collector
 	sys := readerSystem()
-	cfg := hth.NewConfig(
-		hth.WithChaos(&chaos.Plan{Seed: 7, Rate: 1, Only: []chaos.Kind{chaos.ReadErr}}),
-		hth.WithObserver(&c),
-	)
+	cfg := observed(&c)
+	cfg.Chaos = &chaos.Plan{Seed: 7, Rate: 1, Only: []chaos.Kind{chaos.ReadErr}}
 	res, err := sys.Run(cfg, hth.RunSpec{Path: "/bin/reader"})
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +175,7 @@ func TestChaosFaultsOnBus(t *testing.T) {
 func TestMetricsObserver(t *testing.T) {
 	m := hth.NewMetrics()
 	_, err := trojanSystem().Run(
-		hth.NewConfig(hth.WithObserver(m)),
+		observed(m),
 		hth.RunSpec{Path: "/bin/trojan"})
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +200,7 @@ func TestMetricsObserver(t *testing.T) {
 func TestJSONLTraceReplayable(t *testing.T) {
 	var buf bytes.Buffer
 	_, err := trojanSystem().Run(
-		hth.NewConfig(hth.WithObserver(hth.JSONL(&buf))),
+		observed(hth.JSONL(&buf)),
 		hth.RunSpec{Path: "/bin/trojan"})
 	if err != nil {
 		t.Fatal(err)

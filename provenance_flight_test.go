@@ -21,8 +21,9 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // its indented provenance chains — must be stable across refactors of
 // the recorder. Regenerate deliberately with -update.
 func TestProvenanceChainGolden(t *testing.T) {
-	sys := trojanSystem()
-	res, err := sys.Run(hth.NewConfig(hth.WithProvenance()), hth.RunSpec{Path: "/bin/trojan"})
+	cfg := hth.DefaultConfig()
+	cfg.Provenance = true
+	res, err := trojanSystem().Run(cfg, hth.RunSpec{Path: "/bin/trojan"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,20 +73,22 @@ func TestProvenanceOffReportUnchanged(t *testing.T) {
 }
 
 // TestFlightDumpOnWarning: a rule fire must trigger the automatic
-// flight dump, and the gzipped dump must replay to the same events the
-// Result carries.
+// flight dump, and the gzipped dump must replay to the last
+// obs.DefaultFlightSize events a collecting observer saw on the same
+// bus.
 func TestFlightDumpOnWarning(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "flight.jsonl.gz")
-	res, err := trojanSystem().Run(hth.NewConfig(hth.WithFlightDump(path)), hth.RunSpec{Path: "/bin/trojan"})
+	var c obs.Collector
+	cfg := observed(&c)
+	cfg.FlightPath = path
+	res, err := trojanSystem().Run(cfg, hth.RunSpec{Path: "/bin/trojan"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Warnings) == 0 {
 		t.Fatal("trojan run produced no warnings; dump trigger untested")
 	}
-	if len(res.Flight) == 0 {
-		t.Fatal("Result.Flight is empty")
-	}
+	want := c.Events[max(0, len(c.Events)-obs.DefaultFlightSize):]
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatalf("flight dump not written: %v", err)
@@ -102,12 +105,12 @@ func TestFlightDumpOnWarning(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(replayed) != len(res.Flight) {
-		t.Fatalf("dump replayed %d events, Result.Flight has %d", len(replayed), len(res.Flight))
+	if len(replayed) == 0 || len(replayed) != len(want) {
+		t.Fatalf("dump replayed %d events, want the observer's last %d", len(replayed), len(want))
 	}
 	for i := range replayed {
-		if replayed[i] != res.Flight[i] {
-			t.Fatalf("dump event %d = %+v, Result.Flight has %+v", i, replayed[i], res.Flight[i])
+		if replayed[i] != want[i] {
+			t.Fatalf("dump event %d = %+v, observer saw %+v", i, replayed[i], want[i])
 		}
 	}
 }
@@ -116,7 +119,9 @@ func TestFlightDumpOnWarning(t *testing.T) {
 // chaos must not leave a dump behind.
 func TestFlightNotDumpedOnCleanRun(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "flight.jsonl.gz")
-	res, err := trojanSystem().Run(hth.NewConfig(hth.WithFlightDump(path)), hth.RunSpec{Path: "/bin/ls"})
+	cfg := hth.DefaultConfig()
+	cfg.FlightPath = path
+	res, err := trojanSystem().Run(cfg, hth.RunSpec{Path: "/bin/ls"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,27 +131,24 @@ func TestFlightNotDumpedOnCleanRun(t *testing.T) {
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("clean run dumped the flight recorder (stat err = %v)", err)
 	}
-	// The ring is still returned for inspection.
-	if len(res.Flight) == 0 {
-		t.Error("Result.Flight empty on a recorded run")
-	}
 }
 
-// TestIntrospectionEndToEnd is the live-curl acceptance check:
-// configure introspection on an ephemeral port, run the trojan, and
-// fetch /metrics and /flight from the still-serving endpoint.
+// TestIntrospectionEndToEnd is the live-curl acceptance check: start
+// an introspection server on an ephemeral port, attach it to a trojan
+// run as an observer, and fetch /metrics and /flight from the
+// still-serving endpoint.
 func TestIntrospectionEndToEnd(t *testing.T) {
-	res, err := trojanSystem().Run(
-		hth.NewConfig(hth.WithProvenance(), hth.WithIntrospection("127.0.0.1:0")),
-		hth.RunSpec{Path: "/bin/trojan"})
-	if err != nil {
+	intro := hth.NewIntrospection()
+	if err := intro.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	if res.Introspection == nil {
-		t.Fatal("Result.Introspection is nil")
+	defer intro.Shutdown()
+	cfg := observed(intro)
+	cfg.Provenance = true
+	if _, err := trojanSystem().Run(cfg, hth.RunSpec{Path: "/bin/trojan"}); err != nil {
+		t.Fatal(err)
 	}
-	defer res.Introspection.Shutdown()
-	base := "http://" + res.Introspection.Addr()
+	base := "http://" + intro.Addr()
 
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
@@ -177,19 +179,5 @@ func TestIntrospectionEndToEnd(t *testing.T) {
 	}
 	if n == 0 {
 		t.Error("/flight replayed no events after a run")
-	}
-}
-
-// TestIntrospectionBadAddr: an unbindable address must fail the run
-// with a configuration error, not a guest fault.
-func TestIntrospectionBadAddr(t *testing.T) {
-	_, err := trojanSystem().Run(
-		hth.NewConfig(hth.WithIntrospection("256.0.0.1:bogus")),
-		hth.RunSpec{Path: "/bin/trojan"})
-	if err == nil {
-		t.Fatal("unbindable introspection address accepted")
-	}
-	if !strings.Contains(err.Error(), "introspection") {
-		t.Errorf("error does not mention introspection: %v", err)
 	}
 }

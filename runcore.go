@@ -2,7 +2,6 @@ package hth
 
 import (
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/chaos"
@@ -25,7 +24,6 @@ type runCore struct {
 	inj    *chaos.Injector
 	flight *obs.Flight
 	prov   *obs.Provenance
-	intro  *obs.Introspection
 
 	// Span tracing (Config.Spans): the recorder holding this run's
 	// phase spans, the parent every phase span hangs under, the root
@@ -39,8 +37,6 @@ type runCore struct {
 	// Result assembly is never charged to the last tier; the tier.*
 	// spans and the harrier.span.tier_ns.* gauges both report it.
 	tierNs [len(obs.TierNames)]int64
-
-	introErr error
 }
 
 // newRunCore normalizes the configuration and arms the system:
@@ -59,20 +55,13 @@ func newRunCore(s *System, cfg Config) *runCore {
 	// write error; clear it here so Result.ObserverErr reports this
 	// run's health, not a previous run's.
 	obs.ResetErrs(cfg.Observers)
-	// The flight recorder and the introspection server ride the same
-	// bus as user observers. When introspection is on, the server owns
-	// feeding the ring (so /flight and the dump see one stream), and
-	// the ring is not attached twice. A run with none of these stays on
-	// the nil bus: publish sites pay one nil-check and nothing else.
+	// The flight recorder rides the same bus as user observers. A run
+	// with no observers and no FlightPath stays on the nil bus: publish
+	// sites pay one nil-check and nothing else.
 	sinks := cfg.Observers
-	if cfg.FlightSize > 0 || cfg.FlightPath != "" || cfg.Introspect != "" {
-		rc.flight = obs.NewFlight(cfg.FlightSize)
-		extra := obs.Sink(rc.flight)
-		if cfg.Introspect != "" {
-			rc.intro = obs.NewIntrospection(rc.flight)
-			extra = rc.intro
-		}
-		sinks = append(append([]Observer(nil), cfg.Observers...), extra)
+	if cfg.FlightPath != "" {
+		rc.flight = obs.NewFlight(0)
+		sinks = append(append([]Observer(nil), cfg.Observers...), rc.flight)
 	}
 	if len(sinks) > 0 {
 		rc.bus = obs.NewBus(sinks...)
@@ -98,11 +87,7 @@ func newRunCore(s *System, cfg Config) *runCore {
 	if cfg.Spans {
 		rec, parent := cfg.spanRec, cfg.spanParent
 		if rec == nil {
-			tag := cfg.JobTag
-			if tag == "" {
-				tag = "run"
-			}
-			rec = obs.NewSpanRecorder(tag)
+			rec = obs.NewSpanRecorder("run")
 			if rc.bus != nil {
 				bus := rc.bus
 				rec.SetPublish(func(e obs.Event) {
@@ -152,26 +137,16 @@ func newRunCore(s *System, cfg Config) *runCore {
 		}
 		rc.spans.EndSpan(instSpan, "ok")
 	}
-	if rc.intro != nil {
-		rc.introErr = rc.intro.Start(cfg.Introspect)
-	}
 	return rc
 }
 
-// setupErr reports a configuration failure detected during core
-// construction (today: the introspection listener).
-func (rc *runCore) setupErr() error { return rc.introErr }
-
-// abort tears down a core whose run never happened: the bus is closed
-// (flushing observers) and the introspection server is stopped.
+// abort tears down a core whose run never happened: the bus is closed,
+// flushing observers.
 func (rc *runCore) abort() {
 	if rc.spans != nil {
 		rc.spans.EndSpan(rc.spanRoot, "error")
 	}
 	rc.bus.Close() // nil-safe
-	if rc.intro != nil {
-		rc.intro.Shutdown()
-	}
 }
 
 // wireSecpert taps the expert engine's text output onto the bus: the
@@ -268,18 +243,13 @@ func (rc *runCore) finish(root *vos.Process, runErr error, wall time.Duration) *
 		res.ObserverErr = rc.bus.Close()
 	}
 	res.Provenance = rc.prov
-	res.Introspection = rc.intro
-	if rc.flight != nil {
-		res.Flight = rc.flight.Snapshot()
-		// Automatic black-box dump: anything abnormal — a warning, a
-		// scheduler outcome, a guest fault, or an injected chaos fault
-		// — flushes the ring to disk for post-mortem replay.
-		if rc.cfg.FlightPath != "" && (len(res.Warnings) > 0 || runErr != nil ||
-			(root != nil && root.Fault != nil) || len(res.Chaos) > 0) {
-			path := flightDumpPath(rc.cfg.FlightPath, rc.cfg.JobTag)
-			if err := rc.flight.DumpFile(path); err != nil && res.ObserverErr == nil {
-				res.ObserverErr = err
-			}
+	// Automatic black-box dump: anything abnormal — a warning, a
+	// scheduler outcome, a guest fault, or an injected chaos fault —
+	// flushes the flight ring to disk for post-mortem replay.
+	if rc.flight != nil && (len(res.Warnings) > 0 || runErr != nil ||
+		(root != nil && root.Fault != nil) || len(res.Chaos) > 0) {
+		if err := rc.flight.DumpFile(rc.cfg.FlightPath); err != nil && res.ObserverErr == nil {
+			res.ObserverErr = err
 		}
 	}
 	return res
@@ -364,18 +334,6 @@ func (rc *runCore) publishRunEnd(runErr error, wall time.Duration) {
 		Num: os.TotalSteps, Num2: uint64(wall.Nanoseconds()),
 		Str: runOutcome(runErr),
 	})
-}
-
-// flightDumpPath derives the per-job flight-dump location: with a job
-// tag, "<base>.<tag>.jsonl.gz", where base is the configured path with
-// any ".jsonl"/".jsonl.gz" suffix stripped so tagged and untagged dumps
-// keep one extension. Without a tag the configured path is used as-is.
-func flightDumpPath(path, tag string) string {
-	if tag == "" {
-		return path
-	}
-	base := strings.TrimSuffix(strings.TrimSuffix(path, ".gz"), ".jsonl")
-	return base + "." + tag + ".jsonl.gz"
 }
 
 // runOutcome names a scheduler outcome for run.end events.

@@ -77,6 +77,13 @@ sh scripts/benchgate.sh
 # recorder under the race detector, the service span-lifecycle suite,
 # and the spans-off/on differential sweep (see Makefile `spans`).
 make spans
+# Examples gate: every example program runs to completion, and
+# trojandetect's provenance and live-introspection paths (a standalone
+# server attached as an observer) keep working.
+for ex in examples/*/; do
+	go run "./$ex" >/dev/null
+done
+go run ./examples/trojandetect -provenance -introspect 127.0.0.1:0 >/dev/null
 # Trace replay gate: a recorded trojandetect run must replay into the
 # golden summary (determinism of the JSONL observer end to end).
 make trace

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,10 +30,10 @@ import (
 //   - the per-shard queue is bounded, and a full queue is explicit
 //     backpressure (an *OverloadError carrying a Retry-After hint —
 //     HTTP 429 at the transport), never unbounded buffering;
-//   - admission control reads live worker-health gauges out of the
-//     service's metrics registry and sheds expensive features tier by
-//     tier (provenance → flight recorder → event log/stream) before
-//     it starts rejecting work;
+//   - admission control reads each shard's live occupancy and worker
+//     recycle streak and sheds expensive features tier by tier
+//     (provenance → flight recorder → event log/stream) before it
+//     starts rejecting work;
 //   - a worker that panics — outside the run's own containment — is
 //     recycled, and its job retries with exponential backoff up to
 //     MaxRetries before terminating in a typed error;
@@ -74,6 +75,9 @@ type retryEntry struct {
 type shard struct {
 	id   int
 	pool *pool.Pool
+	// gFill, gStreak and gQueueWait name the shard's health gauges in
+	// the metrics registry, built once so publishing formats nothing.
+	gFill, gStreak, gQueueWait string
 
 	mu     sync.Mutex
 	streak int     // consecutive worker recycles without a completed job
@@ -176,9 +180,10 @@ const (
 
 // JobSpec describes one analysis job: the guest world to build, the
 // program to run under the monitor, and per-job budget and feature
-// requests. The JSON form is the POST /jobs wire format; the Setup
-// and Tweak hooks are for in-process embedders (the bench harness and
-// the corpus identity gate) and are not reachable over HTTP.
+// requests. The JSON form is the POST /jobs wire format; FlightPath
+// and the Setup and Tweak hooks are for in-process embedders (the
+// bench harness and the corpus identity gate) and are not reachable
+// over HTTP.
 type JobSpec struct {
 	// Tenant labels the submitter for sharding and per-tenant metrics
 	// ("" is folded to "anon").
@@ -214,14 +219,15 @@ type JobSpec struct {
 	// frames when the loaded images carry symbols; it is effective only
 	// while Provenance is granted (and is shed with it).
 	Symbolize bool `json:"symbolize,omitempty"`
-	// FlightPath requests a post-mortem flight dump; the actual file
-	// is "<path>.<jobid>.jsonl.gz" so concurrent jobs never clobber
-	// each other (shed at tier >= ShedFlight).
-	FlightPath string `json:"flight_path,omitempty"`
 	// Stream requests live JobUpdate delivery (warnings as they fire)
 	// on the handle's Updates channel (shed at tier >= ShedTrace).
 	Stream bool `json:"stream,omitempty"`
 
+	// FlightPath requests a post-mortem flight dump; the actual file
+	// is "<path>.<jobid>.jsonl.gz" so concurrent jobs never clobber
+	// each other (shed at tier >= ShedFlight). In-process submitters
+	// only: a server-side file path is not the client's to choose.
+	FlightPath string `json:"-"`
 	// Setup, when non-nil, builds the guest world programmatically
 	// before Programs/Files are installed. In-process submitters only.
 	Setup func(*System) `json:"-"`
@@ -229,6 +235,15 @@ type JobSpec struct {
 	// defaults are applied and before service budget clamps and shed
 	// masking. In-process submitters only.
 	Tweak func(*Config) `json:"-"`
+}
+
+// flightDumpPath derives a job's flight-dump location,
+// "<base>.<id>.jsonl.gz", where base is the requested path with any
+// ".jsonl"/".jsonl.gz" suffix stripped so every dump keeps one
+// extension.
+func flightDumpPath(path, id string) string {
+	base := strings.TrimSuffix(strings.TrimSuffix(path, ".gz"), ".jsonl")
+	return base + "." + id + ".jsonl.gz"
 }
 
 // Job error codes (JobError.Code).
@@ -546,9 +561,13 @@ func NewService(cfg ServiceConfig) *Service {
 	s.bus = obs.NewBus(sinks...)
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
+		prefix := fmt.Sprintf("service.shard.%d.", i)
 		s.shards[i] = &shard{
-			id:   i,
-			pool: pool.New(pool.Options{Workers: cfg.WorkersPerShard, Depth: cfg.QueueDepth}),
+			id:         i,
+			pool:       pool.New(pool.Options{Workers: cfg.WorkersPerShard, Depth: cfg.QueueDepth}),
+			gFill:      prefix + "fill",
+			gStreak:    prefix + "recycle_streak",
+			gQueueWait: prefix + "queue_wait_avg_ns",
 		}
 	}
 	return s
@@ -574,44 +593,38 @@ func (s *Service) shardFor(tenant string) *shard {
 	return s.shards[int(h.Sum32())%len(s.shards)]
 }
 
-// gauge names for one shard's health, as read back by admission
-// control.
-func shardGaugeFill(id int) string { return fmt.Sprintf("service.shard.%d.fill", id) }
-func shardGaugeStreak(id int) string {
-	return fmt.Sprintf("service.shard.%d.recycle_streak", id)
-}
-func shardGaugeQueueWait(id int) string {
-	return fmt.Sprintf("service.shard.%d.queue_wait_avg_ns", id)
+// pressure reads the shard's live occupancy, as percent of its total
+// capacity (queue depth + workers, so 100 means saturated), and its
+// worker recycle streak.
+func (s *Service) pressure(sh *shard) (fill, streak int) {
+	load := sh.pool.Queued() + sh.pool.InFlight()
+	sh.mu.Lock()
+	streak = sh.streak
+	sh.mu.Unlock()
+	return load * 100 / (s.cfg.QueueDepth + s.cfg.WorkersPerShard), streak
 }
 
 // publishShardGauges folds the shard's live occupancy and worker
-// health into the registry. Fill is percent of total capacity
-// (queue depth + workers), so 100 means saturated.
+// health into the registry for /metrics; admission never reads them
+// back.
 func (s *Service) publishShardGauges(sh *shard) {
-	capacity := s.cfg.QueueDepth + s.cfg.WorkersPerShard
-	load := sh.pool.Queued() + sh.pool.InFlight()
-	fill := uint64(load * 100 / capacity)
-	sh.mu.Lock()
-	streak := uint64(sh.streak)
-	sh.mu.Unlock()
+	fill, streak := s.pressure(sh)
 	s.publish(Event{Layer: obs.LayerService, Kind: obs.KindMetric,
-		Str: shardGaugeFill(sh.id), Num: fill})
+		Str: sh.gFill, Num: uint64(fill)})
 	s.publish(Event{Layer: obs.LayerService, Kind: obs.KindMetric,
-		Str: shardGaugeStreak(sh.id), Num: streak})
+		Str: sh.gStreak, Num: uint64(streak)})
 	if n, total := sh.pool.QueueWait(); n > 0 {
 		s.publish(Event{Layer: obs.LayerService, Kind: obs.KindMetric,
-			Str: shardGaugeQueueWait(sh.id), Num: uint64(total.Nanoseconds()) / n})
+			Str: sh.gQueueWait, Num: uint64(total.Nanoseconds()) / n})
 	}
 }
 
 // shedLevel is the admission decision: it reads the target shard's
-// health gauges back out of the metrics registry and picks the
-// degradation tier for a new job. Queue pressure sheds observability
-// features progressively; a shard whose workers keep crashing jumps
-// straight to the cheapest tier.
+// live health and picks the degradation tier for a new job. Queue
+// pressure sheds observability features progressively; a shard whose
+// workers keep crashing jumps straight to the cheapest tier.
 func (s *Service) shedLevel(sh *shard) int {
-	fill := s.metrics.Gauge(shardGaugeFill(sh.id))
-	streak := s.metrics.Gauge(shardGaugeStreak(sh.id))
+	fill, streak := s.pressure(sh)
 	switch {
 	case streak >= 2 || fill >= 90:
 		return ShedTrace
@@ -884,12 +897,9 @@ func (s *Service) execute(j *job) (*Result, error) {
 	// policy engine and monitor semantics are never degraded.
 	cfg.Provenance = j.spec.Provenance && j.shed < ShedProvenance
 	cfg.Symbolize = j.spec.Symbolize && cfg.Provenance
+	cfg.FlightPath = ""
 	if j.spec.FlightPath != "" && j.shed < ShedFlight {
-		cfg.FlightPath = j.spec.FlightPath
-		cfg.JobTag = j.h.id
-	} else {
-		cfg.FlightPath = ""
-		cfg.FlightSize = 0
+		cfg.FlightPath = flightDumpPath(j.spec.FlightPath, j.h.id)
 	}
 	if j.shed >= ShedTrace {
 		cfg.Monitor.KeepEventLog = false

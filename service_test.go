@@ -418,6 +418,38 @@ func TestServiceFlightDumpPerJob(t *testing.T) {
 	}
 }
 
+// TestServiceHTTPRejectsFlightPath: the flight-dump path names a file
+// on the server, so it is not part of the wire format. A POST that
+// carries one is a bad spec (unknown field), and no file appears where
+// it pointed, even for a job whose warnings would trigger a dump.
+func TestServiceHTTPRejectsFlightPath(t *testing.T) {
+	outside := filepath.Join(t.TempDir(), "outside")
+	if err := os.Mkdir(outside, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s := hth.NewService(hth.ServiceConfig{})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	spec := trojanSpec("acme")
+	body, _ := json.Marshal(map[string]any{
+		"tenant": spec.Tenant, "programs": spec.Programs, "path": spec.Path,
+		"flight_path": filepath.Join(outside, "pwned"),
+	})
+	resp, err := http.Post(srv.URL+"/jobs?wait=1", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := readAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(raw, hth.JobBadSpec) {
+		t.Errorf("POST with flight_path: code %d body %s, want 400 %s", resp.StatusCode, raw, hth.JobBadSpec)
+	}
+	drainService(t, s)
+	if files, _ := os.ReadDir(outside); len(files) != 0 {
+		t.Errorf("POST with flight_path wrote %s/%s", outside, files[0].Name())
+	}
+}
+
 // TestServiceStreamUpdates pins live streaming: a Stream job delivers
 // its warnings on the handle's update channel before the terminal
 // result, and the channel closes at termination.
