@@ -30,7 +30,7 @@ func benchTable(b *testing.B, table string) {
 	var steps uint64
 	for i := 0; i < b.N; i++ {
 		for _, sc := range scs {
-			res, err := sc.Run()
+			res, err := sc.RunWith(nil)
 			if err != nil {
 				b.Fatalf("%s: %v", sc.Name, err)
 			}

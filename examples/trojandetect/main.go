@@ -8,9 +8,7 @@
 //   - information-flow warnings with full provenance,
 //   - the continue/kill advisor loop of paper §4,
 //   - recording a replayable JSONL event trace (-trace FILE; inspect
-//     it with `hth-trace -replay FILE`),
-//   - a live introspection server attached as an observer
-//     (-introspect ADDR; curl /metrics or /flight while it serves).
+//     it with `hth-trace -replay FILE`).
 package main
 
 import (
@@ -81,7 +79,6 @@ func (s *sink) OnData(_ *vos.RemoteConn, data []byte) {
 func main() {
 	tracePath := flag.String("trace", "", "write run 1's JSONL event trace to this file")
 	provenance := flag.Bool("provenance", false, "print the causal provenance chain under each warning")
-	introspect := flag.String("introspect", "", "serve run 1's live introspection (/metrics, /events, /flight) on this address")
 	flag.Parse()
 
 	observe := hth.DefaultConfig()
@@ -89,7 +86,7 @@ func main() {
 	enforce := observe
 	enforce.Advisor = secpert.KillAtOrAbove(secpert.High)
 
-	// The observers are attached to run 1 only: the observe run is
+	// The trace observer is attached to run 1 only: the observe run is
 	// deterministic end to end, so its trace can be diffed or replayed.
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
@@ -98,15 +95,6 @@ func main() {
 		}
 		defer f.Close()
 		observe.Observers = append(observe.Observers, hth.JSONL(f))
-	}
-	if *introspect != "" {
-		intro := hth.NewIntrospection()
-		if err := intro.Start(*introspect); err != nil {
-			log.Fatal(err)
-		}
-		defer intro.Shutdown()
-		fmt.Printf("introspection served on http://%s/ for run 1\n", intro.Addr())
-		observe.Observers = append(observe.Observers, intro)
 	}
 
 	fmt.Println("=== run 1: observe (continue past warnings) ===")

@@ -60,11 +60,8 @@ func TestCrossSessionExecveEscalation(t *testing.T) {
 	if res1.CountAt(hth.High) == 0 {
 		t.Fatal("dropper write not flagged")
 	}
-	if hist.Sessions() != 1 {
-		t.Fatalf("sessions = %d", hist.Sessions())
-	}
-	if _, ok := hist.WrittenIn("/tmp/payload"); !ok {
-		t.Fatal("history did not record the write")
+	if sess, ok := hist.WrittenIn("/tmp/payload"); !ok || sess != 1 {
+		t.Fatalf("history recorded the write as (%d, %v), want session 1", sess, ok)
 	}
 
 	// The dropped "payload" must be executable for session 2; swap

@@ -239,7 +239,7 @@ type System struct {
 // installed. Both are the process-wide guestlib images shared by every
 // System, so building a world assembles nothing.
 func NewSystem() *System {
-	os := vos.New(vos.Options{})
+	os := vos.New()
 	guestlib.InstallInto(os)
 	return &System{OS: os}
 }

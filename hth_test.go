@@ -6,6 +6,7 @@ import (
 
 	hth "repro"
 	"repro/internal/asm"
+	"repro/internal/obs"
 	"repro/internal/secpert"
 	"repro/internal/vos"
 )
@@ -35,7 +36,8 @@ func TestRunMonitored(t *testing.T) {
 	sys := hth.NewSystem()
 	sys.MustInstallSource("/bin/ls", lsSrc)
 	sys.MustInstallSource("/bin/trojan", trojanSrc)
-	res, err := sys.Run(hth.DefaultConfig(), hth.RunSpec{Path: "/bin/trojan"})
+	var c obs.Collector
+	res, err := sys.Run(observed(&c), hth.RunSpec{Path: "/bin/trojan"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +59,14 @@ func TestRunMonitored(t *testing.T) {
 	if res.Stats.Instructions == 0 {
 		t.Error("no instrumentation stats")
 	}
-	if tr := res.Secpert.Trace(); len(tr) != 1 {
-		t.Errorf("trace = %v", tr)
+	fires := 0
+	for _, e := range c.Events {
+		if e.Kind == obs.KindRuleFire {
+			fires++
+		}
+	}
+	if fires != 1 {
+		t.Errorf("%d rule firings, want 1", fires)
 	}
 }
 

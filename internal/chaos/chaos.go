@@ -135,15 +135,9 @@ func New(p Plan) *Injector {
 	return &Injector{plan: p, state: p.Seed}
 }
 
-// Plan returns the plan the injector was built from.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // Faults returns the injected faults in order. The slice is owned by
 // the injector; callers must not modify it.
 func (in *Injector) Faults() []Fault { return in.faults }
-
-// Count returns the number of faults injected so far.
-func (in *Injector) Count() int { return len(in.faults) }
 
 // splitmix64 is the PRNG step: tiny, fast, and fully determined by the
 // 64-bit state, which keeps fault streams reproducible across runs.

@@ -99,13 +99,10 @@ func ByName(name string) (*Scenario, bool) {
 	return nil, false
 }
 
-// Run executes the scenario and returns the monitored result.
-func (sc *Scenario) Run() (*hth.Result, error) { return sc.RunWith(nil) }
-
-// RunWith executes the scenario with an extra configuration override
-// applied after the scenario's own Tweak — the hook sweep harnesses
-// use to attach chaos plans and resource budgets without touching the
-// scenario definitions.
+// RunWith executes the scenario and returns the monitored result. A
+// non-nil extra is a configuration override applied after the
+// scenario's own Tweak — the hook sweep harnesses use to attach chaos
+// plans and resource budgets without touching the scenario definitions.
 func (sc *Scenario) RunWith(extra func(*hth.Config)) (*hth.Result, error) {
 	sys := hth.NewSystem()
 	if sc.Setup != nil {

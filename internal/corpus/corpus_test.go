@@ -15,7 +15,7 @@ func runTable(t *testing.T, table string) {
 	for _, sc := range scs {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			res, err := sc.Run()
+			res, err := sc.RunWith(nil)
 			if err != nil {
 				t.Fatalf("setup/run: %v", err)
 			}
@@ -55,7 +55,7 @@ func TestMacroBenchmarks(t *testing.T) {
 func TestPerfWorkloads(t *testing.T) {
 	for _, wl := range PerfWorkloads() {
 		for _, mode := range []PerfMode{PerfBare, PerfNoDataflow, PerfFull} {
-			res, err := RunPerf(wl, mode)
+			res, err := RunPerfObserved(wl, mode)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", wl, mode, err)
 			}
@@ -79,7 +79,7 @@ func TestPerfWorkloads(t *testing.T) {
 }
 
 func TestRunPerfUnknown(t *testing.T) {
-	if _, err := RunPerf("bogus", PerfFull); err == nil {
+	if _, err := RunPerfObserved("bogus", PerfFull); err == nil {
 		t.Error("unknown workload accepted")
 	}
 }
@@ -102,7 +102,7 @@ func TestTable1PatternColumns(t *testing.T) {
 		if !ok {
 			t.Fatalf("scenario %s missing", name)
 		}
-		res, err := sc.Run()
+		res, err := sc.RunWith(nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -123,11 +123,11 @@ func TestDeterminism(t *testing.T) {
 		if !ok {
 			t.Fatalf("scenario %s missing", name)
 		}
-		r1, err := sc.Run()
+		r1, err := sc.RunWith(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := sc.Run()
+		r2, err := sc.RunWith(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

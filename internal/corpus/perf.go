@@ -145,16 +145,11 @@ func (m PerfMode) String() string {
 // PerfWorkloads names the available performance guests.
 func PerfWorkloads() []string { return []string{"alu", "mem", "sparse"} }
 
-// RunPerf executes the named workload under the given mode and
-// returns the result (inspect TotalSteps for the work done).
-func RunPerf(workload string, mode PerfMode) (*hth.Result, error) {
-	return RunPerfObserved(workload, mode)
-}
-
-// RunPerfObserved is RunPerf with observers attached to the run's
-// event bus — hth-bench feeds every perf run into one shared
-// hth.Metrics registry this way. No observers means a disabled bus,
-// i.e. exactly RunPerf.
+// RunPerfObserved executes the named workload under the given mode
+// and returns the result (inspect TotalSteps for the work done), with
+// observers attached to the run's event bus — hth-bench feeds every
+// perf run into one shared hth.Metrics registry this way. No observers
+// means a disabled bus.
 func RunPerfObserved(workload string, mode PerfMode, observers ...hth.Observer) (*hth.Result, error) {
 	return RunPerfWith(workload, mode, nil, observers...)
 }

@@ -34,11 +34,6 @@ type Context struct {
 	IDs  []int // the matched fact ids, pattern order
 }
 
-// Assert adds a fact from within an action.
-func (c *Context) Assert(template string, slots map[string]Value) (*Fact, error) {
-	return c.E.Assert(template, slots)
-}
-
 // Retract removes a fact from within an action.
 func (c *Context) Retract(id int) { c.E.Retract(id) }
 
@@ -122,8 +117,8 @@ type Engine struct {
 	// assertion ("CLIPS> (assert (template ...))"), reproducing the
 	// paper's Appendix A.1 interaction log.
 	Echo io.Writer
-	// OnFire, when non-nil, observes every rule firing, invoked after
-	// the record joins the fire trace and before the rule action runs.
+	// OnFire, when non-nil, observes every rule firing, invoked before
+	// the rule action runs.
 	OnFire func(FireRecord)
 
 	templates []*Template
@@ -135,7 +130,6 @@ type Engine struct {
 	agenda []*activation
 	fired  map[actKey]struct{} // refraction memory
 
-	trace   []FireRecord
 	fireSeq int
 
 	// The join's scratch: the bindings stack, the fact ids of the
@@ -298,19 +292,6 @@ func (e *Engine) find(id int) (int, bool) {
 	return i, ok
 }
 
-// Fact returns the fact with the given id.
-func (e *Engine) Fact(id int) (*Fact, bool) {
-	if i, ok := e.find(id); ok {
-		return e.facts[i], true
-	}
-	return nil, false
-}
-
-// Facts returns all facts in assertion order.
-func (e *Engine) Facts() []*Fact {
-	return append([]*Fact(nil), e.facts...)
-}
-
 // anyMatch reports whether any current fact of t passes ops (used for
 // negative conditional elements; what ops bind on st is scratch).
 func (e *Engine) anyMatch(t *Template, ops []op, st []Value) bool {
@@ -457,7 +438,6 @@ func (e *Engine) Run(limit int) int {
 		r := e.rules[a.rule].Rule
 		e.fireSeq++
 		rec := FireRecord{Seq: e.fireSeq, Rule: r.Name, FactIDs: a.ids}
-		e.trace = append(e.trace, rec)
 		if e.OnFire != nil {
 			e.OnFire(rec)
 		}
@@ -492,16 +472,12 @@ func (e *Engine) pop() *activation {
 // AgendaLen reports pending activations.
 func (e *Engine) AgendaLen() int { return len(e.agenda) }
 
-// Trace returns the fire history.
-func (e *Engine) Trace() []FireRecord { return e.trace }
-
 // Reset clears working memory, the agenda, refraction memory and the
-// trace, keeping templates and rules.
+// fire sequence, keeping templates and rules.
 func (e *Engine) Reset() {
 	e.facts = nil
 	e.agenda = nil
 	e.fired = nil
-	e.trace = nil
 	e.nextFact = 0
 	e.fireSeq = 0
 	e.seq = 0

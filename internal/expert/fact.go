@@ -175,17 +175,6 @@ type Fact struct {
 	vals     []Value
 }
 
-// Get returns a slot value (nil for a slot the template lacks).
-func (f *Fact) Get(slot string) Value {
-	if i, ok := f.tmpl.index[slot]; ok {
-		return f.vals[i]
-	}
-	return nil
-}
-
-// Ref renders the fact's identifier CLIPS-style: f-7.
-func (f *Fact) Ref() string { return fmt.Sprintf("f-%d", f.ID) }
-
 // String renders the fact CLIPS-style, slots in name order:
 // (template (slot value) (slot value)).
 func (f *Fact) String() string {

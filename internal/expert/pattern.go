@@ -56,8 +56,6 @@ const (
 	mLit
 	mPred
 	mVar
-	mBindPred
-	mNot
 )
 
 // Matcher is one slot constraint, held as data: DefRule compiles it
@@ -66,9 +64,8 @@ const (
 type Matcher struct {
 	kind matchKind
 	val  Value            // mLit: the normalized literal
-	name string           // mVar, mBindPred: the variable
-	fn   func(Value) bool // mPred, mBindPred
-	not  *Matcher         // mNot: the inverted matcher
+	name string           // mVar: the variable
+	fn   func(Value) bool // mPred
 }
 
 // Lit matches a literal value.
@@ -78,20 +75,8 @@ func Lit(want Value) Matcher { return Matcher{kind: mLit, val: Norm(want)} }
 // equality on subsequent uses (CLIPS ?x semantics).
 func Var(name string) Matcher { return Matcher{kind: mVar, name: name} }
 
-// Any matches anything without binding.
-func Any() Matcher { return Matcher{} }
-
 // Pred matches when fn accepts the value.
 func Pred(fn func(v Value) bool) Matcher { return Matcher{kind: mPred, fn: fn} }
-
-// BindPred binds the value to name when fn accepts it.
-func BindPred(name string, fn func(v Value) bool) Matcher {
-	return Matcher{kind: mBindPred, name: name, fn: fn}
-}
-
-// Not inverts a matcher. Whatever the inner matcher would bind is
-// discarded: Not(Var(x)) with ?x unbound never holds.
-func Not(m Matcher) Matcher { return Matcher{kind: mNot, not: &m} }
 
 // SlotMatch pairs a slot name with its matcher.
 type SlotMatch struct {
@@ -118,34 +103,19 @@ func P(template string, matches ...SlotMatch) Pattern {
 	return Pattern{Template: template, Matches: matches}
 }
 
-// PBind builds a pattern that binds the matched fact (?f <- pattern).
-func PBind(binder, template string, matches ...SlotMatch) Pattern {
-	return Pattern{Template: template, Binder: binder, Matches: matches}
-}
-
-// PNot builds a negative conditional element: (not (template ...)).
-// Variables used inside must already be bound by earlier patterns.
-func PNot(template string, matches ...SlotMatch) Pattern {
-	return Pattern{Template: template, Matches: matches, Negated: true}
-}
-
 type opKind uint8
 
 const (
-	opLit      opKind = iota // the slot equals val
-	opPred                   // fn accepts the slot
-	opFalse                  // never holds
-	opTest                   // the slot equals the bound variable
-	opTestPred               // fn accepts the slot and it equals the bound variable
-	opBind                   // binds the variable
-	opBindPred               // fn accepts the slot, which then binds the variable
+	opLit  opKind = iota // the slot equals val
+	opPred               // fn accepts the slot
+	opTest               // the slot equals the bound variable
+	opBind               // binds the variable
 )
 
 // op is a compiled slot test: one matcher resolved to a slot position
 // and, for variables, to a position on the bindings stack.
 type op struct {
 	kind opKind
-	neg  bool // the test's result is inverted (Not)
 	slot int
 	v    int
 	val  Value
@@ -158,29 +128,17 @@ func (o *op) readsVar() bool { return o.kind >= opTest }
 // holds runs the op on a fact's values, binding into st.
 func (o *op) holds(vals, st []Value) bool {
 	x := vals[o.slot]
-	var ok bool
 	switch o.kind {
 	case opLit:
-		ok = Eq(x, o.val)
+		return Eq(x, o.val)
 	case opPred:
-		ok = o.fn(x)
-	case opFalse:
-		return false
+		return o.fn(x)
 	case opTest:
-		ok = Eq(st[o.v], x)
-	case opTestPred:
-		ok = o.fn(x) && Eq(st[o.v], x)
-	case opBind:
-		st[o.v] = x
-		return true
-	case opBindPred:
-		if !o.fn(x) {
-			return false
-		}
+		return Eq(st[o.v], x)
+	default: // opBind
 		st[o.v] = x
 		return true
 	}
-	return ok != o.neg
 }
 
 // cpat is one compiled pattern.
@@ -300,16 +258,9 @@ func Compile(rule string, templates []*Template, patterns ...Pattern) (*LHS, err
 	return l, nil
 }
 
-// bindingVar names the variable m binds or tests outside any Not
-// (double negation cancels).
+// bindingVar names the variable m binds or tests.
 func bindingVar(m Matcher) (string, bool) {
-	for m.kind == mNot && m.not.kind == mNot {
-		m = *m.not.not
-	}
-	if m.kind == mVar || m.kind == mBindPred {
-		return m.name, true
-	}
-	return "", false
+	return m.name, m.kind == mVar
 }
 
 func copyBound(b map[string]bool) map[string]bool {
@@ -356,7 +307,7 @@ func (c *compiler) pattern(t *Template, ms []SlotMatch, bound map[string]bool) (
 		if !ok {
 			return nil, fmt.Errorf("expert: rule %q: template %q has no slot %q", c.rule, t.Name, sm.Slot)
 		}
-		o, ok := c.matcher(sm.M, slot, bound, false)
+		o, ok := c.matcher(sm.M, slot, bound)
 		if !ok {
 			continue
 		}
@@ -370,42 +321,21 @@ func (c *compiler) pattern(t *Template, ms []SlotMatch, bound map[string]bool) (
 }
 
 // matcher compiles m on a slot; ok is false when m tests nothing.
-// Under neg, m sits inside a Not: it binds nothing, and where it would
-// bind it holds.
-func (c *compiler) matcher(m Matcher, slot int, bound map[string]bool, neg bool) (op, bool) {
-	o := op{slot: slot, neg: neg}
+func (c *compiler) matcher(m Matcher, slot int, bound map[string]bool) (op, bool) {
+	o := op{slot: slot}
 	switch m.kind {
 	case mAny:
-		if neg {
-			return op{kind: opFalse, slot: slot}, true
-		}
 		return o, false
 	case mLit:
 		o.kind, o.val = opLit, m.val
 	case mPred:
 		o.kind, o.fn = opPred, m.fn
 	case mVar:
-		switch {
-		case bound[m.name]:
-			o.kind, o.v = opTest, c.varPos(m.name)
-		case neg:
-			return op{kind: opFalse, slot: slot}, true
-		default:
-			o.kind, o.v = opBind, c.varPos(m.name)
+		o.kind, o.v = opTest, c.varPos(m.name)
+		if !bound[m.name] {
+			o.kind = opBind
 			bound[m.name] = true
 		}
-	case mBindPred:
-		switch {
-		case bound[m.name]:
-			o.kind, o.v, o.fn = opTestPred, c.varPos(m.name), m.fn
-		case neg:
-			o.kind, o.fn = opPred, m.fn
-		default:
-			o.kind, o.v, o.fn = opBindPred, c.varPos(m.name), m.fn
-			bound[m.name] = true
-		}
-	case mNot:
-		return c.matcher(*m.not, slot, bound, !neg)
 	}
 	return o, true
 }

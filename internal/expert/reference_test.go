@@ -50,18 +50,6 @@ func refMatch(m Matcher, v Value, b map[string]Value) bool {
 		}
 		b[m.name] = Norm(v)
 		return true
-	case mBindPred:
-		v = Norm(v)
-		if !m.fn(v) {
-			return false
-		}
-		if prev, ok := b[m.name]; ok {
-			return Eq(prev, v)
-		}
-		b[m.name] = v
-		return true
-	case mNot:
-		return !refMatch(*m.not, v, b)
 	}
 	return true
 }
@@ -509,7 +497,7 @@ func (r realEnv) factID(n string) (int, bool) {
 	}
 	return 0, false
 }
-func (r realEnv) assert(t string, s map[string]Value) { r.ctx.Assert(t, s) }
+func (r realEnv) assert(t string, s map[string]Value) { r.ctx.E.Assert(t, s) }
 func (r realEnv) retract(id int)                      { r.ctx.Retract(id) }
 func (r realEnv) printf(f string, a ...any)           { r.ctx.Printf(f, a...) }
 func (r realEnv) nfacts() int                         { return len(r.ctx.E.facts) }
@@ -538,11 +526,13 @@ type pair struct {
 	out, ro  bytes.Buffer
 	echo, re bytes.Buffer
 	log, rl  strings.Builder
+	trace    []FireRecord // the engine's firings, via OnFire
 }
 
 func newPair(templates []*Template) *pair {
 	p := &pair{e: NewEngine(), ref: newRefEngine()}
 	p.e.Out, p.e.Echo = &p.out, &p.echo
+	p.e.OnFire = func(rec FireRecord) { p.trace = append(p.trace, rec) }
 	p.ref.Out, p.ref.Echo = &p.ro, &p.re
 	for _, t := range templates {
 		if err := p.e.DefTemplate(t); err != nil {
@@ -591,7 +581,7 @@ func (p *pair) check(t *testing.T, step string) {
 	if a, b := p.log.String(), p.rl.String(); a != b {
 		t.Fatalf("%s: action bindings differ\nengine:\n%s\nreference:\n%s", step, a, b)
 	}
-	if a, b := fmt.Sprint(p.e.Trace()), fmt.Sprint(p.ref.trace); a != b {
+	if a, b := fmt.Sprint(p.trace), fmt.Sprint(p.ref.trace); a != b {
 		t.Fatalf("%s: fire traces differ\nengine:    %s\nreference: %s", step, a, b)
 	}
 	if a, b := p.e.DumpFacts(), p.ref.DumpFacts(); a != b {
@@ -618,23 +608,18 @@ func (s *fzSrc) value(sd SlotDef) Value {
 	return fzScalars[s.n(len(fzScalars))]
 }
 
-func (s *fzSrc) matcher(sd SlotDef, depth int) Matcher {
-	switch s.n(9) {
+// matcher draws one of the matcher kinds production builds: the zero
+// Matcher, Lit, Pred and Var.
+func (s *fzSrc) matcher(sd SlotDef) Matcher {
+	switch s.n(7) {
 	case 0:
-		return Any()
+		return Matcher{}
 	case 1, 2:
 		return Lit(s.value(sd))
 	case 3:
 		return Pred(fzPreds[s.n(len(fzPreds))])
-	case 4, 5, 6:
-		return Var(fzVars[s.n(3)])
-	case 7:
-		return BindPred(fzVars[s.n(3)], fzPreds[s.n(len(fzPreds))])
 	default:
-		if depth > 1 {
-			return Any()
-		}
-		return Not(s.matcher(sd, depth+1))
+		return Var(fzVars[s.n(3)])
 	}
 }
 
@@ -646,7 +631,7 @@ func (s *fzSrc) rule(name string, ts []*Template) *fzRule {
 		p := Pattern{Template: t.Name, Negated: i > 0 && s.n(4) == 0}
 		for j, k := 0, s.n(4); j < k; j++ {
 			sd := t.Slots[s.n(len(t.Slots))]
-			p.Matches = append(p.Matches, S(sd.Name, s.matcher(sd, 0)))
+			p.Matches = append(p.Matches, S(sd.Name, s.matcher(sd)))
 		}
 		if !p.Negated && s.n(3) == 0 {
 			p.Binder = fmt.Sprintf("f%d", i)
@@ -737,10 +722,10 @@ func seedBase(which int) ([]*Template, []*fzRule) {
 	case 1: // Appendix A.2 check_execve
 		return appendixTemplates(), []*fzRule{{
 			name: "check_execve", salience: 10,
-			patterns: []Pattern{PBind("execve", "system_call_access",
+			patterns: []Pattern{{Binder: "execve", Template: "system_call_access", Matches: []SlotMatch{
 				S("system_call_name", Lit("SYS_execve")), S("resource_name", Var("name")),
 				S("resource_origin_type", Var("otype")), S("time", Var("time")),
-				S("frequency", Var("freq")))},
+				S("frequency", Var("freq"))}}},
 			steps: []fzStep{{kind: 0}, {kind: 2, bind: "execve"}},
 		}}
 	case 2: // Secpert's policy

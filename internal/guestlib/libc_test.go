@@ -24,7 +24,7 @@ func runProg(t *testing.T, os *vos.OS, src string, spec vos.ProcSpec) *vos.Proce
 }
 
 func TestPrintAndStrlen(t *testing.T) {
-	os := vos.New(vos.Options{})
+	os := vos.New()
 	InstallInto(os)
 	runProg(t, os, `
 .import "libc.so"
@@ -42,7 +42,7 @@ msg: .asciz "via libc"
 }
 
 func TestStrcpyMemcpy(t *testing.T) {
-	os := vos.New(vos.Options{})
+	os := vos.New()
 	InstallInto(os)
 	runProg(t, os, `
 .import "libc.so"
@@ -71,7 +71,7 @@ dst2: .space 8
 }
 
 func TestSystemRunsShellCommand(t *testing.T) {
-	os := vos.New(vos.Options{})
+	os := vos.New()
 	InstallInto(os)
 	// /bin/sh: prints argv[2] (the -c command) to stdout.
 	os.FS.Install("/bin/sh", asm.MustAssemble("/bin/sh", `
@@ -104,7 +104,7 @@ cmd: .asciz "echo hello"
 }
 
 func TestSystemMissingShell(t *testing.T) {
-	os := vos.New(vos.Options{})
+	os := vos.New()
 	InstallInto(os)
 	p := runProg(t, os, `
 .import "libc.so"
@@ -126,7 +126,7 @@ cmd: .asciz "anything"
 }
 
 func TestGethostbyname(t *testing.T) {
-	os := vos.New(vos.Options{})
+	os := vos.New()
 	InstallInto(os)
 	os.Net.AddHost("pop.mail.yahoo.com", "216.136.173.10")
 	runProg(t, os, `
@@ -152,7 +152,7 @@ host: .asciz "pop.mail.yahoo.com"
 }
 
 func TestGethostbynameUnknown(t *testing.T) {
-	os := vos.New(vos.Options{})
+	os := vos.New()
 	InstallInto(os)
 	p := runProg(t, os, `
 .import "libc.so"
@@ -188,7 +188,7 @@ func TestLibcImagesValidate(t *testing.T) {
 }
 
 func TestStrcmp(t *testing.T) {
-	os := vos.New(vos.Options{})
+	os := vos.New()
 	InstallInto(os)
 	p := runProg(t, os, `
 .import "libc.so"
@@ -222,7 +222,7 @@ c: .asciz "help"
 }
 
 func TestAtoiItoaRoundTrip(t *testing.T) {
-	os := vos.New(vos.Options{})
+	os := vos.New()
 	InstallInto(os)
 	runProg(t, os, `
 .import "libc.so"
@@ -248,7 +248,7 @@ outbuf: .space 16
 }
 
 func TestAtoiStopsAtNonDigit(t *testing.T) {
-	os := vos.New(vos.Options{})
+	os := vos.New()
 	InstallInto(os)
 	p := runProg(t, os, `
 .import "libc.so"
@@ -267,7 +267,7 @@ s: .asciz "42abc"
 }
 
 func TestItoaZero(t *testing.T) {
-	os := vos.New(vos.Options{})
+	os := vos.New()
 	InstallInto(os)
 	runProg(t, os, `
 .import "libc.so"
@@ -302,7 +302,7 @@ func TestNativesEdgeCases(t *testing.T) {
 }
 
 func TestGethostbyaddrResolves(t *testing.T) {
-	os := vos.New(vos.Options{})
+	os := vos.New()
 	InstallInto(os)
 	os.Net.AddHost("10.1.2.3", "backbone.example")
 	runProg(t, os, `

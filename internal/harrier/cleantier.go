@@ -380,7 +380,7 @@ func (h *Harrier) cleanMopsNoop(mops []mop, tags *[isa.NumRegs]taint.Tag) bool {
 	return true
 }
 
-// TaintSource implements vos.TaintSourceMonitor: the kernel is about
+// TaintSource implements vos.Monitor: the kernel is about
 // to deposit external data into guest memory. Advancing the source
 // epoch forces every cached clean verdict to re-validate its pages on
 // its next probe — defense in depth around the shadow's own page-flip

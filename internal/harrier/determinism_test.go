@@ -17,7 +17,7 @@ import (
 func TestTraceCompileDeterministic(t *testing.T) {
 	compiled, pinned, clean := 0, 0, 0
 	for _, sc := range corpus.All() {
-		res, err := sc.Run()
+		res, err := sc.RunWith(nil)
 		if err != nil || res == nil || res.Process == nil {
 			continue
 		}

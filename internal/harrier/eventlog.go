@@ -70,13 +70,3 @@ func (h *Harrier) logIO(ev *events.IO, d secpert.Decision) {
 
 // EventLog returns the recorded events in order.
 func (h *Harrier) EventLog() []LogEntry { return h.log }
-
-// Transcript renders the whole event log.
-func (h *Harrier) Transcript() string {
-	var b strings.Builder
-	for _, le := range h.log {
-		b.WriteString(le.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}

@@ -237,9 +237,6 @@ func New(cfg Config, sec *secpert.Secpert) *Harrier {
 	return h
 }
 
-// Secpert returns the attached expert system.
-func (h *Harrier) Secpert() *secpert.Secpert { return h.sec }
-
 // SetBus attaches the observability bus. BB counter rollovers and
 // periodic taint-substrate samples publish into it.
 func (h *Harrier) SetBus(b *obs.Bus) { h.bus = b }

@@ -20,7 +20,7 @@ type world struct {
 
 func newWorld(t *testing.T) *world {
 	t.Helper()
-	os := vos.New(vos.Options{})
+	os := vos.New()
 	guestlib.InstallInto(os)
 	sec := secpert.New(secpert.DefaultConfig(), nil)
 	h := New(DefaultConfig(), sec)
@@ -661,10 +661,11 @@ prog: .asciz "/bin/ls"
 	if log[1].Access == nil || log[1].Access.Call != "SYS_execve" {
 		t.Errorf("entry 1 = %s", log[1])
 	}
-	tr := w.h.Transcript()
-	if !strings.Contains(tr, "#1 pid 1 SYS_creat") ||
-		!strings.Contains(tr, `SYS_execve FILE "/bin/ls"`) {
-		t.Errorf("transcript = %q", tr)
+	if s := log[0].String(); !strings.Contains(s, "#1 pid 1 SYS_creat") {
+		t.Errorf("entry 0 renders %q", s)
+	}
+	if s := log[1].String(); !strings.Contains(s, `SYS_execve FILE "/bin/ls"`) {
+		t.Errorf("entry 1 renders %q", s)
 	}
 }
 
@@ -879,7 +880,7 @@ child:
 // warnings by failing trusted-name filters open) but never loses one.
 func TestTagWidthBudgetKeepsWarnings(t *testing.T) {
 	runIt := func(budget int) ([]secpert.Warning, Stats) {
-		os := vos.New(vos.Options{})
+		os := vos.New()
 		guestlib.InstallInto(os)
 		sec := secpert.New(secpert.DefaultConfig(), nil)
 		cfg := DefaultConfig()

@@ -31,9 +31,6 @@ func (h *Harrier) SetProvenance(p *obs.Provenance) {
 	}
 }
 
-// Provenance returns the attached recorder (nil when detached).
-func (h *Harrier) Provenance() *obs.Provenance { return h.prov }
-
 // provEntryDetail names the synthesized entry hop of a source first
 // observed in flight rather than at an explicit tag site.
 func provEntryDetail(t taint.SourceType) string {

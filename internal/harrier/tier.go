@@ -78,7 +78,7 @@ func (h *Harrier) onBBSummary(c *isa.CPU, s *isa.Span, leader int, slot any) (is
 	return h.enterTrace(c, tr)
 }
 
-// PreExec implements vos.PreExecMonitor: execve is about to tear down
+// PreExec implements vos.Monitor: execve is about to tear down
 // p's code map, so every trace compiled against its spans is dropped.
 // Traces owned by this Harrier count as demotions; pinned markers are
 // dropped too (a span surviving via a forked relative may re-attempt

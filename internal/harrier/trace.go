@@ -193,7 +193,6 @@ func (op *mop) ea2(c *isa.CPU) uint32 {
 // only when every taint-touching address of the whole path is
 // expressible as entry-register + displacement (symOK).
 type traceCompiler struct {
-	h      *Harrier
 	s      *isa.Span
 	bin    taint.Tag
 	mops   []mop
@@ -234,7 +233,7 @@ func (h *Harrier) traceCtr(key bbKey) *int64 {
 // trace, which is what makes re-promotion after an execve demotion
 // sound.
 func (h *Harrier) compileTrace(s *isa.Span, leader int, isApp bool) *blockTrace {
-	tc := &traceCompiler{h: h, s: s, bin: h.binTag(s.Image), fp: newFootprintPass(), symOK: true}
+	tc := &traceCompiler{s: s, bin: h.binTag(s.Image), fp: newFootprintPass(), symOK: true}
 
 	cur := leader
 	arrived := true // the head is always entered through the dispatch hook

@@ -46,16 +46,6 @@ func RegisterFormat(f Format) {
 	formats = append(formats, f)
 }
 
-// Formats returns the names of the registered frontends in detection
-// order.
-func Formats() []string {
-	out := make([]string, len(formats))
-	for i := range formats {
-		out[i] = formats[i].Name
-	}
-	return out
-}
-
 // Decode auto-detects the format of data by magic sniffing and decodes
 // it into an Image named name. Unrecognized bytes fail with an error
 // wrapping ErrBadImage.

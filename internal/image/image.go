@@ -226,12 +226,3 @@ func preferName(a, b string) bool {
 	}
 	return a < b
 }
-
-// Size returns the total mapped size of the image.
-func (im *Image) Size() uint32 {
-	var n uint32
-	for i := range im.Sections {
-		n += im.Sections[i].Size()
-	}
-	return n
-}

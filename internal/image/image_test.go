@@ -102,9 +102,6 @@ func TestSectionLookupAndSize(t *testing.T) {
 	if got := im.Sections[1].Size(); got != 4 {
 		t.Errorf("data size = %d", got)
 	}
-	if im.Size() != isa.InstrSize+4 {
-		t.Errorf("image size = %d", im.Size())
-	}
 }
 
 func TestTextSymbols(t *testing.T) {

@@ -91,19 +91,6 @@ func (m *Map) Loaded(name string) (*Loaded, bool) {
 	return li, ok
 }
 
-// Images returns all loaded images in load order.
-func (m *Map) Images() []*Loaded { return m.order }
-
-// ImageAt returns the name of the image whose mapping covers addr.
-func (m *Map) ImageAt(addr uint32) (string, bool) {
-	for _, li := range m.order {
-		if addr >= li.Base && addr < li.End {
-			return li.Image.Name, true
-		}
-	}
-	return "", false
-}
-
 // Clone shares the loaded images (they are immutable after load) for
 // fork(): the child sees the same mappings.
 func (m *Map) Clone() *Map {

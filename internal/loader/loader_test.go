@@ -2,6 +2,7 @@ package loader
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -54,7 +55,7 @@ msg: .asciz "hello"
 	}
 	// Mapped bytes carry BINARY taint (paper §7.3.2).
 	tag := cpu.Shadow.Get(msgAddr)
-	if !st.Contains(tag, taint.Source{Type: taint.Binary, Name: "/bin/demo"}) {
+	if !slices.Contains(st.Sources(tag), taint.Source{Type: taint.Binary, Name: "/bin/demo"}) {
 		t.Errorf("msg tag = %s", st.String(tag))
 	}
 	// The mov's operand was relocated to msg's address.
@@ -118,7 +119,7 @@ _start:
 	}
 	// Library data tagged with the library's BINARY source.
 	addr, _ := libLoaded.SymbolAddr("libstr")
-	if !st.Contains(cpu.Shadow.Get(addr), taint.Source{Type: taint.Binary, Name: "libdemo.so"}) {
+	if !slices.Contains(st.Sources(cpu.Shadow.Get(addr)), taint.Source{Type: taint.Binary, Name: "libdemo.so"}) {
 		t.Error("lib data missing BINARY tag")
 	}
 	// Code ownership: the helper span belongs to the library image.
@@ -223,19 +224,6 @@ func TestLoadIdempotent(t *testing.T) {
 	}
 }
 
-func TestImageAt(t *testing.T) {
-	img := asm.MustAssemble("/bin/a", ".text\n_start: hlt\n.data\nd: .space 8\n")
-	cpu, _ := newCPUWithShadow()
-	m := NewMap()
-	li, _ := m.Load(cpu, img, &Env{})
-	if name, ok := m.ImageAt(li.Base); !ok || name != "/bin/a" {
-		t.Errorf("ImageAt(base) = %q, %v", name, ok)
-	}
-	if _, ok := m.ImageAt(0x00000004); ok {
-		t.Error("ImageAt hole succeeded")
-	}
-}
-
 func TestDataReloc(t *testing.T) {
 	img := asm.MustAssemble("/bin/a", `
 .entry _start
@@ -287,7 +275,7 @@ func TestMapClone(t *testing.T) {
 	if _, ok := cl.Loaded("/bin/a"); !ok {
 		t.Error("clone lost image")
 	}
-	if len(cl.Images()) != 1 {
+	if len(cl.order) != 1 {
 		t.Error("clone image order wrong")
 	}
 }
@@ -344,8 +332,8 @@ _start:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Images()) != 3 {
-		t.Fatalf("images = %d", len(m.Images()))
+	if len(m.order) != 3 {
+		t.Fatalf("images = %d", len(m.order))
 	}
 	entry, _ := li.EntryAddr()
 	cpu.EIP = entry
@@ -360,7 +348,7 @@ _start:
 	}
 	// Bases are disjoint.
 	seen := map[uint32]bool{}
-	for _, im := range m.Images() {
+	for _, im := range m.order {
 		if seen[im.Base] {
 			t.Errorf("duplicate base %#x", im.Base)
 		}

@@ -51,17 +51,6 @@ func (f *Flight) Event(e Event) {
 // Close is a no-op; the ring stays readable after the run.
 func (f *Flight) Close() error { return nil }
 
-// Size returns the ring capacity.
-func (f *Flight) Size() int { return len(f.buf) }
-
-// Total returns how many events the recorder has seen (not how many
-// it still holds).
-func (f *Flight) Total() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.total
-}
-
 // Snapshot copies the retained events in arrival order, oldest first.
 func (f *Flight) Snapshot() []Event {
 	f.mu.Lock()

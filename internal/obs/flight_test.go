@@ -9,14 +9,14 @@ import (
 
 func TestFlightRingWrap(t *testing.T) {
 	f := NewFlight(4)
-	if f.Size() != 4 {
-		t.Fatalf("Size = %d, want 4", f.Size())
+	if n := len(f.buf); n != 4 {
+		t.Fatalf("ring size = %d, want 4", n)
 	}
 	for i := 1; i <= 10; i++ {
 		f.Event(Event{Seq: uint64(i), Kind: KindSyscallEnter})
 	}
-	if f.Total() != 10 {
-		t.Fatalf("Total = %d, want 10", f.Total())
+	if f.total != 10 {
+		t.Fatalf("total = %d, want 10", f.total)
 	}
 	got := f.Snapshot()
 	if len(got) != 4 {
@@ -41,7 +41,7 @@ func TestFlightPartialFill(t *testing.T) {
 }
 
 func TestFlightDefaultSize(t *testing.T) {
-	if n := NewFlight(0).Size(); n != DefaultFlightSize {
+	if n := len(NewFlight(0).buf); n != DefaultFlightSize {
 		t.Fatalf("default size = %d, want %d", n, DefaultFlightSize)
 	}
 }

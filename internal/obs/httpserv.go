@@ -31,7 +31,6 @@ type Introspection struct {
 	mu      sync.Mutex
 	subs    map[uint64]chan Event
 	nextSub uint64
-	dropped uint64 // events not delivered to a slow subscriber
 
 	srvMu sync.Mutex
 	srv   *http.Server
@@ -48,9 +47,6 @@ func NewIntrospection() *Introspection {
 	}
 }
 
-// Metrics returns the endpoint's registry (the /metrics source).
-func (in *Introspection) Metrics() *Metrics { return in.metrics }
-
 // Event feeds one event to the registry, the ring, and every live
 // subscriber. Slow subscribers drop events rather than stalling the
 // simulator.
@@ -63,7 +59,6 @@ func (in *Introspection) Event(e Event) {
 		select {
 		case ch <- e:
 		default:
-			in.dropped++
 			drops++
 		}
 	}
@@ -78,14 +73,6 @@ func (in *Introspection) Event(e Event) {
 // Close is a no-op: the server outlives the run so post-run curls see
 // the final state. Call Shutdown to stop serving.
 func (in *Introspection) Close() error { return nil }
-
-// Dropped reports how many events were not delivered to slow /events
-// subscribers.
-func (in *Introspection) Dropped() uint64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.dropped
-}
 
 func (in *Introspection) subscribe() (uint64, chan Event) {
 	ch := make(chan Event, 1024)

@@ -236,7 +236,7 @@ func TestIntrospectionSlowSubscriberDrops(t *testing.T) {
 	for i := 0; i < 1500; i++ {
 		in.Event(Event{Seq: uint64(i)})
 	}
-	if d := in.Dropped(); d != 1500-1024 {
-		t.Fatalf("Dropped = %d, want %d", d, 1500-1024)
+	if d := in.metrics.Snapshot().Counters["sse_slow_dropped"]; d != 1500-1024 {
+		t.Fatalf("dropped = %d, want %d", d, 1500-1024)
 	}
 }

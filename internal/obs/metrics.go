@@ -38,7 +38,6 @@ type Metrics struct {
 	// tenantDropped counts the folds — a tenant-ID-spraying client
 	// can't grow /metrics without bound.
 	tenants       map[string]struct{}
-	tenantCap     int
 	tenantDropped uint64
 
 	// Cumulative substrate counters arrive as running totals in
@@ -56,31 +55,19 @@ type latKey struct {
 	stage, tenant string
 }
 
-// DefaultTenantCap bounds distinct tenant label values per registry.
-const DefaultTenantCap = 64
+// tenantCap bounds distinct tenant label values per registry.
+const tenantCap = 64
 
 // NewMetrics builds an empty registry.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		byName:    make(map[countKey]uint64),
-		gauges:    make(map[string]float64),
-		hists:     make(map[string][]Bucket),
-		extra:     make(map[string]uint64),
-		lat:       make(map[latKey]*LatencyHist),
-		tenants:   make(map[string]struct{}),
-		tenantCap: DefaultTenantCap,
+		byName:  make(map[countKey]uint64),
+		gauges:  make(map[string]float64),
+		hists:   make(map[string][]Bucket),
+		extra:   make(map[string]uint64),
+		lat:     make(map[latKey]*LatencyHist),
+		tenants: make(map[string]struct{}),
 	}
-}
-
-// SetTenantCap overrides the tenant-label cardinality bound (values
-// < 1 keep the default). Labels already admitted stay.
-func (m *Metrics) SetTenantCap(n int) {
-	if n < 1 {
-		return
-	}
-	m.mu.Lock()
-	m.tenantCap = n
-	m.mu.Unlock()
 }
 
 // tenantLabel admits or folds a tenant label under the cardinality
@@ -92,7 +79,7 @@ func (m *Metrics) tenantLabel(t string) string {
 	if _, ok := m.tenants[t]; ok {
 		return t
 	}
-	if len(m.tenants) >= m.tenantCap {
+	if len(m.tenants) >= tenantCap {
 		m.tenantDropped++
 		return "other"
 	}
@@ -201,14 +188,6 @@ var counterPrefix = map[Kind]string{
 	KindJobAbort:     "job_aborted.",
 }
 
-// NamedCount returns the count of kind events carrying the given
-// string dimension (e.g. KindJobDone per tenant).
-func (m *Metrics) NamedCount(k Kind, name string) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.byName[countKey{k, name}]
-}
-
 // Inc bumps a free-form registry counter by name ("sse_slow_dropped").
 // These land in Snapshot.Counters verbatim; names with a Prometheus
 // family (see exactCounters in prom.go) render under it.
@@ -216,21 +195,6 @@ func (m *Metrics) Inc(name string) {
 	m.mu.Lock()
 	m.extra[name]++
 	m.mu.Unlock()
-}
-
-// Counter reads a free-form registry counter.
-func (m *Metrics) Counter(name string) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.extra[name]
-}
-
-// TenantDropped is the number of tenant-label observations folded
-// into "other" by the cardinality cap.
-func (m *Metrics) TenantDropped() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.tenantDropped
 }
 
 // LatencyRollup aggregates one latency stage across all tenants into
@@ -269,16 +233,6 @@ func (m *Metrics) latAggregate(stage string) LatencyHist {
 		}
 	}
 	return agg
-}
-
-// KindCount returns the total number of events of the given kind.
-func (m *Metrics) KindCount(k Kind) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if k >= numKinds {
-		return 0
-	}
-	return m.kinds[k]
 }
 
 // Snapshot flattens the registry. The receiver keeps accumulating;

@@ -305,16 +305,8 @@ func NewBus(sinks ...Sink) *Bus {
 }
 
 // SetClock installs the virtual-clock source used to stamp events
-// published by writers that have no clock of their own (see Now).
+// published by writers that have no clock of their own (see Publish).
 func (b *Bus) SetClock(fn func() uint64) { b.clock = fn }
-
-// Now reads the bus clock (0 without a clock source).
-func (b *Bus) Now() uint64 {
-	if b == nil || b.clock == nil {
-		return 0
-	}
-	return b.clock()
-}
 
 // Publish stamps the event with the next sequence number and delivers
 // it to every sink. Callers fill Time themselves when they hold the

@@ -131,13 +131,6 @@ func (p *Provenance) Intern(label string) ProvID {
 	return id
 }
 
-// Len reports how many sources have been interned.
-func (p *Provenance) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.traces)
-}
-
 // record merges h into the trace's last hop when it repeats it, else
 // appends it. Interior hops respect the bound; entry/exit hops always
 // land (chains keep their end points).
@@ -265,16 +258,6 @@ func (p *Provenance) chainLocked(tr *SourceTrace) string {
 		fmt.Fprintf(&b, " [+%d hops elided]", tr.Dropped)
 	}
 	return b.String()
-}
-
-// Chain renders the causal chain of one source.
-func (p *Provenance) Chain(id ProvID) string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if int(id) >= len(p.traces) {
-		return ""
-	}
-	return p.chainLocked(p.traces[id])
 }
 
 // ChainOf renders the chain for a source label, reporting whether the

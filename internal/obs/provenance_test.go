@@ -18,8 +18,8 @@ func TestProvenanceInternStable(t *testing.T) {
 	if again := p.Intern(`FILE:"/etc/passwd"`); again != a {
 		t.Fatalf("re-intern changed ID: %d != %d", again, a)
 	}
-	if p.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", p.Len())
+	if n := len(p.Traces()); n != 2 {
+		t.Fatalf("%d traces, want 2", n)
 	}
 }
 
@@ -32,7 +32,7 @@ func TestProvenanceChainRendering(t *testing.T) {
 	}
 	p.Exit(id, 2210, 1, "write fd 1")
 	want := `SOCKET:"evil.com" → read fd 4 @t=1041 → bb 0x4012a0 (tier ×312) → write fd 1 @t=2210`
-	if got := p.Chain(id); got != want {
+	if got, _ := p.ChainOf(`SOCKET:"evil.com"`); got != want {
 		t.Fatalf("Chain:\n got %q\nwant %q", got, want)
 	}
 }
@@ -83,7 +83,7 @@ func TestProvenanceHopBoundKeepsEndpoints(t *testing.T) {
 	if first, last := tr.Hops[0].Kind, tr.Hops[len(tr.Hops)-1].Kind; first != HopEntry || last != HopExit {
 		t.Fatalf("endpoints = %v..%v, want entry..exit", first, last)
 	}
-	if ch := p.Chain(id); !strings.Contains(ch, "[+6 hops elided]") {
+	if ch, _ := p.ChainOf("X"); !strings.Contains(ch, "[+6 hops elided]") {
 		t.Fatalf("chain does not note elided hops: %q", ch)
 	}
 }

@@ -65,7 +65,6 @@ type SpanRecorder struct {
 	epochW int64     // wall ns at construction
 	epochM time.Time // monotonic anchor taken at the same instant
 	spans  []Span
-	open   int
 	pub    func(Event)
 }
 
@@ -112,7 +111,6 @@ func (r *SpanRecorder) StartSpanAt(parent uint64, name string, startNS int64, at
 	id := spanIDs.Add(1)
 	r.mu.Lock()
 	r.spans = append(r.spans, Span{ID: id, Parent: parent, Name: name, Start: startNS, Attr: attr})
-	r.open++
 	pub := r.pub
 	r.mu.Unlock()
 	if pub != nil {
@@ -137,7 +135,6 @@ func (r *SpanRecorder) EndSpan(id uint64, status string) {
 			if r.spans[i].End == 0 {
 				r.spans[i].End = end
 				r.spans[i].Status = status
-				r.open--
 				closed = &r.spans[i]
 			}
 			break
@@ -182,13 +179,6 @@ func (r *SpanRecorder) Spans() []Span {
 	cp := make([]Span, len(r.spans))
 	copy(cp, r.spans)
 	return cp
-}
-
-// OpenCount is the number of spans not yet closed.
-func (r *SpanRecorder) OpenCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.open
 }
 
 // Root returns the first recorded span (the trace root), or nil.
@@ -364,17 +354,6 @@ func (h *LatencyHist) Buckets() []Bucket {
 		if c != 0 {
 			out = append(out, Bucket{Value: latBound(i), Count: c})
 		}
-	}
-	return out
-}
-
-// cumulative returns all 28 cumulative counts (Prometheus le form).
-func (h *LatencyHist) cumulative() [latBuckets]uint64 {
-	var out [latBuckets]uint64
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		out[i] = cum
 	}
 	return out
 }

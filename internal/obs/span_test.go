@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -10,6 +11,17 @@ import (
 	"testing"
 	"time"
 )
+
+// openSpans counts the recorder's spans not yet closed.
+func openSpans(r *SpanRecorder) int {
+	n := 0
+	for _, sp := range r.Spans() {
+		if sp.End == 0 {
+			n++
+		}
+	}
+	return n
+}
 
 // TestSpanRecorderLifecycle covers the single-goroutine contract:
 // parentage, explicit-time spans, idempotent close, NamedDuration.
@@ -20,8 +32,8 @@ func TestSpanRecorderLifecycle(t *testing.T) {
 	}
 	root := r.StartSpanAt(0, "job", r.Now()-1e6, 0)
 	q := r.StartSpan(root, "queue", 0)
-	if r.OpenCount() != 2 {
-		t.Fatalf("open %d, want 2", r.OpenCount())
+	if n := openSpans(r); n != 2 {
+		t.Fatalf("open %d, want 2", n)
 	}
 	r.EndSpan(q, "ok")
 	r.EndSpan(q, "late")  // idempotent: first close wins
@@ -29,8 +41,8 @@ func TestSpanRecorderLifecycle(t *testing.T) {
 	r.EndSpan(99999, "x") // unknown id tolerated
 	r.AddSpan(root, "exec", r.Now()-5e5, r.Now(), "done")
 	r.EndSpan(root, "done")
-	if r.OpenCount() != 0 {
-		t.Fatalf("open %d after closing all, want 0", r.OpenCount())
+	if n := openSpans(r); n != 0 {
+		t.Fatalf("open %d after closing all, want 0", n)
 	}
 	spans := r.Spans()
 	if len(spans) != 3 {
@@ -135,7 +147,7 @@ func TestSpanRecorderStress(t *testing.T) {
 	close(ids)
 	cwg.Wait()
 	r.EndSpan(root, "done")
-	if got := r.OpenCount(); got != 0 {
+	if got := openSpans(r); got != 0 {
 		t.Fatalf("open %d after close storm, want 0", got)
 	}
 	// Every span is one start + one end: workers*64 "work" spans,
@@ -200,10 +212,6 @@ func TestLatencyHist(t *testing.T) {
 			t.Fatalf("buckets unordered: %v", bs)
 		}
 	}
-	cum := h.cumulative()
-	if cum[latBuckets-1] != h.Count() {
-		t.Fatalf("cumulative tail %d != count %d", cum[latBuckets-1], h.Count())
-	}
 }
 
 // TestTenantCardinalityCap: beyond the cap, new tenants fold into
@@ -211,26 +219,25 @@ func TestLatencyHist(t *testing.T) {
 // folds are themselves counted.
 func TestTenantCardinalityCap(t *testing.T) {
 	m := NewMetrics()
-	m.SetTenantCap(2)
+	for i := 0; i < tenantCap-2; i++ {
+		m.Event(Event{Kind: KindJobDone, Str: fmt.Sprintf("pre%d", i)})
+	}
 	for _, tenant := range []string{"a", "b", "c", "d", "c"} {
 		m.Event(Event{Kind: KindJobDone, Str: tenant})
 		m.Event(Event{Kind: KindJobLatency, Str: tenant, Str2: "e2e", Num: 1_000_000})
 	}
-	if got := m.NamedCount(KindJobDone, "a"); got != 1 {
+	s := m.Snapshot()
+	if got := s.Counters["job_done.a"]; got != 1 {
 		t.Errorf("tenant a count %d", got)
 	}
-	if got := m.NamedCount(KindJobDone, "other"); got != 3 {
+	if got := s.Counters["job_done.other"]; got != 3 {
 		t.Errorf("other bucket count %d, want 3 (c, d, c)", got)
 	}
-	if got := m.NamedCount(KindJobDone, "c"); got != 0 {
+	if got, ok := s.Counters["job_done.c"]; ok {
 		t.Errorf("capped tenant c leaked its own series: %d", got)
 	}
-	if got := m.TenantDropped(); got != 6 {
+	if got := s.Counters["tenant_labels_dropped"]; got != 6 {
 		t.Errorf("dropped %d label observations, want 6 (3 jobs + 3 latency)", got)
-	}
-	s := m.Snapshot()
-	if s.Counters["tenant_labels_dropped"] != 6 {
-		t.Errorf("snapshot dropped counter = %d", s.Counters["tenant_labels_dropped"])
 	}
 	tenants := map[string]bool{}
 	for _, ls := range s.Latency {
@@ -332,14 +339,12 @@ func TestSSEWedgedSubscriber(t *testing.T) {
 		in.Event(Event{Kind: KindSyscallEnter, Str: "SYS_read", Num: uint64(i)})
 	}
 	want := uint64(n - cap(ch))
-	if d := in.Dropped(); d != want {
+	snap := in.metrics.Snapshot()
+	if d := snap.Counters["sse_slow_dropped"]; d != want {
 		t.Fatalf("dropped %d events, want %d (buffer %d of %d)", d, want, cap(ch), n)
 	}
-	if c := in.Metrics().Counter("sse_slow_dropped"); c != want {
-		t.Fatalf("registry counter %d != drops %d", c, want)
-	}
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, in.Metrics().Snapshot()); err != nil {
+	if err := WritePrometheus(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Contains(buf.Bytes(), []byte("hth_sse_dropped_total")) {

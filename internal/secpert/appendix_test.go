@@ -33,7 +33,7 @@ func TestAppendixA1FactShape(t *testing.T) {
 	err := s.Engine().DefRule(&expert.Rule{
 		Name:     "capture",
 		Salience: 100,
-		Patterns: []expert.Pattern{expert.PBind("f", "system_call_access")},
+		Patterns: []expert.Pattern{{Binder: "f", Template: "system_call_access"}},
 		Action: func(ctx *expert.Context, b *expert.Bindings) {
 			rendered = b.Fact("f").String()
 		},

@@ -33,9 +33,6 @@ func NewHistory() *History {
 	}
 }
 
-// Sessions returns how many sessions have been committed.
-func (h *History) Sessions() int { return h.sessions }
-
 // WrittenIn reports whether a previous session wrote the file, and in
 // which session.
 func (h *History) WrittenIn(path string) (int, bool) {

@@ -308,25 +308,8 @@ func (s *Secpert) SetChainResolver(fn func([]taint.Source) []string) { s.chains 
 // Engine exposes the underlying expert engine (for extension rules).
 func (s *Secpert) Engine() *expert.Engine { return s.eng }
 
-// Config returns the active configuration.
-func (s *Secpert) Config() Config { return s.cfg }
-
 // Warnings returns all warnings issued so far.
 func (s *Secpert) Warnings() []Warning { return s.warnings }
-
-// Trace returns the engine fire trace.
-func (s *Secpert) Trace() []expert.FireRecord { return s.eng.Trace() }
-
-// WarningsAt returns the warnings with exactly the given severity.
-func (s *Secpert) WarningsAt(sev Severity) []Warning {
-	var out []Warning
-	for _, w := range s.warnings {
-		if w.Severity == sev {
-			out = append(out, w)
-		}
-	}
-	return out
-}
 
 // MaxSeverity returns the highest severity seen and whether any
 // warning was issued at all.
@@ -386,9 +369,6 @@ func (s *Secpert) HandleIO(ev *events.IO) Decision {
 	s.eng.Retract(f.ID)
 	return s.pending
 }
-
-// OriginOf reports the recorded name-provenance of a resource.
-func (s *Secpert) OriginOf(name string) []taint.Source { return s.origins[name] }
 
 // warn records a warning, prints it CLIPS-style, and consults the
 // advisor.

@@ -150,7 +150,7 @@ func FuzzCloneIsolation(f *testing.F) {
 				w.write(addr, n, tg, func(sh *Shadow) { sh.SetRange(addr, n, tg) })
 			case 3:
 				n := next() * 16
-				w.write(addr, n, Empty, func(sh *Shadow) { sh.ClearRange(addr, n) })
+				w.write(addr, n, Empty, func(sh *Shadow) { sh.SetRange(addr, n, Empty) })
 			case 4:
 				if len(worlds) < 6 {
 					worlds = append(worlds, w.clone())

@@ -63,7 +63,7 @@ func TestShadowPopulation(t *testing.T) {
 	if p0, p1 := pagePop(t, sh, 0), pagePop(t, sh, 1); p0 != 16 || p1 != 16 {
 		t.Fatalf("range write: pops %d/%d, want 16/16", p0, p1)
 	}
-	sh.ClearRange(0xFF0, 16)
+	sh.SetRange(0xFF0, 16, Empty)
 	if p0, p1 := pagePop(t, sh, 0), pagePop(t, sh, 1); p0 != 0 || p1 != 16 {
 		t.Fatalf("half clear: pops %d/%d, want 0/16", p0, p1)
 	}
@@ -187,7 +187,7 @@ func TestShadowPageFlipSeam(t *testing.T) {
 	// verdicts can only be invalidated by taint arriving, never by it
 	// leaving) — but the *next* zero->nonzero transition must fire
 	// again, or a verdict cached in the clean window would go stale.
-	sh.ClearRange(0x3000, 0x1000)
+	sh.SetRange(0x3000, 0x1000, Empty)
 	if !sh.PageClean(0x3) || sh.FlipGen() != g || len(flips) != 1 {
 		t.Fatalf("drain misbehaved: clean=%v flips=%v", sh.PageClean(0x3), flips)
 	}

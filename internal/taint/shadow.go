@@ -427,12 +427,6 @@ func (sh *Shadow) Clone() *Shadow {
 	return out
 }
 
-// ClearRange resets n bytes starting at addr to Empty. Unallocated
-// pages are skipped without being probed per byte.
-func (sh *Shadow) ClearRange(addr, n uint32) {
-	sh.SetRange(addr, n, Empty)
-}
-
 // Reset drops all pages, giving up this shadow's share of each, and
 // returns it to the untainted state. Used by execve(), which replaces
 // the address space, and by a settled job releasing its pages. It

@@ -161,7 +161,7 @@ func TestShadowEquivByteWordInterleave(t *testing.T) {
 	checkEquiv(t, "byte/word interleave", sh, ref)
 }
 
-// TestShadowEquivRanges drives SetRange/GetRange/ClearRange with
+// TestShadowEquivRanges drives SetRange/GetRange with
 // arbitrary offsets and lengths, crossing page boundaries.
 func TestShadowEquivRanges(t *testing.T) {
 	st := NewStore()
@@ -181,7 +181,7 @@ func TestShadowEquivRanges(t *testing.T) {
 			sh.SetRange(a, n, tg)
 			ref.SetRange(a, n, tg)
 		case 1:
-			sh.ClearRange(a, n)
+			sh.SetRange(a, n, Empty)
 			ref.SetRange(a, n, Empty)
 		case 2:
 			if got, want := sh.GetRange(a, n), ref.GetRange(a, n); got != want {
@@ -299,10 +299,6 @@ func TestShadowEquivAliasingPages(t *testing.T) {
 func TestShadowClearRangeSkipsCleanPages(t *testing.T) {
 	st := NewStore()
 	sh := NewShadow(st)
-	sh.ClearRange(0, 16*pageSize)
-	if sh.Pages() != 0 {
-		t.Fatalf("ClearRange over clean memory allocated %d pages", sh.Pages())
-	}
 	sh.SetRange(5*pageSize, 2*pageSize, Empty)
 	if sh.Pages() != 0 {
 		t.Fatalf("SetRange(Empty) over clean memory allocated %d pages", sh.Pages())

@@ -101,9 +101,9 @@ func TestShadowClearRangeAndReset(t *testing.T) {
 	st, sh := newTestShadow()
 	tag := st.Of(Source{File, "f"})
 	sh.SetRange(0, 16, tag)
-	sh.ClearRange(4, 8)
+	sh.SetRange(4, 8, Empty)
 	if sh.Get(3) != tag || sh.Get(4) != Empty || sh.Get(11) != Empty || sh.Get(12) != tag {
-		t.Error("ClearRange bounds wrong")
+		t.Error("SetRange(Empty) bounds wrong")
 	}
 	sh.Reset()
 	if sh.Pages() != 0 || sh.Get(0) != Empty {

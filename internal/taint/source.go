@@ -10,7 +10,6 @@ package taint
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -55,11 +54,6 @@ func (t SourceType) String() string {
 		return sourceTypeNames[t]
 	}
 	return fmt.Sprintf("SourceType(%d)", uint8(t))
-}
-
-// Valid reports whether t is one of the defined source types.
-func (t SourceType) Valid() bool {
-	return t >= UserInput && t <= Unknown
 }
 
 // Source identifies one origin of data: its type and the name of the
@@ -148,31 +142,6 @@ func (st *Store) Of(s Source) Tag {
 	return t
 }
 
-// OfAll returns the tag for the set of the given sources (deduplicated
-// and sorted). An empty argument list yields Empty.
-func (st *Store) OfAll(sources ...Source) Tag {
-	if len(sources) == 0 {
-		return Empty
-	}
-	if len(sources) == 1 {
-		return st.Of(sources[0])
-	}
-	set := append([]Source(nil), sources...)
-	sort.Slice(set, func(i, j int) bool { return set[i].Less(set[j]) })
-	set = dedup(set)
-	return st.intern(set)
-}
-
-func dedup(set []Source) []Source {
-	out := set[:0]
-	for i, s := range set {
-		if i == 0 || s != set[i-1] {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 func key(set []Source) string {
 	var b strings.Builder
 	for _, s := range set {
@@ -192,23 +161,9 @@ func key(set []Source) string {
 // before the budget was set are not rewritten.
 func (st *Store) SetWidthBudget(n int) { st.widthBudget = n }
 
-// WidthBudget returns the configured width budget (0 = unlimited).
-func (st *Store) WidthBudget() int { return st.widthBudget }
-
 // WideUnions reports how many set-building operations were degraded to
 // wide sources under the width budget.
 func (st *Store) WideUnions() uint64 { return st.wideN }
-
-// IsWide reports whether the set named by t has been summarized (any
-// of its sources carries WideName).
-func (st *Store) IsWide(t Tag) bool {
-	for _, s := range st.Sources(t) {
-		if s.Name == WideName {
-			return true
-		}
-	}
-	return false
-}
 
 // clampWidth enforces the width budget on a canonical sorted set,
 // summarizing to one wide source per distinct type when the set is too
@@ -307,15 +262,6 @@ func (st *Store) Union4(a, b, c, d Tag) Tag {
 	return st.Union(st.Union(a, b), st.Union(c, d))
 }
 
-// UnionAll folds Union over the given tags.
-func (st *Store) UnionAll(tags ...Tag) Tag {
-	out := Empty
-	for _, t := range tags {
-		out = st.Union(out, t)
-	}
-	return out
-}
-
 // Sources returns the canonical source set named by t. The returned
 // slice must not be modified. An unknown tag yields nil.
 func (st *Store) Sources(t Tag) []Source {
@@ -324,49 +270,6 @@ func (st *Store) Sources(t Tag) []Source {
 	}
 	return st.sets[t]
 }
-
-// Has reports whether the set named by t contains any source of the
-// given type.
-func (st *Store) Has(t Tag, typ SourceType) bool {
-	for _, s := range st.sets[validIdx(st, t)] {
-		if s.Type == typ {
-			return true
-		}
-	}
-	return false
-}
-
-// OfType returns the sources of the given type contained in t.
-func (st *Store) OfType(t Tag, typ SourceType) []Source {
-	var out []Source
-	for _, s := range st.sets[validIdx(st, t)] {
-		if s.Type == typ {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// Contains reports whether the set named by t contains exactly the
-// given source.
-func (st *Store) Contains(t Tag, src Source) bool {
-	for _, s := range st.sets[validIdx(st, t)] {
-		if s == src {
-			return true
-		}
-	}
-	return false
-}
-
-func validIdx(st *Store, t Tag) int {
-	if int(t) >= len(st.sets) {
-		return 0
-	}
-	return int(t)
-}
-
-// Len returns the number of sources in the set named by t.
-func (st *Store) Len(t Tag) int { return len(st.Sources(t)) }
 
 // String renders the source set named by t, e.g.
 // {FILE:"/etc/passwd", BINARY:"/bin/ls"}. Empty renders as {}.

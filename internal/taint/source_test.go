@@ -28,18 +28,24 @@ func TestSourceTypeString(t *testing.T) {
 	}
 }
 
-func TestSourceTypeValid(t *testing.T) {
-	for _, typ := range []SourceType{UserInput, File, Socket, Binary, Hardware, Unknown} {
-		if !typ.Valid() {
-			t.Errorf("%v.Valid() = false", typ)
+// ofAll is the tag of the set of srcs, folded from single-source tags
+// with Union.
+func ofAll(st *Store, srcs ...Source) Tag {
+	out := Empty
+	for _, s := range srcs {
+		out = st.Union(out, st.Of(s))
+	}
+	return out
+}
+
+// hasType reports whether the set named by t has a source of type typ.
+func hasType(st *Store, t Tag, typ SourceType) bool {
+	for _, s := range st.Sources(t) {
+		if s.Type == typ {
+			return true
 		}
 	}
-	if None.Valid() {
-		t.Error("None.Valid() = true")
-	}
-	if SourceType(99).Valid() {
-		t.Error("SourceType(99).Valid() = true")
-	}
+	return false
 }
 
 func TestEmptyTag(t *testing.T) {
@@ -47,14 +53,8 @@ func TestEmptyTag(t *testing.T) {
 	if got := st.Sources(Empty); got != nil {
 		t.Errorf("Sources(Empty) = %v, want nil", got)
 	}
-	if st.Len(Empty) != 0 {
-		t.Errorf("Len(Empty) = %d", st.Len(Empty))
-	}
 	if got := st.String(Empty); got != "{}" {
 		t.Errorf("String(Empty) = %q", got)
-	}
-	if st.Has(Empty, File) {
-		t.Error("Has(Empty, File) = true")
 	}
 }
 
@@ -79,21 +79,14 @@ func TestOfAllCanonicalization(t *testing.T) {
 	st := NewStore()
 	a := Source{File, "a"}
 	b := Source{Socket, "b"}
-	t1 := st.OfAll(a, b)
-	t2 := st.OfAll(b, a)
-	t3 := st.OfAll(b, a, b, a) // duplicates
+	t1 := ofAll(st, a, b)
+	t2 := ofAll(st, b, a)
+	t3 := ofAll(st, b, a, b, a) // duplicates
 	if t1 != t2 || t2 != t3 {
 		t.Errorf("order/duplicate independence failed: %d %d %d", t1, t2, t3)
 	}
-	if st.Len(t1) != 2 {
-		t.Errorf("Len = %d, want 2", st.Len(t1))
-	}
-}
-
-func TestOfAllEmpty(t *testing.T) {
-	st := NewStore()
-	if got := st.OfAll(); got != Empty {
-		t.Errorf("OfAll() = %d, want Empty", got)
+	if n := len(st.Sources(t1)); n != 2 {
+		t.Errorf("%d sources, want 2", n)
 	}
 }
 
@@ -105,7 +98,7 @@ func TestUnionBasics(t *testing.T) {
 	if u == a || u == b || u == Empty {
 		t.Fatalf("Union produced a degenerate tag: %d", u)
 	}
-	if !st.Has(u, File) || !st.Has(u, Socket) {
+	if !hasType(st, u, File) || !hasType(st, u, Socket) {
 		t.Errorf("union missing members: %s", st.String(u))
 	}
 	// Identity laws.
@@ -142,36 +135,18 @@ func TestUnionAll(t *testing.T) {
 		st.Of(Source{Binary, "c"}),
 		Empty,
 	}
-	u := st.UnionAll(tags...)
-	if st.Len(u) != 3 {
-		t.Errorf("UnionAll len = %d, want 3", st.Len(u))
+	u := Empty
+	for _, tag := range tags {
+		u = st.Union(u, tag)
 	}
-	if st.UnionAll() != Empty {
-		t.Error("UnionAll() != Empty")
-	}
-}
-
-func TestOfTypeAndContains(t *testing.T) {
-	st := NewStore()
-	f1 := Source{File, "one"}
-	f2 := Source{File, "two"}
-	b := Source{Binary, "img"}
-	u := st.OfAll(f1, f2, b)
-	files := st.OfType(u, File)
-	if len(files) != 2 {
-		t.Fatalf("OfType(File) = %v", files)
-	}
-	if !st.Contains(u, b) {
-		t.Error("Contains(b) = false")
-	}
-	if st.Contains(u, Source{Socket, "x"}) {
-		t.Error("Contains(socket) = true")
+	if n := len(st.Sources(u)); n != 3 {
+		t.Errorf("folded union has %d sources, want 3", n)
 	}
 }
 
 func TestStoreStringFormat(t *testing.T) {
 	st := NewStore()
-	u := st.OfAll(Source{File, "f"}, Source{Binary, "b"})
+	u := ofAll(st, Source{File, "f"}, Source{Binary, "b"})
 	want := `{FILE:"f", BINARY:"b"}`
 	if got := st.String(u); got != want {
 		t.Errorf("String = %q, want %q", got, want)
@@ -184,11 +159,8 @@ func TestInvalidTagIsSafe(t *testing.T) {
 	if st.Sources(bogus) != nil {
 		t.Error("Sources(bogus) != nil")
 	}
-	if st.Has(bogus, File) {
-		t.Error("Has(bogus) = true")
-	}
-	if st.OfType(bogus, File) != nil {
-		t.Error("OfType(bogus) != nil")
+	if got := st.String(bogus); got != "{}" {
+		t.Errorf("String(bogus) = %q", got)
 	}
 }
 
@@ -219,7 +191,7 @@ func TestUnionProperty(t *testing.T) {
 				srcs = append(srcs, Source{types[i], names[i]})
 			}
 		}
-		return st.OfAll(srcs...)
+		return ofAll(st, srcs...)
 	}
 	f := func(x, y uint8) bool {
 		x &= 0x1f
@@ -245,7 +217,7 @@ func TestUnionAssociativity(t *testing.T) {
 				Name: string(rune('a' + rng.Intn(6))),
 			})
 		}
-		return st.OfAll(srcs...)
+		return ofAll(st, srcs...)
 	}
 	for i := 0; i < 500; i++ {
 		a, b, c := randTag(), randTag(), randTag()
@@ -269,7 +241,7 @@ func TestCanonicalInvariant(t *testing.T) {
 				Name: string(rune('a' + rng.Intn(4))),
 			})
 		}
-		tag := st.OfAll(srcs...)
+		tag := ofAll(st, srcs...)
 		set := st.Sources(tag)
 		if !sort.SliceIsSorted(set, func(a, b int) bool { return set[a].Less(set[b]) }) {
 			t.Fatalf("set not sorted: %v", set)
@@ -301,12 +273,9 @@ func TestWidthBudgetDegrades(t *testing.T) {
 			t.Errorf("set[%d] = %v, want %v", i, set[i], s)
 		}
 	}
-	if !st.IsWide(tag) {
-		t.Error("IsWide = false for degraded tag")
-	}
 	// Soundness: type-level membership survives degradation, so
 	// type-keyed warnings cannot be lost.
-	if !st.Has(tag, File) || !st.Has(tag, Socket) {
+	if !hasType(st, tag, File) || !hasType(st, tag, Socket) {
 		t.Error("type membership lost under degradation")
 	}
 	if st.WideUnions() == 0 {
@@ -333,7 +302,7 @@ func TestWidthBudgetConverges(t *testing.T) {
 		}
 		prev = tag
 	}
-	if got := st.Len(tag); got > 2 {
+	if got := len(st.Sources(tag)); got > 2 {
 		t.Errorf("converged width = %d, want <= 2", got)
 	}
 	// The store's set table stays bounded relative to an unbudgeted
@@ -350,7 +319,7 @@ func TestWidthBudgetDisabled(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tag = st.Union(tag, st.Of(Source{Type: File, Name: fmt.Sprintf("f%d", i)}))
 	}
-	if st.Len(tag) != 10 || st.IsWide(tag) || st.WideUnions() != 0 {
+	if len(st.Sources(tag)) != 10 || st.WideUnions() != 0 {
 		t.Error("unbudgeted store degraded a set")
 	}
 }

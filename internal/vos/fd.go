@@ -47,7 +47,6 @@ type FDesc struct {
 	off      int
 	conn     *Conn
 	listener *Listener
-	flags    uint32
 
 	// OriginTag is the taint tag of the resource's *name* at the time
 	// the resource was opened (paper §5.1: the "resource ID data

@@ -14,7 +14,6 @@
 package vos
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/image"
@@ -138,7 +137,3 @@ const (
 	OTrunc  = 0x200
 	OAppend = 0x400
 )
-
-func openErr(path string, e uint32) error {
-	return fmt.Errorf("vos: open %s: errno %d", path, e)
-}

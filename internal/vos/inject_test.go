@@ -155,11 +155,11 @@ path: .asciz "/t"
 func TestFDBudgetDefaultGenerous(t *testing.T) {
 	os := buildOS(t, readFileSrc)
 	os.FS.Create("/t", []byte("hi"))
-	if os.maxOpenFDs() != DefaultMaxOpenFDs {
-		t.Fatalf("default budget = %d", os.maxOpenFDs())
+	if os.maxFDs != DefaultMaxOpenFDs {
+		t.Fatalf("default budget = %d", os.maxFDs)
 	}
 	os.SetMaxOpenFDs(-1) // explicit opt-out
-	if os.maxOpenFDs() != -1 {
+	if os.maxFDs != -1 {
 		t.Fatal("opt-out ignored")
 	}
 	p := start(t, os, ProcSpec{})
@@ -243,7 +243,7 @@ _start:
 .data
 buf: .space 4
 `)
-	os.SetMaxConsoleBytes(4096)
+	os.maxConsole = 4096
 	start(t, os, ProcSpec{})
 	run(t, os)
 	if len(os.Console) != 4096 {

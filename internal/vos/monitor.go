@@ -179,36 +179,23 @@ type Monitor interface {
 	SyscallExit(p *Process, sc *SyscallCtx)
 	// Forked runs after fork/clone created child (child is runnable).
 	Forked(parent, child *Process)
+	// PreExec runs immediately before execve tears the old code map
+	// down, while the outgoing spans are still reachable through
+	// p.CPU.Code; Harrier drops the compiled traces keyed to them.
+	PreExec(p *Process)
 	// Execed runs after p replaced its image via execve.
 	Execed(p *Process)
+	// TaintSource runs when a taint-source call — read(2),
+	// socketcall(recv), and the cross-process transfers that ride on
+	// them — commits to depositing external data into guest memory,
+	// before the deposit and before SyscallExit. It gives a monitor
+	// that runs guest code uninstrumented while the taint state is
+	// provably clean (Harrier's clean tier) a hard boundary at which to
+	// flush its "no live taint reachable" assumptions, independent of
+	// the shadow's own page-flip seam.
+	TaintSource(p *Process, sc *SyscallCtx)
 	// Exited runs when p terminates (exit, kill, or fault).
 	Exited(p *Process)
-}
-
-// PreExecMonitor is an optional Monitor extension: a monitor that
-// caches state keyed to a process's code spans (Harrier's compiled
-// traces) implements it to be notified immediately before
-// execve tears the old code map down, while the spans are still
-// reachable through p.CPU.Code. It is discovered by type assertion so
-// existing Monitor implementations stay source-compatible.
-type PreExecMonitor interface {
-	PreExec(p *Process)
-}
-
-// TaintSourceMonitor is an optional Monitor extension: a monitor that
-// runs guest code uninstrumented while the taint state is provably
-// clean (Harrier's clean tier) implements it to hear about
-// taint-source system calls — read(2), socketcall(recv), and the
-// cross-process transfers that ride on them — at the moment the
-// kernel commits to depositing external data into guest memory,
-// before the deposit and before the monitor's own SyscallExit tagging
-// runs. The callback gives the monitor a hard boundary at which to
-// flush any "no live taint reachable" assumptions, independent of the
-// shadow's own page-flip seam. Discovered by type assertion, like
-// PreExecMonitor, so existing Monitor implementations stay
-// source-compatible.
-type TaintSourceMonitor interface {
-	TaintSource(p *Process, sc *SyscallCtx)
 }
 
 // NopMonitor is an embeddable no-op Monitor.
@@ -226,8 +213,14 @@ func (NopMonitor) SyscallExit(*Process, *SyscallCtx) {}
 // Forked does nothing.
 func (NopMonitor) Forked(*Process, *Process) {}
 
+// PreExec does nothing.
+func (NopMonitor) PreExec(*Process) {}
+
 // Execed does nothing.
 func (NopMonitor) Execed(*Process) {}
+
+// TaintSource does nothing.
+func (NopMonitor) TaintSource(*Process, *SyscallCtx) {}
 
 // Exited does nothing.
 func (NopMonitor) Exited(*Process) {}

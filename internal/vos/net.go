@@ -82,9 +82,6 @@ func (rc *RemoteConn) Send(data []byte) { rc.conn.Write(data) }
 // Close closes the remote endpoint.
 func (rc *RemoteConn) Close() { rc.conn.Close() }
 
-// LocalAddr returns the scripted endpoint's address.
-func (rc *RemoteConn) LocalAddr() string { return rc.conn.LocalAddr }
-
 // Listener is a guest-side listening socket with a queue of pending
 // inbound connections.
 type Listener struct {
@@ -239,10 +236,6 @@ func (n *Network) Tick(clock uint64) {
 	}
 	n.scheduled = rest
 }
-
-// PendingWork reports whether the network still has scheduled events;
-// the scheduler uses this for deadlock detection.
-func (n *Network) PendingWork() bool { return len(n.scheduled) > 0 }
 
 func (n *Network) pair(aAddr, bAddr string) (a, b *Conn) {
 	a = &Conn{LocalAddr: aAddr, RemoteAddr: bAddr, net: n}

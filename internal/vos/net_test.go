@@ -144,7 +144,7 @@ func TestScheduledConnectWaitsForListener(t *testing.T) {
 	if script.greeted {
 		t.Fatal("connected without a listener")
 	}
-	if !n.PendingWork() {
+	if len(n.scheduled) == 0 {
 		t.Fatal("scheduled connect dropped")
 	}
 	l, _ := n.Bind("late:1")
@@ -155,7 +155,7 @@ func TestScheduledConnectWaitsForListener(t *testing.T) {
 	if len(l.pending) != 1 {
 		t.Fatal("listener did not receive the connection")
 	}
-	if n.PendingWork() {
+	if len(n.scheduled) != 0 {
 		t.Error("scheduled connect not consumed")
 	}
 	// Addressing: the accepted endpoint names the remote peer.

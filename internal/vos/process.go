@@ -62,14 +62,8 @@ type Process struct {
 	brk      uint32
 }
 
-// Monitored reports whether a monitor (Harrier) is attached.
-func (p *Process) Monitored() bool { return p.Monitor != nil }
-
 // Alive reports whether the process has not exited.
 func (p *Process) Alive() bool { return p.State != Exited }
-
-// Clock returns the OS virtual clock.
-func (p *Process) Clock() uint64 { return p.OS.Clock }
 
 // Age returns virtual ticks since the program started (execve resets
 // it: a new program began).
@@ -79,7 +73,7 @@ func (p *Process) Age() uint64 { return p.OS.Clock - p.StartClock }
 // -1 when the process is at its open-descriptor budget (the caller
 // fails the call with EMFILE).
 func (p *Process) allocFD(fd *FDesc) int {
-	if limit := p.OS.maxOpenFDs(); limit > 0 && len(p.FDs) >= limit {
+	if limit := p.OS.maxFDs; limit > 0 && len(p.FDs) >= limit {
 		return -1
 	}
 	n := p.nextFD
@@ -138,12 +132,12 @@ func (p *Process) notifyEnter(sc *SyscallCtx) bool {
 	return true
 }
 
-// notifyTaintSource tells a TaintSourceMonitor (when the monitor is
-// one) that sc is about to deposit externally-sourced data into p's
-// memory — the clean tier's re-instrumentation boundary.
+// notifyTaintSource tells the monitor that sc is about to deposit
+// externally-sourced data into p's memory — the clean tier's
+// re-instrumentation boundary.
 func (p *Process) notifyTaintSource(sc *SyscallCtx) {
-	if m, ok := p.Monitor.(TaintSourceMonitor); ok {
-		m.TaintSource(p, sc)
+	if p.Monitor != nil {
+		p.Monitor.TaintSource(p, sc)
 	}
 }
 

@@ -47,7 +47,7 @@ msg: .ascii "ok\n"
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iterations; i++ {
-				os := New(Options{})
+				os := New()
 				os.FS.Install("/bin/prog", asm.MustAssemble("/bin/prog", src))
 				if _, err := os.StartProcess(ProcSpec{Path: "/bin/prog"}); err != nil {
 					t.Errorf("goroutine %d: start: %v", g, err)

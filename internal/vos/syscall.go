@@ -220,7 +220,7 @@ func (k *kernel) sysOpen(p *Process, args [5]uint32, creat bool) {
 		p.notifyExit(sc)
 		return
 	}
-	fd := &FDesc{Kind: FDFile, Path: path, file: f, flags: flags}
+	fd := &FDesc{Kind: FDFile, Path: path, file: f}
 	if flags&OAppend != 0 {
 		fd.off = len(f.Data)
 	}
@@ -706,8 +706,8 @@ func (k *kernel) sysExecve(p *Process, args [5]uint32) {
 	// Replace the address space. Monitors that cache state keyed to
 	// the outgoing code spans get a last look while they are still
 	// mapped (Harrier drops its compiled traces here).
-	if pre, ok := p.Monitor.(PreExecMonitor); ok {
-		pre.PreExec(p)
+	if p.Monitor != nil {
+		p.Monitor.PreExec(p)
 	}
 	p.Path = path
 	p.Argv = argv

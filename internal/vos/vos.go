@@ -51,53 +51,17 @@ const MaxRWCount = 1 << 20
 // of magnitude above any legitimate corpus file.
 const MaxFileSize = 16 << 20
 
-// DefaultMaxConsoleBytes is the console capture budget applied when
-// Options.MaxConsoleBytes is zero. Output past the budget is counted
-// in OS.ConsoleDropped instead of stored, so a guest spinning in a
-// write loop cannot grow host memory without bound.
+// DefaultMaxConsoleBytes is the console capture budget of a new OS.
+// Output past the budget is counted in OS.ConsoleDropped instead of
+// stored, so a guest spinning in a write loop cannot grow host memory
+// without bound.
 const DefaultMaxConsoleBytes = 4 << 20
 
-// DefaultMaxOpenFDs is the per-process descriptor budget applied when
-// Options.MaxOpenFDs is zero. Generous enough for every corpus guest;
-// small enough that a descriptor-leaking guest degrades into EMFILE
-// errors instead of unbounded host memory growth.
+// DefaultMaxOpenFDs is the per-process descriptor budget of a new OS.
+// Generous enough for every corpus guest; small enough that a
+// descriptor-leaking guest degrades into EMFILE errors instead of
+// unbounded host memory growth.
 const DefaultMaxOpenFDs = 1024
-
-// Options tune a virtual machine.
-type Options struct {
-	// StepsPerSlice is the scheduler quantum in instructions.
-	StepsPerSlice int
-	// MaxSteps caps total executed instructions across all processes
-	// (a runaway-guest backstop, not a scheduling parameter).
-	MaxSteps uint64
-	// Deadline bounds a Run call in host wall-clock time; when
-	// exceeded, Run returns ErrDeadline. Zero disables the deadline.
-	Deadline time.Duration
-	// MaxOpenFDs caps open descriptors per process; further
-	// allocations fail with EMFILE. Zero selects DefaultMaxOpenFDs;
-	// negative disables the cap.
-	MaxOpenFDs int
-	// MaxConsoleBytes caps the bytes retained in OS.Console (and the
-	// per-process Stdout captures); overflow is counted in
-	// ConsoleDropped. Zero selects DefaultMaxConsoleBytes; negative
-	// disables the cap.
-	MaxConsoleBytes int
-}
-
-func (o *Options) defaults() {
-	if o.StepsPerSlice == 0 {
-		o.StepsPerSlice = 128
-	}
-	if o.MaxSteps == 0 {
-		o.MaxSteps = 50_000_000
-	}
-	if o.MaxOpenFDs == 0 {
-		o.MaxOpenFDs = DefaultMaxOpenFDs
-	}
-	if o.MaxConsoleBytes == 0 {
-		o.MaxConsoleBytes = DefaultMaxConsoleBytes
-	}
-}
 
 // OS is one virtual machine: filesystem, network, process table,
 // scheduler and virtual clock (which advances one tick per executed
@@ -114,7 +78,7 @@ type OS struct {
 	TotalSteps uint64
 
 	// Console accumulates all stdout/stderr writes across processes,
-	// up to the MaxConsoleBytes budget.
+	// up to the console byte budget (DefaultMaxConsoleBytes).
 	Console []byte
 	// ConsoleDropped counts console bytes discarded past the budget.
 	ConsoleDropped uint64
@@ -126,31 +90,35 @@ type OS struct {
 	// every 128-instruction round.
 	procList []*Process
 	nextPID  int
-	opts     Options
 	kern     *kernel
 	inject   FaultInjector
 	bus      *obs.Bus
+
+	// Budgets, set through the Set* methods.
+	stepsPerSlice int           // scheduler quantum in instructions
+	maxSteps      uint64        // instruction backstop across all processes
+	deadline      time.Duration // wall-clock bound of a Run call; 0 disables
+	maxFDs        int           // open descriptors per process; negative disables
+	maxConsole    int           // bytes retained in Console; negative disables
 }
 
-// New creates an empty virtual machine.
-func New(opts Options) *OS {
-	opts.defaults()
+// New creates an empty virtual machine with the default budgets: a
+// 128-instruction slice, 50M instructions, no deadline,
+// DefaultMaxOpenFDs and DefaultMaxConsoleBytes.
+func New() *OS {
 	os := &OS{
-		FS:      NewFS(),
-		Net:     NewNetwork(),
-		Natives: make(map[string]func(*isa.CPU)),
-		procs:   make(map[int]*Process),
-		nextPID: 1,
-		opts:    opts,
+		FS:            NewFS(),
+		Net:           NewNetwork(),
+		Natives:       make(map[string]func(*isa.CPU)),
+		procs:         make(map[int]*Process),
+		nextPID:       1,
+		stepsPerSlice: 128,
+		maxSteps:      50_000_000,
+		maxFDs:        DefaultMaxOpenFDs,
+		maxConsole:    DefaultMaxConsoleBytes,
 	}
 	os.kern = &kernel{os: os}
 	return os
-}
-
-// Process returns the process with the given pid.
-func (os *OS) Process(pid int) (*Process, bool) {
-	p, ok := os.procs[pid]
-	return p, ok
 }
 
 // Processes returns all processes (including exited) in pid order.
@@ -176,17 +144,6 @@ func (os *OS) addProc(p *Process) {
 // SetBus attaches (or, with nil, detaches) the observability bus.
 // Kernel, scheduler, and process-lifecycle events publish into it.
 func (os *OS) SetBus(b *obs.Bus) { os.bus = b }
-
-// LiveCount returns the number of non-exited processes.
-func (os *OS) LiveCount() int {
-	n := 0
-	for _, p := range os.procs {
-		if p.Alive() {
-			n++
-		}
-	}
-	return n
-}
 
 // loaderEnv builds the loader environment resolving shared objects
 // from the filesystem (shared objects are installed under their soname
@@ -300,10 +257,10 @@ func (os *OS) loadInto(p *Process, f *File) error {
 // or a deadlock is detected.
 func (os *OS) Run() error {
 	idleRounds := 0
-	sps := os.opts.StepsPerSlice
+	sps := os.stepsPerSlice
 	var deadline time.Time
-	if os.opts.Deadline > 0 {
-		deadline = time.Now().Add(os.opts.Deadline)
+	if os.deadline > 0 {
+		deadline = time.Now().Add(os.deadline)
 	}
 	rounds := 0
 	for {
@@ -382,7 +339,7 @@ func (os *OS) Run() error {
 		if !anyAlive {
 			return os.schedEnd(nil)
 		}
-		if os.TotalSteps > os.opts.MaxSteps {
+		if os.TotalSteps > os.maxSteps {
 			return os.schedEnd(ErrBudget)
 		}
 		if progressed {
@@ -422,7 +379,7 @@ func (os *OS) schedEnd(err error) error {
 // SetMaxSteps adjusts the total instruction budget.
 func (os *OS) SetMaxSteps(n uint64) {
 	if n > 0 {
-		os.opts.MaxSteps = n
+		os.maxSteps = n
 	}
 }
 
@@ -435,31 +392,19 @@ func (os *OS) SetMaxSteps(n uint64) {
 // batch throughput wants it high.
 func (os *OS) SetStepsPerSlice(n int) {
 	if n > 0 {
-		os.opts.StepsPerSlice = n
+		os.stepsPerSlice = n
 	}
 }
 
 // SetDeadline adjusts the wall-clock budget of subsequent Run calls
 // (0 disables it).
-func (os *OS) SetDeadline(d time.Duration) { os.opts.Deadline = d }
+func (os *OS) SetDeadline(d time.Duration) { os.deadline = d }
 
 // SetMaxOpenFDs adjusts the per-process descriptor budget (0 keeps the
 // current value, negative disables the cap).
 func (os *OS) SetMaxOpenFDs(n int) {
 	if n != 0 {
-		os.opts.MaxOpenFDs = n
-	}
-}
-
-// maxOpenFDs returns the effective per-process descriptor cap, or a
-// negative value when uncapped.
-func (os *OS) maxOpenFDs() int { return os.opts.MaxOpenFDs }
-
-// SetMaxConsoleBytes adjusts the console capture budget (0 keeps the
-// current value, negative disables the cap).
-func (os *OS) SetMaxConsoleBytes(n int) {
-	if n != 0 {
-		os.opts.MaxConsoleBytes = n
+		os.maxFDs = n
 	}
 }
 
@@ -469,7 +414,7 @@ func (os *OS) SetMaxConsoleBytes(n int) {
 // guest spinning in a write loop cannot grow host memory without
 // bound.
 func (os *OS) appendConsole(p *Process, data []byte) {
-	if budget := os.opts.MaxConsoleBytes; budget > 0 {
+	if budget := os.maxConsole; budget > 0 {
 		room := budget - len(os.Console)
 		if room < 0 {
 			room = 0
@@ -481,16 +426,4 @@ func (os *OS) appendConsole(p *Process, data []byte) {
 	}
 	os.Console = append(os.Console, data...)
 	p.Stdout = append(p.Stdout, data...)
-}
-
-// RunFor runs until done or approximately n more instructions execute.
-func (os *OS) RunFor(n uint64) error {
-	saved := os.opts.MaxSteps
-	os.opts.MaxSteps = os.TotalSteps + n
-	err := os.Run()
-	os.opts.MaxSteps = saved
-	if err == ErrBudget {
-		return nil
-	}
-	return err
 }

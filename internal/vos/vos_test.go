@@ -10,7 +10,7 @@ import (
 // buildOS returns an OS with a program installed at /bin/prog.
 func buildOS(t *testing.T, src string) *OS {
 	t.Helper()
-	os := New(Options{})
+	os := New()
 	os.FS.Install("/bin/prog", asm.MustAssemble("/bin/prog", src))
 	return os
 }
@@ -729,7 +729,8 @@ child:
 }
 
 func TestRunBudget(t *testing.T) {
-	os := New(Options{MaxSteps: 1000})
+	os := New()
+	os.SetMaxSteps(1000)
 	os.FS.Install("/bin/prog", asm.MustAssemble("/bin/prog", `
 .text
 _start:

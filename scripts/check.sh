@@ -78,12 +78,21 @@ sh scripts/benchgate.sh
 # and the spans-off/on differential sweep (see Makefile `spans`).
 make spans
 # Examples gate: every example program runs to completion, and
-# trojandetect's provenance and live-introspection paths (a standalone
-# server attached as an observer) keep working.
+# trojandetect's provenance path keeps working.
 for ex in examples/*/; do
 	go run "./$ex" >/dev/null
 done
-go run ./examples/trojandetect -provenance -introspect 127.0.0.1:0 >/dev/null
+go run ./examples/trojandetect -provenance >/dev/null
+# Command-line gate: the CLIs no other gate runs exit 0 on one input
+# each (hth-serve needs a listener; the root tests cover its handler).
+clidir=$(mktemp -d)
+trap 'rm -rf "$clidir"' EXIT
+printf '.text\n_start:\n    mov ebx, 0\n    mov eax, 1\n    int 0x80\n' >"$clidir/p.s"
+printf '(deftemplate person (slot name))\n(defrule hi (person (name ?n)) => (printout t "hi " ?n crlf))\n(assert (person (name world)))\n(run)\n' >"$clidir/t.clp"
+go run ./cmd/hth -scenario pma >/dev/null
+go run ./cmd/hth-asm -in "$clidir/p.s" -disasm -instrument -secure >/dev/null
+go run ./cmd/clips "$clidir/t.clp" >"$clidir/clips.out"
+grep -q 'hi world' "$clidir/clips.out"
 # Trace replay gate: a recorded trojandetect run must replay into the
 # golden summary (determinism of the JSONL observer end to end).
 make trace

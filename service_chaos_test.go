@@ -172,7 +172,7 @@ func runServiceSoak(t *testing.T, plan *chaos.Plan, tenants, jobsPerTenant int) 
 		if root := e.spans.Root(); root == nil || root.Name != "job" || root.End == 0 {
 			t.Errorf("job %s: root span not closed: %+v", res.ID, root)
 		}
-		if n := e.spans.OpenCount(); n != 0 {
+		if n := openSpans(e.spans); n != 0 {
 			t.Errorf("job %s: %d spans still open after termination", res.ID, n)
 		}
 	}
@@ -184,11 +184,11 @@ func runServiceSoak(t *testing.T, plan *chaos.Plan, tenants, jobsPerTenant int) 
 	// Metric conservation: every submission is accounted for in the
 	// registry — admitted enqueues, and one job.done per termination
 	// (including typed bad-spec rejections).
-	m := s.Metrics()
-	if got := m.KindCount(obs.KindJobEnqueue); got != uint64(stats.admitted) {
+	counts := s.Metrics().Snapshot().Counters
+	if got := counts["events."+obs.KindJobEnqueue.String()]; got != uint64(stats.admitted) {
 		t.Errorf("job.enqueue count = %d, admitted = %d", got, stats.admitted)
 	}
-	if got := m.KindCount(obs.KindJobDone); got != uint64(stats.admitted+stats.badSpec) {
+	if got := counts["events."+obs.KindJobDone.String()]; got != uint64(stats.admitted+stats.badSpec) {
 		t.Errorf("job.done count = %d, want %d", got, stats.admitted+stats.badSpec)
 	}
 

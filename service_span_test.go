@@ -10,6 +10,17 @@ import (
 	"repro/internal/obs"
 )
 
+// openSpans counts the recorder's spans not yet closed.
+func openSpans(rec *obs.SpanRecorder) int {
+	n := 0
+	for _, sp := range rec.Spans() {
+		if sp.End == 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // spansByName indexes a recorder's spans by name (a name may repeat —
 // one queue/exec pair per attempt).
 func spansByName(rec *obs.SpanRecorder) map[string][]obs.Span {
@@ -42,7 +53,7 @@ func TestServiceJobSpanTree(t *testing.T) {
 	if rec.TraceID() != h.ID() {
 		t.Errorf("trace id %q, want job id %q", rec.TraceID(), h.ID())
 	}
-	if n := rec.OpenCount(); n != 0 {
+	if n := openSpans(rec); n != 0 {
 		t.Errorf("%d spans still open after Done()", n)
 	}
 	byName := spansByName(rec)
@@ -190,7 +201,7 @@ func TestServiceCrashRetrySpans(t *testing.T) {
 		t.Fatalf("status %q attempts %d: %+v", res.Status, res.Attempts, res.Error)
 	}
 	rec := h.Spans()
-	if n := rec.OpenCount(); n != 0 {
+	if n := openSpans(rec); n != 0 {
 		t.Errorf("%d spans open after retry completion", n)
 	}
 	byName := spansByName(rec)
@@ -246,7 +257,7 @@ loop: jmp loop
 		t.Fatalf("status %q outcome %q, want a deadline termination", res.Status, res.Outcome)
 	}
 	rec := h.Spans()
-	if n := rec.OpenCount(); n != 0 {
+	if n := openSpans(rec); n != 0 {
 		t.Errorf("%d spans open after deadline abort", n)
 	}
 	byName := spansByName(rec)
