@@ -84,7 +84,7 @@ func TestSharedImagesImmutable(t *testing.T) {
 		}
 	}
 
-	for _, o := range serviceSweep(t, wrapped) {
+	for _, o := range serviceSweep(t, wrapped, 1)[0] {
 		if o.Err != nil {
 			t.Fatalf("service %s: %v", o.Scenario.Name, o.Err)
 		}

@@ -120,7 +120,7 @@ func TestSharedPolicyImmutable(t *testing.T) {
 		t.Fatal("a batch sweep mutated Secpert's shared policy")
 	}
 
-	for _, o := range serviceSweep(t, All()) {
+	for _, o := range serviceSweep(t, All(), 1)[0] {
 		if o.Err != nil {
 			t.Fatalf("service %s: %v", o.Scenario.Name, o.Err)
 		}

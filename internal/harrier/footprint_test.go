@@ -18,7 +18,7 @@ func runFootprintPair(t *testing.T, span *isa.Span, regs map[isa.Reg]uint32, tai
 	if tr = h.compileTrace(span, 0, false); tr == nil || !tr.clean.ok {
 		t.Fatalf("trace %+v is not clean-eligible", tr)
 	}
-	span.SetBBSummary(0, tr)
+	span.SetTraceSlot(0, tr)
 	src := h.Store.Of(taint.Source{Type: taint.Socket, Name: "10.0.0.1:99"})
 	bin := h.binTag(span.Image)
 	mk := func() *isa.CPU {
@@ -38,7 +38,7 @@ func runFootprintPair(t *testing.T, span *isa.Span, regs map[isa.Reg]uint32, tai
 		return c
 	}
 	interp, traced := mk(), mk()
-	traced.Hooks.OnBBSummary = h.onBBSummary
+	traced.Hooks.OnTraceSlot = h.onTraceSlot
 	for _, c := range []*isa.CPU{interp, traced} {
 		for i := 0; i < 4096 && !c.Halted; i++ {
 			if err := c.Step(); err != nil {

@@ -75,7 +75,7 @@ func FuzzCleanReinstrument(f *testing.F) {
 		cB := newFuzzCPU(span, h.Store, data)
 		cB.Hooks.OnInstr = h.trackDataFlow
 		cB.Hooks.OnInstrData = true
-		cB.Hooks.OnBBSummary = h.onBBSummary
+		cB.Hooks.OnTraceSlot = h.onTraceSlot
 		cB.Shadow.OnPageFlip(h.onPageFlip) // the seam vos.Started installs
 		faultB, injB := run(cB)
 

@@ -67,7 +67,7 @@ func FuzzStraightLineTrace(f *testing.F) {
 		if again := h.compileTrace(span, 0, false); !reflect.DeepEqual(tr, again) {
 			t.Fatalf("nondeterministic trace compile:\n  first:  %+v\n  second: %+v", tr, again)
 		}
-		span.SetBBSummary(0, tr)
+		span.SetTraceSlot(0, tr)
 		compareTraced(t, h, span, data)
 	})
 }
@@ -89,7 +89,7 @@ func compareTraced(t *testing.T, h *Harrier, span *isa.Span, data []byte) {
 	cB := newFuzzCPU(span, h.Store, data)
 	cB.Hooks.OnInstr = h.trackDataFlow
 	cB.Hooks.OnInstrData = true
-	cB.Hooks.OnBBSummary = h.onBBSummary
+	cB.Hooks.OnTraceSlot = h.onTraceSlot
 	faultB := runBudgeted(cB, span, bound, slice)
 
 	if cA.Regs != cB.Regs || cA.EIP != cB.EIP || cA.Steps != cB.Steps ||
@@ -122,7 +122,7 @@ func installTraces(h *Harrier, span *isa.Span) int {
 			continue
 		}
 		if tr := h.compileTrace(span, i, false); tr != nil {
-			span.SetBBSummary(i, tr)
+			span.SetTraceSlot(i, tr)
 			installed++
 		}
 	}

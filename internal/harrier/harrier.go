@@ -309,7 +309,7 @@ func (h *Harrier) Started(p *vos.Process) {
 		hooks.OnNativePost = h.nativePost
 	}
 	if h.tierThreshold > 0 {
-		hooks.OnBBSummary = h.onBBSummary
+		hooks.OnTraceSlot = h.onTraceSlot
 	}
 	p.CPU.Hooks = hooks
 	if h.cleanThreshold > 0 && p.CPU.Shadow != nil {
@@ -389,9 +389,9 @@ func (h *Harrier) collectBBFrequency(c *isa.CPU, s *isa.Span, leader int) {
 	}
 	// Tier promotion: a hot block with an empty slot compiles exactly
 	// once per slot lifetime (an empty trace pins the slot, a trace
-	// moves subsequent entries onto the OnBBSummary path; an execve
+	// moves subsequent entries onto the OnTraceSlot path; an execve
 	// invalidation empties the slot and re-arms the trigger).
-	if h.tierThreshold > 0 && *ctr >= h.tierThreshold && s.BBSummary(leader) == nil {
+	if h.tierThreshold > 0 && *ctr >= h.tierThreshold && s.TraceSlot(leader) == nil {
 		h.maybePromote(c, s, leader, key)
 	}
 	if h.bus != nil && uint64(*ctr)&(bbRollQuantum-1) == 0 {

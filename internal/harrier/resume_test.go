@@ -31,7 +31,7 @@ func newResumeCPU(t *testing.T) (h *Harrier, span *isa.Span, tr *blockTrace, tra
 	if tr = h.compileTrace(span, 0, false); tr == nil || !tr.clean.ok {
 		t.Fatal("loop did not compile to a clean-eligible trace")
 	}
-	span.SetBBSummary(0, tr)
+	span.SetTraceSlot(0, tr)
 	mk := func() *isa.CPU {
 		c := isa.NewCPU()
 		c.Code.Add(span)
@@ -46,7 +46,7 @@ func newResumeCPU(t *testing.T) (h *Harrier, span *isa.Span, tr *blockTrace, tra
 		return c
 	}
 	traced, interp = mk(), mk()
-	traced.Hooks.OnBBSummary = h.onBBSummary
+	traced.Hooks.OnTraceSlot = h.onTraceSlot
 	return h, span, tr, traced, interp
 }
 
@@ -192,7 +192,7 @@ func TestLongHeadBlockTrace(t *testing.T) {
 	if tr == nil || tr.nInstr != traceMaxInstrs || tr.endEIP != span.Addr(traceMaxInstrs) || tr.endJumped {
 		t.Fatalf("long head block: trace %+v, want %d instructions ending mid-block", tr, traceMaxInstrs)
 	}
-	span.SetBBSummary(0, tr)
+	span.SetTraceSlot(0, tr)
 	src := h.Store.Of(taint.Source{Type: taint.Socket, Name: "10.0.0.1:99"})
 	mk := func() *isa.CPU {
 		c := isa.NewCPU()
@@ -206,7 +206,7 @@ func TestLongHeadBlockTrace(t *testing.T) {
 		return c
 	}
 	interp, traced := mk(), mk()
-	traced.Hooks.OnBBSummary = h.onBBSummary
+	traced.Hooks.OnTraceSlot = h.onTraceSlot
 	for _, c := range []*isa.CPU{interp, traced} {
 		for !c.Halted {
 			if err := c.Step(); err != nil {

@@ -13,7 +13,7 @@ import (
 // compiled once, as the head of a superblock trace (trace.go):
 //
 //   - a trace   -> the *blockTrace lands in the span's slot and every
-//     later entry runs it through the Hooks.OnBBSummary fast path;
+//     later entry runs it through the Hooks.OnTraceSlot fast path;
 //   - nothing   -> (the head's first instruction is one no trace can
 //     consume: CALL, RET, INT, ...) a tierPinned marker lands in the
 //     slot, recording that compilation was attempted and must not be
@@ -47,11 +47,11 @@ func (h *Harrier) maybePromote(c *isa.CPU, s *isa.Span, leader int, key bbKey) {
 	p := c.Ctx.(*vos.Process)
 	tr := h.compileTrace(s, leader, s.Image == p.Path)
 	if tr == nil {
-		s.SetBBSummary(leader, tierPinned{})
+		s.SetTraceSlot(leader, tierPinned{})
 		h.stats.TierPinned++
 		return
 	}
-	s.SetBBSummary(leader, tr)
+	s.SetTraceSlot(leader, tr)
 	h.stats.TraceCompiled++
 	if h.bus != nil {
 		h.bus.Publish(obs.Event{
@@ -62,15 +62,15 @@ func (h *Harrier) maybePromote(c *isa.CPU, s *isa.Span, leader int, key bbKey) {
 	}
 }
 
-// onBBSummary is the Hooks.OnBBSummary handler: a *blockTrace this
+// onTraceSlot is the Hooks.OnTraceSlot handler: a *blockTrace this
 // Harrier compiled executes outright — the fetch loop skips the
 // covered instructions entirely — and s == nil offers one back to
 // resume a budget stop (isa.TraceResume). Anything else (a pinned
 // marker, a foreign trace) is declined to the interpreter tier.
-func (h *Harrier) onBBSummary(c *isa.CPU, s *isa.Span, leader int, slot any) (isa.SummaryAction, error) {
+func (h *Harrier) onTraceSlot(c *isa.CPU, s *isa.Span, leader int, slot any) (isa.SlotAction, error) {
 	tr, ok := slot.(*blockTrace)
 	if !ok || tr.owner != h || c.Shadow == nil {
-		return isa.SummaryDecline, nil
+		return isa.SlotDecline, nil
 	}
 	if s == nil {
 		return h.resumeTrace(c, tr)
@@ -86,10 +86,10 @@ func (h *Harrier) onBBSummary(c *isa.CPU, s *isa.Span, leader int, slot any) (is
 func (h *Harrier) PreExec(p *vos.Process) {
 	for _, s := range p.CPU.Code.Spans() {
 		for i := range s.Instrs {
-			if tr, ok := s.BBSummary(i).(*blockTrace); ok && tr.owner == h {
+			if tr, ok := s.TraceSlot(i).(*blockTrace); ok && tr.owner == h {
 				h.stats.TierTraceDemoted++
 			}
 		}
-		s.DropSummaries()
+		s.DropTraceSlots()
 	}
 }

@@ -614,12 +614,12 @@ func (tr *blockTrace) exitAt(start, j int, eip uint32, jumped bool) traceExit {
 
 // enterTrace dispatches a trace entry at its head: the clean-tier
 // probe picks the bare or the full-taint loop.
-func (h *Harrier) enterTrace(c *isa.CPU, tr *blockTrace) (isa.SummaryAction, error) {
+func (h *Harrier) enterTrace(c *isa.CPU, tr *blockTrace) (isa.SlotAction, error) {
 	if h.tt != nil {
 		h.tt.Touch(obs.TierTrace)
 	}
 	bare := tr.clean.ok && h.cleanProbeTrace(c, tr)
-	return isa.SummaryTrace, h.runTrace(c, tr, 0, bare, c.TraceBudget)
+	return isa.SlotTrace, h.runTrace(c, tr, 0, bare, c.TraceBudget)
 }
 
 // resumeTrace continues the run a budget stop cut short (c.Resume),
@@ -628,13 +628,13 @@ func (h *Harrier) enterTrace(c *isa.CPU, tr *blockTrace) (isa.SummaryAction, err
 // continue bare only while nothing a clean verdict rests on has moved
 // since — no page of this shadow flipped and the source epoch held —
 // because the verdict proved the whole run from its entry a no-op.
-func (h *Harrier) resumeTrace(c *isa.CPU, tr *blockTrace) (isa.SummaryAction, error) {
+func (h *Harrier) resumeTrace(c *isa.CPU, tr *blockTrace) (isa.SlotAction, error) {
 	r := &c.Resume
 	bare := r.Bare && r.Stamp == h.cleanStamp(c)
 	if h.tt != nil && !bare {
 		h.tt.Touch(obs.TierTrace)
 	}
-	return isa.SummaryTrace, h.runTrace(c, tr, r.Mop, bare, c.TraceBudget)
+	return isa.SlotTrace, h.runTrace(c, tr, r.Mop, bare, c.TraceBudget)
 }
 
 // cleanStamp is what a budget stop records and a bare resume checks:

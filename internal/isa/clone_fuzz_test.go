@@ -46,10 +46,39 @@ func (w *memWorld) store(a uint32, b byte) {
 	w.pages[a>>memPageShift] = true
 }
 
+// checkOwners checks page ownership across the live worlds: every page
+// one maps has bytes, its owner count is the number of worlds mapping
+// it, and no two pages share bytes. A page recycled while still mapped
+// fails one of the three.
+func checkOwners(t *testing.T, worlds []*memWorld) {
+	t.Helper()
+	holders := map[*memPage]int32{}
+	byData := map[*[memPageSize]byte]*memPage{}
+	for i, w := range worlds {
+		for idx, p := range w.m.pages {
+			if p.data == nil {
+				t.Fatalf("world %d maps released page %#x", i, idx)
+			}
+			if q := byData[p.data]; q != nil && q != p {
+				t.Fatalf("world %d: page %#x shares its bytes with another page", i, idx)
+			}
+			byData[p.data] = p
+			holders[p]++
+		}
+	}
+	for p, n := range holders {
+		if p.refs != n {
+			t.Fatalf("page has %d owners, %d mapped", p.refs, n)
+		}
+	}
+}
+
 // FuzzCloneIsolation drives random byte, word and block stores, loads,
-// Clone chains and Resets over a tree of copy-on-write address spaces
-// and checks each one against a deep-copy reference: every byte, word
-// loads, and the resident page count.
+// Clone chains, Resets and fresh address spaces over a tree of
+// copy-on-write address spaces. A fresh space's pages come from the
+// free list that Resets feed. Each space is checked against a
+// deep-copy reference (every byte, word loads, and the resident page
+// count), and page ownership across the live spaces after every op.
 func FuzzCloneIsolation(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		b := make([]byte, 600)
@@ -71,6 +100,16 @@ func FuzzCloneIsolation(f *testing.F) {
 		4, 0, 0, 0, 0, 0,
 		1, 1, 2, 0, 24, 11,
 	})
+	// Store, reset, then start a fresh address space whose first store
+	// takes the released page from the free list: the word the old
+	// owner wrote must read zero.
+	f.Add([]byte{
+		1, 0, 0, 0, 16, 7,
+		4, 0, 0, 0, 0, 0,
+		7, 0, 0, 0, 0, 0,
+		0, 1, 0, 0, 20, 9,
+		5, 1, 0, 0, 16, 0,
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() uint32 {
 			if len(data) == 0 {
@@ -82,7 +121,7 @@ func FuzzCloneIsolation(f *testing.F) {
 		}
 		worlds := []*memWorld{newMemWorld(NewMemory())}
 		for len(data) > 0 {
-			op, w := next()%7, worlds[int(next())%len(worlds)]
+			op, w := next()%8, worlds[int(next())%len(worlds)]
 			page := memFuzzPages[next()%uint32(len(memFuzzPages))]
 			addr := page<<memPageShift | (next()<<8|next())&memPageMask
 			v := next()
@@ -122,7 +161,15 @@ func FuzzCloneIsolation(f *testing.F) {
 				if got, want := w.m.ReadBytes(addr, v), w.ref[addr-memFuzzBase:][:v]; !bytes.Equal(got, want) {
 					t.Fatalf("ReadBytes(%#x, %d) = %x, want %x", addr, v, got, want)
 				}
+			case 7:
+				if len(worlds) < 6 {
+					worlds = append(worlds, newMemWorld(NewMemory()))
+				} else {
+					w.m.Reset()
+					*w = *newMemWorld(NewMemory())
+				}
 			}
+			checkOwners(t, worlds)
 		}
 		for i, w := range worlds {
 			if got := w.m.ReadBytes(memFuzzBase, memFuzzSize); !bytes.Equal(got, w.ref) {

@@ -29,14 +29,14 @@ type Span struct {
 	// lookup and an opcode-table lookup on the hot path.
 	meta []uint8
 
-	// summaries[i] is the instrumentation layer's slot for the basic
+	// slots[i] is the instrumentation layer's slot for the basic
 	// block led by instruction i (nil = none): Harrier's compiled trace,
 	// or its marker for a block that compiled to nothing. The slice is
-	// allocated lazily on the first SetBBSummary, so spans that never
+	// allocated lazily on the first SetTraceSlot, so spans that never
 	// promote a block cost one nil pointer. The slots hold opaque
 	// values: the ISA only stores and dispatches them (see
-	// Hooks.OnBBSummary); their meaning belongs to the monitor.
-	summaries []any
+	// Hooks.OnTraceSlot); their meaning belongs to the monitor.
+	slots []any
 }
 
 // Span meta bits.
@@ -116,37 +116,37 @@ func (s *Span) analyzeBlocks() {
 	}
 }
 
-// BBSummary returns the slot value installed for the block led by
+// TraceSlot returns the slot value installed for the block led by
 // instruction i, or nil.
-func (s *Span) BBSummary(i int) any {
-	if s.summaries == nil || i < 0 || i >= len(s.summaries) {
+func (s *Span) TraceSlot(i int) any {
+	if s.slots == nil || i < 0 || i >= len(s.slots) {
 		return nil
 	}
-	return s.summaries[i]
+	return s.slots[i]
 }
 
-// SetBBSummary installs (or replaces) the slot value for the block led
+// SetTraceSlot installs (or replaces) the slot value for the block led
 // by instruction i. The slot array is allocated on first
 // use.
-func (s *Span) SetBBSummary(i int, v any) {
+func (s *Span) SetTraceSlot(i int, v any) {
 	if i < 0 || i >= len(s.Instrs) {
 		return
 	}
-	if s.summaries == nil {
-		s.summaries = make([]any, len(s.Instrs))
+	if s.slots == nil {
+		s.slots = make([]any, len(s.Instrs))
 	}
-	s.summaries[i] = v
+	s.slots[i] = v
 }
 
-// DropSummaries empties every slot, returning how many were occupied.
+// DropTraceSlots empties every slot, returning how many were occupied.
 // The monitor calls it when the code its slots were compiled from is
 // about to be unmapped (execve).
-func (s *Span) DropSummaries() int {
+func (s *Span) DropTraceSlots() int {
 	n := 0
-	for i, v := range s.summaries {
+	for i, v := range s.slots {
 		if v != nil {
 			n++
-			s.summaries[i] = nil
+			s.slots[i] = nil
 		}
 	}
 	return n

@@ -37,20 +37,20 @@ type Native struct {
 	Fn   func(c *CPU)
 }
 
-// SummaryAction is the verdict Hooks.OnBBSummary returns for a block
-// entry that landed on a filled slot (Span.BBSummary).
-type SummaryAction uint8
+// SlotAction is the verdict Hooks.OnTraceSlot returns for a block
+// entry that landed on a filled slot (Span.TraceSlot).
+type SlotAction uint8
 
 const (
-	// SummaryDecline rejects the slot (foreign, stale or pinned); the
+	// SlotDecline rejects the slot (foreign, stale or pinned); the
 	// interpreter-tier hooks run as usual.
-	SummaryDecline SummaryAction = iota
-	// SummaryTrace means the hook *executed* guest instructions itself
+	SlotDecline SlotAction = iota
+	// SlotTrace means the hook *executed* guest instructions itself
 	// (a compiled superblock trace): it advanced EIP, Steps and the
 	// flags/registers/memory to the trace's exit point. Step returns
 	// immediately without fetching — the accompanying error, if any,
 	// is the guest fault the trace stopped on.
-	SummaryTrace
+	SlotTrace
 )
 
 // Hooks are the instrumentation points Harrier attaches to; all are
@@ -69,19 +69,19 @@ type Hooks struct {
 	// OnBB runs once per dynamic basic-block entry, before the leader
 	// instruction. Harrier's Collect_BB_Frequency lives here.
 	OnBB func(c *CPU, s *Span, leaderIdx int)
-	// OnBBSummary is the fast-dispatch point of the tiered taint
+	// OnTraceSlot is the fast-dispatch point of the tiered taint
 	// engine: when a block entry lands on a leader whose slot is filled
-	// (Span.BBSummary), the fetch loop offers the slot here before
-	// calling OnBB. The returned SummaryAction either declines
+	// (Span.TraceSlot), the fetch loop offers the slot here before
+	// calling OnBB. The returned SlotAction either declines
 	// (interpreter hooks run as usual) or reports that a trace ran (the
 	// hook executed instructions itself; see CPU.TraceBudget).
-	// The error return accompanies SummaryTrace when the trace stopped
+	// The error return accompanies SlotTrace when the trace stopped
 	// on a guest fault, which Step propagates as its own. A pending
 	// continuation (CPU.Resume) is offered here too, before Step
 	// fetches anything, with s == nil, leaderIdx -1 and the stopped
 	// trace as the slot: the hook resumes it from Resume.Mop and answers
-	// SummaryTrace, or declines and the interpreter continues from EIP.
-	OnBBSummary func(c *CPU, s *Span, leaderIdx int, summary any) (SummaryAction, error)
+	// SlotTrace, or declines and the interpreter continues from EIP.
+	OnTraceSlot func(c *CPU, s *Span, leaderIdx int, slot any) (SlotAction, error)
 	// OnNativePre/Post bracket host-implemented library routines.
 	// Harrier's short-circuit dataflow (gethostbyname) lives here
 	// (paper §7.2).
@@ -89,7 +89,7 @@ type Hooks struct {
 	OnNativePost func(c *CPU, name string)
 }
 
-// TraceResume is the continuation of a SummaryTrace run that
+// TraceResume is the continuation of a SlotTrace run that
 // CPU.TraceBudget cut short: the hook stopped on the exact instruction
 // where the budget ran out — mid-block if need be — and the next Step
 // hands the stopped trace back to it to continue from Mop. Plain
@@ -129,14 +129,14 @@ type CPU struct {
 	// hooks and syscall handlers.
 	Ctx any
 
-	// TraceBudget caps how many guest instructions a SummaryTrace hook
+	// TraceBudget caps how many guest instructions a SlotTrace hook
 	// may execute in one Step call; the scheduler sets it to the
 	// remainder of the current quantum before each Step so trace
 	// execution never stretches a scheduling slice: a run that reaches
 	// it stops on that exact instruction and leaves a Resume. Zero or
 	// negative means unlimited (callers outside the scheduler).
 	TraceBudget int
-	// Resume is the continuation slot a SummaryTrace hook fills when
+	// Resume is the continuation slot a SlotTrace hook fills when
 	// TraceBudget stops its run early. Step consumes it before its next
 	// fetch; SetPC drops it and Clone never copies it.
 	Resume TraceResume
@@ -171,7 +171,7 @@ func (c *CPU) SetPC(addr uint32) {
 	c.Resume.Trace = nil
 }
 
-// ExitTrace records the architectural exit point of a SummaryTrace
+// ExitTrace records the architectural exit point of a SlotTrace
 // hook: the next PC and whether the trace left via a control transfer
 // (which makes the following instruction a fresh block entry even when
 // it is not a leader). The sequential-fetch cursor is invalidated —
@@ -312,14 +312,14 @@ func (c *CPU) Step() error {
 
 	// Basic-block entry: the instruction is its block's leader, or
 	// control arrived here non-sequentially (paper §7.4). A leader
-	// whose slot is filled is offered to OnBBSummary first; a trace
+	// whose slot is filled is offered to OnTraceSlot first; a trace
 	// that ran there replaces this whole Step. Mid-block entries
 	// (computed jumps landing past the leader) never match metaLeader
 	// and always take the interpreter tier.
-	if (m&metaLeader != 0 || c.jumped) && (c.Hooks.OnBB != nil || c.Hooks.OnBBSummary != nil) {
-		if m&metaLeader != 0 && span.summaries != nil && c.Hooks.OnBBSummary != nil {
-			if sum := span.summaries[idx]; sum != nil {
-				if act, terr := c.Hooks.OnBBSummary(c, span, idx, sum); act == SummaryTrace {
+	if (m&metaLeader != 0 || c.jumped) && (c.Hooks.OnBB != nil || c.Hooks.OnTraceSlot != nil) {
+		if m&metaLeader != 0 && span.slots != nil && c.Hooks.OnTraceSlot != nil {
+			if slot := span.slots[idx]; slot != nil {
+				if act, terr := c.Hooks.OnTraceSlot(c, span, idx, slot); act == SlotTrace {
 					// EIP, Steps, flags and the architectural state
 					// already sit at the trace's exit point. A non-nil
 					// error is a guest fault the trace stopped on,
@@ -585,11 +585,11 @@ func (c *CPU) Step() error {
 func (c *CPU) resume() (resumed bool, err error) {
 	tr := c.Resume.Trace
 	c.Resume.Trace = nil
-	if c.Resume.PC != c.EIP || c.Hooks.OnBBSummary == nil {
+	if c.Resume.PC != c.EIP || c.Hooks.OnTraceSlot == nil {
 		return false, nil
 	}
-	act, err := c.Hooks.OnBBSummary(c, nil, -1, tr)
-	if act != SummaryTrace {
+	act, err := c.Hooks.OnTraceSlot(c, nil, -1, tr)
+	if act != SlotTrace {
 		return false, nil
 	}
 	if err != nil {

@@ -543,16 +543,16 @@ func TestWriteToImmediateFaults(t *testing.T) {
 	}
 }
 
-// TestBBSummaryDispatch pins the Hooks.OnBBSummary contract the tiered
+// TestBBSummaryDispatch pins the Hooks.OnTraceSlot contract the tiered
 // taint engine builds on: a declined slot is invisible (OnBB and
-// OnInstr run exactly as for an empty slot), a SummaryTrace answer
+// OnInstr run exactly as for an empty slot), a SlotTrace answer
 // replaces the whole Step (no fetch, no OnInstr, EIP and Steps left
 // where ExitTrace and the hook put them), and a trace error halts the
 // CPU and is Step's own error.
 func TestBBSummaryDispatch(t *testing.T) {
-	type hook = func(c *CPU, s *Span, leader int, slot any) (SummaryAction, error)
+	type hook = func(c *CPU, s *Span, leader int, slot any) (SlotAction, error)
 	// setup loads the program with logging OnBB/OnInstr hooks and the
-	// given OnBBSummary; slots lists the leaders that get a slot.
+	// given OnTraceSlot; slots lists the leaders that get a slot.
 	setup := func(summary hook, slots ...int) (*CPU, *Span, *[]string) {
 		span := NewSpan(0x1000, "test", []Instr{
 			{Op: MOV, A: R(EAX), B: Imm(1)}, // block 0
@@ -563,7 +563,7 @@ func TestBBSummaryDispatch(t *testing.T) {
 			{Op: HLT},
 		}, nil)
 		for _, i := range slots {
-			span.SetBBSummary(i, i)
+			span.SetTraceSlot(i, i)
 		}
 		c := NewCPU()
 		c.Code.Add(span)
@@ -571,7 +571,7 @@ func TestBBSummaryDispatch(t *testing.T) {
 		log := new([]string)
 		c.Hooks.OnBB = func(c *CPU, s *Span, leader int) { *log = append(*log, fmt.Sprintf("bb%d", leader)) }
 		c.Hooks.OnInstr = func(c *CPU, s *Span, idx int) { *log = append(*log, fmt.Sprintf("in%d", idx)) }
-		c.Hooks.OnBBSummary = summary
+		c.Hooks.OnTraceSlot = summary
 		return c, span, log
 	}
 	run := func(t *testing.T, c *CPU) error {
@@ -589,12 +589,12 @@ func TestBBSummaryDispatch(t *testing.T) {
 
 	t.Run("decline", func(t *testing.T) {
 		var offered []int
-		decline := func(c *CPU, s *Span, leader int, slot any) (SummaryAction, error) {
+		decline := func(c *CPU, s *Span, leader int, slot any) (SlotAction, error) {
 			offered = append(offered, leader)
 			if slot != leader {
 				t.Errorf("leader %d offered slot %v", leader, slot)
 			}
-			return SummaryDecline, nil
+			return SlotDecline, nil
 		}
 		ref, _, refLog := setup(decline)
 		refErr := run(t, ref)
@@ -615,11 +615,11 @@ func TestBBSummaryDispatch(t *testing.T) {
 	t.Run("trace", func(t *testing.T) {
 		// Stand in for a compiled trace of block 3 that retired its
 		// first instruction without faulting.
-		c, span, log := setup(func(c *CPU, s *Span, leader int, slot any) (SummaryAction, error) {
+		c, span, log := setup(func(c *CPU, s *Span, leader int, slot any) (SlotAction, error) {
 			c.Regs[EAX] = 7
 			c.Steps++
 			c.ExitTrace(s.Addr(4), false)
-			return SummaryTrace, nil
+			return SlotTrace, nil
 		}, 3)
 		for c.EIP != span.Addr(3) {
 			if err := c.Step(); err != nil {
@@ -648,10 +648,10 @@ func TestBBSummaryDispatch(t *testing.T) {
 
 	t.Run("fault", func(t *testing.T) {
 		fault := &Fault{PC: 0x100c, Reason: "division by zero"}
-		c, _, _ := setup(func(c *CPU, s *Span, leader int, slot any) (SummaryAction, error) {
+		c, _, _ := setup(func(c *CPU, s *Span, leader int, slot any) (SlotAction, error) {
 			c.Steps++
 			c.ExitTrace(s.Addr(leader), false)
-			return SummaryTrace, fault
+			return SlotTrace, fault
 		}, 3)
 		if err := run(t, c); err != fault || !c.Halted {
 			t.Fatalf("trace fault: err %v halted %v; want %v, halted", err, c.Halted, fault)

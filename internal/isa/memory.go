@@ -1,6 +1,10 @@
 package isa
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"repro/internal/freelist"
+)
 
 // Memory is a sparse, paged, little-endian 32-bit guest address space.
 // Reads from unmapped pages return zero; writes allocate pages on
@@ -11,7 +15,12 @@ import "encoding/binary"
 // first write from either side to a shared page copies it, so a
 // forked child pays only for the pages it or its parent writes. The
 // owner counts are plain integers, not atomics: one job's processes
-// run on one goroutine, and no page crosses jobs.
+// run on one goroutine, and no page is shared across jobs.
+//
+// A page crosses jobs only through the free list, and only after its
+// owner count reaches 0: Reset releases each page it was the last
+// owner of onto a small package-level list, and pageW takes a page's
+// bytes from that list, cleared, before it allocates.
 //
 // The hot paths mirror taint.Shadow's: 32-bit accesses that stay
 // inside one page are a single page lookup plus one 4-byte move, and
@@ -48,10 +57,26 @@ const (
 // memPage is one resident page. refs counts the Memories whose page
 // table holds it; while refs > 1 the page is shared copy-on-write and
 // no owner writes it in place. The bytes live in their own array so a
-// page stays one 4 KiB allocation.
+// page stays one 4 KiB allocation and the array alone can be recycled.
 type memPage struct {
 	data *[memPageSize]byte
 	refs int32
+}
+
+// freePages holds the byte arrays of released pages, at most 128 (512
+// KiB). It is shared by every Memory in the process, so the pages one
+// settled job releases feed the next job on any service worker.
+var freePages = freelist.New[[memPageSize]byte](128)
+
+// release drops one owner of p; the last owner hands its array to the
+// free list. The page's data becomes nil, so a stale reference to it
+// panics instead of reading or writing a page another Memory now owns.
+func (p *memPage) release() {
+	if p.refs--; p.refs > 0 {
+		return
+	}
+	freePages.Put(p.data)
+	p.data = nil
 }
 
 // NewMemory returns an empty address space.
@@ -68,6 +93,7 @@ func (m *Memory) page(idx uint32) *[memPageSize]byte {
 	if p == nil {
 		return nil
 	}
+	_ = p.data[0] // a released page panics here rather than read as unmapped
 	e.idx, e.w, e.data = idx, false, p.data
 	return p.data
 }
@@ -86,11 +112,11 @@ func (m *Memory) pageW(idx uint32) *[memPageSize]byte {
 		if m.pages == nil {
 			m.pages = make(map[uint32]*memPage)
 		}
-		p = &memPage{data: new([memPageSize]byte), refs: 1}
+		p = &memPage{data: freePages.Get(), refs: 1}
 		m.pages[idx] = p
 	case p.refs > 1:
 		p.refs--
-		cp := &memPage{data: new([memPageSize]byte), refs: 1}
+		cp := &memPage{data: freePages.Get(), refs: 1}
 		*cp.data = *p.data
 		p = cp
 		m.pages[idx] = p
@@ -241,11 +267,13 @@ func (m *Memory) Clone() *Memory {
 }
 
 // Reset drops all pages (execve(), or a settled job releasing its
-// memory), giving up this Memory's share of each. It allocates
-// nothing: the page map is rebuilt by the first write.
+// memory), giving up this Memory's share of each; a page no other
+// Memory holds goes to the free list. It allocates nothing: the page
+// map is rebuilt by the first write. Only execve and the service's
+// settle step call it, so a batch Result's memory stays readable.
 func (m *Memory) Reset() {
 	for _, p := range m.pages {
-		p.refs--
+		p.release()
 	}
 	m.pages = nil
 	m.tlb = [memTLBWays]memTLBEnt{}

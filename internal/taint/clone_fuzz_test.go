@@ -96,12 +96,43 @@ func (w *cloneWorld) write(addr, n uint32, t Tag, apply func(*Shadow)) {
 	}
 }
 
+// checkOwners checks page ownership across the live worlds: every page
+// one maps sits at its own index, its owner count is the number of
+// worlds mapping it, and no two pages share a byte-mode array. A page
+// recycled while still mapped fails one of the three.
+func checkOwners(t *testing.T, worlds []*cloneWorld) {
+	t.Helper()
+	holders := map[*shadowPage]int32{}
+	byBytes := map[*[pageSize]Tag]*shadowPage{}
+	for i, w := range worlds {
+		for idx, p := range w.sh.pages {
+			if p.idx != idx {
+				t.Fatalf("world %d: page %#x carries index %#x", i, idx, p.idx)
+			}
+			if p.bytes != nil {
+				if q := byBytes[p.bytes]; q != nil && q != p {
+					t.Fatalf("world %d: page %#x shares its byte array with another page", i, idx)
+				}
+				byBytes[p.bytes] = p
+			}
+			holders[p]++
+		}
+	}
+	for p, n := range holders {
+		if p.refs != n {
+			t.Fatalf("page %#x has %d owners, %d mapped", p.idx, p.refs, n)
+		}
+	}
+}
+
 // FuzzCloneIsolation drives random byte, word and range writes,
-// reads, Clone chains and Resets over a tree of copy-on-write shadows
-// and checks each one against a deep-copy reference: bytes and word
-// reads, allocated pages, PageClean, FlipGen, and that the flip
-// listener fires exactly on the reference's zero→nonzero crossings,
-// never on a copy-on-write page copy.
+// reads, Clone chains, Resets and fresh shadows over a tree of
+// copy-on-write shadows. A fresh shadow's pages come from the free
+// lists that Resets feed. Each shadow is checked against a deep-copy
+// reference: bytes and word reads, allocated pages, PageClean,
+// FlipGen, and that the flip listener fires exactly on the reference's
+// zero→nonzero crossings, never on a copy-on-write page copy. Page
+// ownership across the live shadows is checked after every op.
 func FuzzCloneIsolation(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		b := make([]byte, 700)
@@ -123,6 +154,19 @@ func FuzzCloneIsolation(f *testing.F) {
 		5, 0, 0, 0, 0, 0,
 		1, 1, 0, 0, 24, 4,
 	})
+	// Degrade a page, reset, then start a fresh shadow whose first
+	// word write takes the released page and whose byte write takes
+	// the released byte array: both must read Empty where the old
+	// owner wrote, and the word write must fire a flip.
+	f.Add([]byte{
+		1, 0, 0, 0, 16, 1,
+		0, 0, 0, 0, 17, 2,
+		5, 0, 0, 0, 0, 0,
+		8, 0, 0, 0, 0, 0,
+		1, 1, 0, 0, 32, 3,
+		0, 1, 0, 0, 33, 4,
+		6, 1, 0, 0, 16, 0,
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st := NewStore()
 		tags := tagPalette(st)
@@ -136,7 +180,7 @@ func FuzzCloneIsolation(f *testing.F) {
 		}
 		worlds := []*cloneWorld{newCloneWorld(NewShadow(st), 0)}
 		for len(data) > 0 {
-			op, w := next()%8, worlds[int(next())%len(worlds)]
+			op, w := next()%9, worlds[int(next())%len(worlds)]
 			page := cloneFuzzPages[next()%uint32(len(cloneFuzzPages))]
 			addr := page<<pageShift | (next()<<8|next())&pageMask
 			tg := tags[int(next())%len(tags)]
@@ -166,7 +210,15 @@ func FuzzCloneIsolation(f *testing.F) {
 				if got, want := w.sh.GetRange(addr, n), w.union(addr, n); got != want {
 					t.Fatalf("GetRange(%#x, %d) = %d, want %d", addr, n, got, want)
 				}
+			case 8:
+				if len(worlds) < 6 {
+					worlds = append(worlds, newCloneWorld(NewShadow(st), 0))
+				} else {
+					w.sh.Reset()
+					worlds[slices.Index(worlds, w)] = newCloneWorld(NewShadow(st), 0)
+				}
 			}
+			checkOwners(t, worlds)
 		}
 		got := make([]Tag, cloneFuzzSize)
 		for i, w := range worlds {

@@ -1,5 +1,7 @@
 package taint
 
+import "repro/internal/freelist"
+
 // Shadow is a sparse tag map mirroring a guest address space. Pages
 // are allocated on first tainted write; reading an unallocated page
 // yields Empty. This matches Harrier's design where the data
@@ -24,7 +26,13 @@ package taint
 // it. The copy keeps the page's index and population, so no page flip
 // fires and the clean tier's verdicts carry over. The owner counts
 // are plain integers, not atomics: one job's processes run on one
-// goroutine, and no page crosses jobs.
+// goroutine, and no page is shared across jobs.
+//
+// A page crosses jobs only through the free lists, and only after its
+// owner count reaches 0: Reset releases each page it was the last
+// owner of, and its byte-mode array if it has one, onto small
+// package-level lists, and pageW and degrade take from them, cleared,
+// before they allocate. A recycled page starts in word mode with pop 0.
 //
 // A small direct-mapped software TLB — the design isa.Memory uses for
 // guest pages — short-circuits the page map for the local access
@@ -104,13 +112,36 @@ type shadowPage struct {
 	refs int32
 }
 
+// Free lists of released shadow pages, at most 128 (512 KiB), and of
+// byte-mode arrays, at most 32 (512 KiB). They are shared by every
+// Shadow in the process, so the pages one settled job releases feed
+// the next job on any service worker. A page taken from the list is
+// zeroed: word mode, pop 0.
+var (
+	freeShadowPages = freelist.New[shadowPage](128)
+	freeByteTags    = freelist.New[[pageSize]Tag](32)
+)
+
+// release drops one owner of p; the last owner hands the page, and its
+// byte-mode array on a list of its own, to the free lists.
+func (p *shadowPage) release() {
+	if p.refs--; p.refs > 0 {
+		return
+	}
+	if p.bytes != nil {
+		freeByteTags.Put(p.bytes)
+		p.bytes = nil
+	}
+	freeShadowPages.Put(p)
+}
+
 // degrade switches the page to byte mode, expanding each word tag to
 // its four bytes. Idempotent.
 func (p *shadowPage) degrade() {
 	if p.bytes != nil {
 		return
 	}
-	b := new([pageSize]Tag)
+	b := freeByteTags.Get()
 	for w, t := range p.words {
 		if t == Empty {
 			continue
@@ -238,14 +269,16 @@ func (sh *Shadow) pageW(idx uint32, t Tag) *shadowPage {
 		if sh.pages == nil {
 			sh.pages = make(map[uint32]*shadowPage)
 		}
-		p = &shadowPage{idx: idx, refs: 1}
+		p = freeShadowPages.Get()
+		p.idx, p.refs = idx, 1
 		sh.pages[idx] = p
 	case p.refs > 1:
 		p.refs--
-		cp := &shadowPage{words: p.words, idx: p.idx, pop: p.pop, refs: 1}
+		cp := freeShadowPages.Get()
+		cp.words, cp.idx, cp.pop, cp.refs = p.words, p.idx, p.pop, 1
 		if p.bytes != nil {
-			b := *p.bytes
-			cp.bytes = &b
+			cp.bytes = freeByteTags.Get()
+			*cp.bytes = *p.bytes
 		}
 		p = cp
 		sh.pages[idx] = p
@@ -427,14 +460,16 @@ func (sh *Shadow) Clone() *Shadow {
 	return out
 }
 
-// Reset drops all pages, giving up this shadow's share of each, and
-// returns it to the untainted state. Used by execve(), which replaces
-// the address space, and by a settled job releasing its pages. It
+// Reset drops all pages, giving up this shadow's share of each (a
+// page no other shadow holds goes to the free lists), and returns it
+// to the untainted state. Used by execve(), which replaces the address
+// space, and by a settled job releasing its pages; a batch run never
+// calls it after the run, so its Result's shadow stays readable. It
 // allocates nothing: the page map is rebuilt by the first tainting
 // write.
 func (sh *Shadow) Reset() {
 	for _, p := range sh.pages {
-		p.refs--
+		p.release()
 	}
 	sh.pages = nil
 	sh.tlb = [shadowTLBWays]shadowTLBEnt{}

@@ -309,7 +309,7 @@ func (os *OS) Run() error {
 			// and terminates it as an implicit clean exit, so the
 			// loop needs no per-instruction Halted check. One Step may
 			// retire several instructions when a compiled trace runs
-			// (Hooks.OnBBSummary returning SummaryTrace), so the
+			// (Hooks.OnTraceSlot returning SlotTrace), so the
 			// quantum is accounted from the Steps delta, with
 			// TraceBudget capping a trace at the slice remainder (the
 			// trace resumes in the process's next slice) — slices stay

@@ -996,7 +996,10 @@ func (s *Service) finish(j *job, res *Result, err error, wall time.Duration) {
 		}
 		// The result is built; drop every process's taint shadow and
 		// guest memory so a kept result does not hold the job's pages
-		// alive.
+		// alive. Each page whose last owner this is goes to the page
+		// free lists, and later jobs on any worker take it from there
+		// instead of allocating. From here on the job's memory and
+		// shadow read as empty through r.Raw.
 		for _, p := range res.Process.OS.Processes() {
 			p.CPU.Mem.Reset()
 			if sh := p.CPU.Shadow; sh != nil {
