@@ -166,6 +166,10 @@ type Result struct {
 	// ObserverErr is the first error an observer reported on Close —
 	// e.g. a JSONL sink whose writer failed mid-run (nil when clean).
 	ObserverErr error
+
+	// monitor is the run's Harrier (nil when unmonitored), which the
+	// service releases when the job settles.
+	monitor *harrier.Harrier
 }
 
 // MaxSeverity returns the highest warning severity and whether any

@@ -19,3 +19,20 @@ func TestListBoundedAndZeroed(t *testing.T) {
 		t.Fatalf("Get on an empty list = %p %v, want a new zeroed object", got, *got)
 	}
 }
+
+// TestListTakeLeavesContents: Take hands back a released object as it
+// was put, without Get's clear, and reads nil on an empty list.
+func TestListTakeLeavesContents(t *testing.T) {
+	l := New[[4]int](1)
+	if got := l.Take(); got != nil {
+		t.Fatalf("Take on an empty list = %p, want nil", got)
+	}
+	a := &[4]int{1, 2, 3, 4}
+	l.Put(a)
+	if got := l.Take(); got != a || *got != [4]int{1, 2, 3, 4} {
+		t.Fatalf("Take = %p %v, want %p unchanged", got, *got, a)
+	}
+	if got := l.Take(); got != nil {
+		t.Fatalf("Take after the list emptied = %p, want nil", got)
+	}
+}

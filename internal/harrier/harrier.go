@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"repro/internal/events"
+	"repro/internal/freelist"
 	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/secpert"
@@ -108,6 +109,15 @@ type bbCacheEnt struct {
 	ctr *int64
 }
 
+// bbCache is the block-counter cache: 256 × 32 B, holding pointers.
+type bbCache [bbCacheSize]bbCacheEnt
+
+// freeBBCaches holds the block-counter caches of released monitors, at
+// most 16 (128 KiB), as many as the taint store list holds. Get clears
+// one before reuse, so no stale counter of an earlier run counts into a
+// new one.
+var freeBBCaches = freelist.New[bbCache](16)
+
 // Stats counts Harrier's instrumentation work, for the §9 performance
 // evaluation. The Taint* fields snapshot the taint store's interning
 // statistics at the time Stats() is called, so benchmark harnesses can
@@ -173,7 +183,7 @@ type Harrier struct {
 	// (flushApp), so straight-line execution never touches it.
 	// appCachePID is -1 when the cache is empty. Readers must check
 	// the cache before the map.
-	bbCache     [bbCacheSize]bbCacheEnt
+	bbCache     *bbCache
 	appCachePID int
 	appCacheKey bbKey
 
@@ -226,6 +236,7 @@ func New(cfg Config, sec *secpert.Secpert) *Harrier {
 		bbFreq:      make(map[bbKey]*int64),
 		lastApp:     make(map[int]bbKey),
 		natSave:     make(map[int]taint.Tag),
+		bbCache:     freeBBCaches.Get(),
 		appCachePID: -1,
 	}
 	if cfg.Dataflow && cfg.PromoteThreshold > 0 {
@@ -235,6 +246,21 @@ func New(cfg Config, sec *secpert.Secpert) *Harrier {
 		}
 	}
 	return h
+}
+
+// Release hands the monitor's taint store and block-counter cache back
+// for reuse by later monitors, and drops both, so the monitor has no
+// route to state another run now owns: a later use of either panics
+// on nil. Every shadow over the store must be released first. Counters
+// and attribution (BBFrequency, the event log) stay readable; Stats
+// does not. A second call does nothing.
+func (h *Harrier) Release() {
+	if h.Store == nil {
+		return
+	}
+	h.Store.Release()
+	freeBBCaches.Put(h.bbCache)
+	h.Store, h.bbCache = nil, nil
 }
 
 // SetBus attaches the observability bus. BB counter rollovers and

@@ -218,7 +218,8 @@ func NewShadow(store *Store) *Shadow {
 	return &Shadow{store: store}
 }
 
-// Store returns the tag store this shadow resolves tags against.
+// Store returns the tag store this shadow resolves tags against, nil
+// once the shadow is released.
 func (sh *Shadow) Store() *Store { return sh.store }
 
 // page resolves a page index through the TLB, returning nil when the
@@ -463,10 +464,9 @@ func (sh *Shadow) Clone() *Shadow {
 // Reset drops all pages, giving up this shadow's share of each (a
 // page no other shadow holds goes to the free lists), and returns it
 // to the untainted state. Used by execve(), which replaces the address
-// space, and by a settled job releasing its pages; a batch run never
-// calls it after the run, so its Result's shadow stays readable. It
-// allocates nothing: the page map is rebuilt by the first tainting
-// write.
+// space, and by Release; a batch run never calls it after the run, so
+// its Result's shadow stays readable. It allocates nothing: the page
+// map is rebuilt by the first tainting write.
 func (sh *Shadow) Reset() {
 	for _, p := range sh.pages {
 		p.release()
@@ -477,6 +477,15 @@ func (sh *Shadow) Reset() {
 	// but bumping the flip generation forces cached clean verdicts to
 	// re-probe rather than reason about the wholesale replacement.
 	sh.flipGen++
+}
+
+// Release resets sh and drops its store: a service job settles this
+// way before its store is released to the next job. A released shadow
+// has no route to that store: a later use that needs one panics on
+// the nil store instead of reading another job's tags.
+func (sh *Shadow) Release() {
+	sh.Reset()
+	sh.store = nil
 }
 
 // Pages returns the number of shadow pages currently allocated.

@@ -11,6 +11,8 @@ package taint
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/freelist"
 )
 
 // SourceType classifies where a piece of data originated
@@ -79,7 +81,9 @@ func (s Source) Less(o Source) bool {
 
 // Tag names an interned set of sources. The zero Tag is the empty set
 // (untainted data). Tags are only meaningful relative to the Store
-// that created them.
+// that created them, and only until that store is released: a
+// released store is emptied and handed to a later NewStore, which
+// gives the same numbers to other sets.
 type Tag uint32
 
 // Empty is the untainted tag: the empty source set.
@@ -122,14 +126,57 @@ type Store struct {
 	ucache [unionCacheSize]unionEntry
 }
 
-// NewStore returns an empty store whose tag 0 is the empty set.
+// freeStores holds released stores, emptied by Release, at most 16:
+// four times the default service's four workers. Each keeps its 48 KiB
+// union cache and its emptied maps, whose size Release bounds. The
+// list is shared by every Store in the process, so the store one
+// settled service job releases is the next job's on any worker.
+var freeStores = freelist.New[Store](16)
+
+// NewStore returns an empty store whose tag 0 is the empty set: a
+// released one when the free list has one, a new one otherwise.
 func NewStore() *Store {
+	if st := freeStores.Take(); st != nil {
+		return st
+	}
 	return &Store{
 		sets:    [][]Source{nil}, // tag 0 = empty set
 		index:   map[string]Tag{"": Empty},
 		unions:  make(map[[2]Tag]Tag),
 		singles: make(map[Source]Tag),
 	}
+}
+
+// Release empties st and hands it to a later NewStore. The caller must
+// hold no other reference to st, and no shadow may still resolve tags
+// against it: every tag st issued loses its meaning. Emptying costs
+// O(sets and unions the store made), not a 48 KiB clear, because
+// Union fills a cache slot only with a pair it also records in the
+// unions map, so clearing the slots the map names clears them all. A
+// store whose union map or set table outgrew the union cache is left
+// to the GC instead, so one dense job's map capacity is not paid again
+// by every later emptying.
+func (st *Store) Release() {
+	if len(st.unions) > unionCacheSize || len(st.sets) > unionCacheSize {
+		return
+	}
+	for k := range st.unions {
+		st.ucache[unionSlot(k[0], k[1])] = unionEntry{}
+	}
+	clear(st.unions)
+	clear(st.singles)
+	clear(st.index)
+	st.index[""] = Empty
+	clear(st.sets[1:])
+	st.sets = st.sets[:1]
+	st.unionN, st.hitN, st.fastN, st.wideN = 0, 0, 0, 0
+	st.widthBudget = 0
+	freeStores.Put(st)
+}
+
+// unionSlot is the union cache slot of the ordered pair a < b.
+func unionSlot(a, b Tag) uint32 {
+	return (uint32(a)*0x9E3779B1 ^ uint32(b)*0x85EBCA77) & (unionCacheSize - 1)
 }
 
 // Of returns the tag for a single source, interning it on first use.
@@ -210,7 +257,7 @@ func (st *Store) Union(a, b Tag) Tag {
 		a, b = b, a
 	}
 	st.unionN++
-	slot := &st.ucache[(uint32(a)*0x9E3779B1^uint32(b)*0x85EBCA77)&(unionCacheSize-1)]
+	slot := &st.ucache[unionSlot(a, b)]
 	if slot.a == a && slot.b == b {
 		st.hitN++
 		st.fastN++

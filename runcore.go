@@ -214,6 +214,7 @@ func (rc *runCore) finish(root *vos.Process, runErr error, wall time.Duration) *
 		res.Stats = rc.h.Stats()
 		res.Events = rc.h.EventLog()
 		res.Secpert = rc.sec
+		res.monitor = rc.h
 	}
 	if rc.inj != nil {
 		res.Chaos = rc.inj.Faults()

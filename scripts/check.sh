@@ -42,6 +42,9 @@ go test -fuzz=FuzzChaos -fuzztime=10s ./internal/chaos
 # with no page flip fired by a page copy.
 go test -fuzz=FuzzCloneIsolation -fuzztime=10s ./internal/isa
 go test -fuzz=FuzzCloneIsolation -fuzztime=10s ./internal/taint
+# Recycled taint stores: a store released after random operations and
+# taken back must behave exactly like a new one.
+go test -fuzz=FuzzStoreRecycle -fuzztime=10s ./internal/taint
 # Trace-tier gates: the full corpus must be bit-identical at the
 # interpreter tier and with traces (crossed with provenance), a trace
 # cut by the scheduler slice must resume bit-identically at slices of

@@ -353,10 +353,13 @@ type JobResult struct {
 
 	// Raw is the full monitored result for in-process embedders (nil
 	// for failed/aborted jobs; never serialized). The service releases
-	// every process's taint shadow and guest memory when the job
-	// settles, so the shadows and memories reachable from Raw.Process
-	// are empty; registers, exit state, warnings, events and stats
-	// stay. The images reachable from Raw (Process.Images,
+	// every process's taint shadow and guest memory, and the run's
+	// taint store and block-counter cache, when the job settles, so
+	// the shadows and memories reachable from Raw.Process are empty,
+	// the shadows' Store() is nil, and so is the monitor's Store:
+	// registers, exit state, warnings, events, stats and block
+	// frequencies stay, but a taint tag reachable from Raw (a
+	// register's tag, an fd's origin) names nothing. The images reachable from Raw (Process.Images,
 	// Process.OS.FS) include the process-wide guest libraries
 	// every job shares: read them, never mutate them.
 	Raw *Result `json:"-"`
@@ -998,13 +1001,19 @@ func (s *Service) finish(j *job, res *Result, err error, wall time.Duration) {
 		// guest memory so a kept result does not hold the job's pages
 		// alive. Each page whose last owner this is goes to the page
 		// free lists, and later jobs on any worker take it from there
-		// instead of allocating. From here on the job's memory and
-		// shadow read as empty through r.Raw.
+		// instead of allocating. The shadows drop their taint store
+		// too, and the monitor then hands the store and its
+		// block-counter cache to later jobs: r.Raw keeps no route to
+		// either. From here on the job's memory and shadow read as
+		// empty through r.Raw.
 		for _, p := range res.Process.OS.Processes() {
 			p.CPU.Mem.Reset()
 			if sh := p.CPU.Shadow; sh != nil {
-				sh.Reset()
+				sh.Release()
 			}
+		}
+		if res.monitor != nil {
+			res.monitor.Release()
 		}
 	}
 	// Close this attempt's exec span with the execution's own status

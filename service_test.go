@@ -18,6 +18,9 @@ import (
 
 	hth "repro"
 	"repro/internal/chaos"
+	"repro/internal/corpus"
+	"repro/internal/harrier"
+	"repro/internal/vos"
 )
 
 // trojanSpec is the canonical warning-producing job: the T4 trojan
@@ -50,6 +53,92 @@ func drainService(t *testing.T, s *hth.Service) {
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
+	}
+}
+
+// monitorOf returns the Harrier a result's run was monitored by, nil
+// when it ran unmonitored.
+func monitorOf(res *hth.Result) *harrier.Harrier {
+	h, _ := res.Process.Monitor.(*harrier.Harrier)
+	return h
+}
+
+// blockFreqs reads mon's nonzero block counts at every instruction
+// address in the code of ref's processes, keyed "image:addr".
+func blockFreqs(mon *harrier.Harrier, ref []*vos.Process) map[string]int64 {
+	out := map[string]int64{}
+	for _, p := range ref {
+		for _, sp := range p.CPU.Code.Spans() {
+			for i := range sp.Instrs {
+				if n := mon.BBFrequency(sp.Image, sp.Addr(i)); n != 0 {
+					out[fmt.Sprintf("%s:%#x", sp.Image, sp.Addr(i))] = n
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestServiceReleasesMonitorState: a settled job's kept result has no
+// route to its taint store or its block-counter cache, which the
+// service hands to later jobs. The corpus runs one job at a time on
+// one worker, so every job after the first runs on the store and block
+// cache the job before it released; each must still match the batch
+// reference's sweep signature, stats and block frequencies. A stale
+// union-cache slot or block counter would move one of them.
+func TestServiceReleasesMonitorState(t *testing.T) {
+	scs := corpus.All()
+	batch := corpus.RunAll(scs, 0)
+	want := corpus.SweepSignature(batch)
+	s := hth.NewService(hth.ServiceConfig{Shards: 1, WorkersPerShard: 1})
+	defer drainService(t, s)
+	counted := 0
+	for i, sc := range scs {
+		h, err := s.Submit(hth.JobSpec{
+			Tenant: sc.Table, Setup: sc.Setup, Tweak: sc.Tweak, Path: sc.Spec.Path,
+			Argv: sc.Spec.Argv, Env: sc.Spec.Env, Stdin: sc.Spec.Stdin,
+		})
+		if err != nil {
+			t.Fatalf("submit %s: %v", sc.Name, err)
+		}
+		res := waitJob(t, h)
+		if res.Status != "done" {
+			t.Fatalf("%s: status %q (%+v)", sc.Name, res.Status, res.Error)
+		}
+		raw := res.Raw
+		got := corpus.SweepSignature([]corpus.RunOutcome{{Scenario: sc, Result: raw, Problems: sc.Check(raw)}})[0]
+		if got != want[i] {
+			t.Errorf("signature drift:\n  batch:   %s\n  service: %s", want[i], got)
+		}
+		if !reflect.DeepEqual(raw.Stats, batch[i].Result.Stats) {
+			t.Errorf("%s: stats: service %+v, batch %+v", sc.Name, raw.Stats, batch[i].Result.Stats)
+		}
+		for _, p := range raw.Process.OS.Processes() {
+			if p.CPU.Shadow != nil && p.CPU.Shadow.Store() != nil {
+				t.Errorf("%s: settled pid %d's shadow still holds its store", sc.Name, p.PID)
+			}
+		}
+		mon, ref := monitorOf(raw), monitorOf(batch[i].Result)
+		if mon == nil || ref == nil {
+			if mon != ref {
+				t.Errorf("%s: monitored in one run only", sc.Name)
+			}
+			continue
+		}
+		if mon.Store != nil {
+			t.Errorf("%s: settled job's monitor still holds its store", sc.Name)
+		}
+		procs := batch[i].Result.Process.OS.Processes()
+		g, w := blockFreqs(mon, procs), blockFreqs(ref, procs)
+		if !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: block frequencies: service %v, batch %v", sc.Name, g, w)
+		}
+		if len(w) > 0 {
+			counted++
+		}
+	}
+	if counted < len(scs)/2 {
+		t.Fatalf("only %d of %d scenarios counted blocks; the frequency check is near vacuous", counted, len(scs))
 	}
 }
 
