@@ -1,8 +1,9 @@
 // Benchmarks regenerating the paper's evaluation: one benchmark per
-// table (4–8), the macro benchmarks of §8.4, the §9 performance
-// comparison (bare vs no-dataflow vs full monitoring), the Figure 3
+// table (4–8), the macro benchmarks of §8.4, the Figure 3
 // basic-block-attribution path, and ablations of the design choices
-// called out in DESIGN.md. Run with:
+// called out in DESIGN.md. The §9 performance comparison (bare vs
+// no-dataflow vs full monitoring) lives with its workloads in
+// internal/corpus. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -53,58 +54,6 @@ func BenchmarkTable8RealExploits(b *testing.B)    { benchTable(b, "T8") }
 func BenchmarkMacroPwsafe(b *testing.B)           { benchTable(b, "M1") }
 func BenchmarkMacroMW(b *testing.B)               { benchTable(b, "M2") }
 func BenchmarkMacroTicTacToe(b *testing.B)        { benchTable(b, "M3") }
-
-// benchPerf measures one §9 monitoring mode on one workload,
-// reporting guest instructions per second so the three modes'
-// slowdown factors can be compared (the paper's Table-3-style shape:
-// dataflow dominates the overhead).
-func benchPerf(b *testing.B, workload string, mode corpus.PerfMode, tweak func(*hth.Config)) {
-	b.ReportAllocs()
-	var steps uint64
-	for i := 0; i < b.N; i++ {
-		res, err := corpus.RunPerfWith(workload, mode, tweak)
-		if err != nil {
-			b.Fatal(err)
-		}
-		steps += res.TotalSteps
-	}
-	instrPerOp := float64(steps) / float64(b.N)
-	b.ReportMetric(instrPerOp, "guest-instrs/op")
-	b.ReportMetric(instrPerOp*float64(b.N)/b.Elapsed().Seconds(), "guest-instrs/s")
-}
-
-// interpTier pins every block to the interpreter tier, the
-// pre-tiering configuration the trace tier is A/B-measured against.
-func interpTier(cfg *hth.Config) { cfg.Monitor.PromoteThreshold = 0 }
-
-func BenchmarkPerfALUBare(b *testing.B)       { benchPerf(b, "alu", corpus.PerfBare, nil) }
-func BenchmarkPerfALUNoDataflow(b *testing.B) { benchPerf(b, "alu", corpus.PerfNoDataflow, nil) }
-func BenchmarkPerfALUFullDataflow(b *testing.B) {
-	benchPerf(b, "alu", corpus.PerfFull, nil)
-}
-func BenchmarkPerfALUInterpDataflow(b *testing.B) {
-	benchPerf(b, "alu", corpus.PerfFull, interpTier)
-}
-func BenchmarkPerfMemBare(b *testing.B)       { benchPerf(b, "mem", corpus.PerfBare, nil) }
-func BenchmarkPerfMemNoDataflow(b *testing.B) { benchPerf(b, "mem", corpus.PerfNoDataflow, nil) }
-func BenchmarkPerfMemFullDataflow(b *testing.B) {
-	benchPerf(b, "mem", corpus.PerfFull, nil)
-}
-func BenchmarkPerfMemInterpDataflow(b *testing.B) {
-	benchPerf(b, "mem", corpus.PerfFull, interpTier)
-}
-
-// noCleanTier caps the engine at the trace tier — the configuration
-// BenchmarkPerfMemSparseTaint is A/B-measured against. Without the
-// clean tier every trace entry runs the full-transfer trace loop.
-func noCleanTier(cfg *hth.Config) { cfg.Monitor.CleanThreshold = 0 }
-
-func BenchmarkPerfMemSparseTaint(b *testing.B) {
-	benchPerf(b, "sparse", corpus.PerfFull, nil)
-}
-func BenchmarkPerfMemSparseTaintNoClean(b *testing.B) {
-	benchPerf(b, "sparse", corpus.PerfFull, noCleanTier)
-}
 
 // BenchmarkFigure3BBAttribution exercises the application↔shared
 // object basic-block path of paper Figure 3: a guest hammering a libc

@@ -5,10 +5,12 @@
 //
 //	hth-bench -table 4            # Table 4 (execution flow)
 //	hth-bench -table all          # every table and macro benchmark
-//	hth-bench -table perf        	# the §9 performance comparison
 //	hth-bench -table all -parallel 4   # sweep scenarios on 4 workers
-//	hth-bench -table perf -json        # also write BENCH_<date>.json
 //	hth-bench -chaos 0xC0FFEE,0.05     # seeded fault-injection gate
+//
+// It exits 1 when any row diverges from the paper. The §9 performance
+// comparison is measured by the root package's BenchmarkPerf*
+// benchmarks (see EXPERIMENTS.md), not by this command.
 //
 // The -chaos mode replaces table reproduction with the robustness
 // gate: it verifies a zero-rate plan leaves the corpus bit-identical
@@ -22,59 +24,33 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
-	hth "repro"
 	"repro/internal/corpus"
 	"repro/internal/report"
 )
 
 func main() {
-	table := flag.String("table", "all", "table to regenerate: 1|4|5|6|7|8|pwsafe|mw|ttt|perf|all")
+	table := flag.String("table", "all", "table to regenerate: 1|4|5|6|7|8|pwsafe|mw|ttt|all")
 	parallel := flag.Int("parallel", 1, "scenario worker-pool width (0 = GOMAXPROCS)")
-	jsonOut := flag.Bool("json", false, "write perf measurements to BENCH_<date>.json")
 	chaosSpec := flag.String("chaos", "", "run the fault-injection gate with plan \"seed,rate[,kind...]\"")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
-	introspect := flag.String("introspect", "", "serve live introspection (/metrics, /events, /flight, /debug/pprof) on this address")
-	hold := flag.Bool("hold", false, "with -introspect: keep serving after the sweep until interrupted")
 	flag.Parse()
 
-	var intro *hth.Introspection
-	if *introspect != "" {
-		intro = hth.NewIntrospection()
-		if err := intro.Start(*introspect); err != nil {
-			fmt.Fprintf(os.Stderr, "hth-bench: -introspect: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Printf("introspection on http://%s/ (metrics, events, flight, debug/pprof)\n", intro.Addr())
-	}
-
 	stopProfiles := startProfiles(*cpuProfile, *memProfile)
-	code := run(*table, *parallel, *jsonOut, *chaosSpec, intro)
+	code := run(*table, *parallel, *chaosSpec)
 	stopProfiles()
-	if intro != nil {
-		if *hold {
-			fmt.Printf("holding; interrupt to exit (introspection on http://%s/)\n", intro.Addr())
-			ch := make(chan os.Signal, 1)
-			signal.Notify(ch, os.Interrupt)
-			<-ch
-		}
-		intro.Shutdown()
-	}
 	if code != 0 {
 		os.Exit(code)
 	}
 }
 
-func run(table string, parallel int, jsonOut bool, chaosSpec string, intro *hth.Introspection) int {
+func run(table string, parallel int, chaosSpec string) int {
 	if chaosSpec != "" {
 		if runChaos(chaosSpec, parallel) > 0 {
 			return 1
@@ -82,31 +58,9 @@ func run(table string, parallel int, jsonOut bool, chaosSpec string, intro *hth.
 		return 0
 	}
 
-	// The shared introspection server rides every scenario's bus as one
-	// more observer; its sink is internally synchronized, so parallel
-	// sweeps may publish into it concurrently.
-	var tweak func(*corpus.Scenario, *hth.Config)
-	if intro != nil {
-		tweak = func(_ *corpus.Scenario, cfg *hth.Config) {
-			cfg.Observers = append(cfg.Observers, intro)
-		}
-	}
-
-	ids, perf := resolve(table)
 	failures := 0
-	for _, id := range ids {
-		failures += printTable(id, corpus.RunAllWith(corpus.ByTable(id), parallel, tweak))
-	}
-	if perf {
-		rows, metrics := printPerf(intro)
-		if jsonOut {
-			path := fmt.Sprintf("BENCH_%s.json", time.Now().Format("2006-01-02"))
-			if err := writeBenchJSON(path, rows, metrics); err != nil {
-				fmt.Fprintf(os.Stderr, "hth-bench: %v\n", err)
-				return 1
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
+	for _, id := range resolve(table) {
+		failures += printTable(id, corpus.RunAll(corpus.ByTable(id), parallel))
 	}
 	if failures > 0 {
 		fmt.Printf("\n%d row(s) diverged from the paper.\n", failures)
@@ -151,34 +105,32 @@ func startProfiles(cpuPath, memPath string) func() {
 	}
 }
 
-func resolve(sel string) (ids []string, perf bool) {
+func resolve(sel string) []string {
 	switch sel {
 	case "1", "T1":
-		return []string{"T1"}, false
+		return []string{"T1"}
 	case "4", "T4":
-		return []string{"T4"}, false
+		return []string{"T4"}
 	case "5", "T5":
-		return []string{"T5"}, false
+		return []string{"T5"}
 	case "6", "T6":
-		return []string{"T6"}, false
+		return []string{"T6"}
 	case "7", "T7":
-		return []string{"T7"}, false
+		return []string{"T7"}
 	case "8", "T8":
-		return []string{"T8"}, false
+		return []string{"T8"}
 	case "pwsafe", "M1":
-		return []string{"M1"}, false
+		return []string{"M1"}
 	case "mw", "M2":
-		return []string{"M2"}, false
+		return []string{"M2"}
 	case "ttt", "M3":
-		return []string{"M3"}, false
-	case "perf":
-		return nil, true
+		return []string{"M3"}
 	case "all":
-		return report.TableIDs, true
+		return report.TableIDs
 	}
 	fmt.Fprintf(os.Stderr, "hth-bench: unknown table %q\n", sel)
 	os.Exit(2)
-	return nil, false
+	return nil
 }
 
 func verdictOf(o *corpus.RunOutcome) string {
@@ -242,139 +194,4 @@ func printTable1(outs []corpus.RunOutcome) (failures int) {
 	}
 	fmt.Println(t)
 	return failures
-}
-
-// perfRow is one workload×mode measurement, as serialized to the
-// BENCH_<date>.json report.
-type perfRow struct {
-	Workload     string  `json:"workload"`
-	Mode         string  `json:"mode"`
-	GuestInstrs  uint64  `json:"guest_instrs"`
-	WallNS       int64   `json:"wall_ns"`
-	InstrsPerSec float64 `json:"guest_instrs_per_sec"`
-
-	// Taint-store statistics (zero in bare mode): interned source
-	// sets, union operations, union-cache hits, and the subset of hits
-	// served by the direct-mapped fast cache.
-	TaintSets      int    `json:"taint_sets"`
-	TaintUnions    uint64 `json:"taint_unions"`
-	TaintUnionHits uint64 `json:"taint_union_hits"`
-	TaintFastHits  uint64 `json:"taint_fast_hits"`
-
-	// Trace tier statistics (zero outside full mode): hot blocks whose
-	// trace compiled to nothing (pinned to the interpreter), superblock
-	// traces compiled, block entries served inside a trace, and side
-	// exits taken.
-	TierPinned     uint64 `json:"tier_pinned,omitempty"`
-	TraceCompiled  uint64 `json:"trace_compiled,omitempty"`
-	TraceHits      uint64 `json:"trace_hits,omitempty"`
-	TraceSideExits uint64 `json:"trace_side_exits,omitempty"`
-
-	// Clean tier statistics (zero outside full mode): block/trace
-	// entries that ran fully uninstrumented, verdicts cached by the
-	// demotion machinery, and cached verdicts dropped because taint
-	// reached their footprint (the re-instrumentation events).
-	CleanHits         uint64 `json:"clean_hits,omitempty"`
-	CleanDemotions    uint64 `json:"clean_demotions,omitempty"`
-	ReinstrumentCount uint64 `json:"reinstrument_count,omitempty"`
-}
-
-func printPerf(intro *hth.Introspection) ([]perfRow, *hth.MetricsSnapshot) {
-	t := &report.Table{
-		Title:  "Section 9: Performance (virtual-machine throughput per monitoring level)",
-		Header: []string{"Workload", "Mode", "Guest instrs", "Wall time", "Slowdown vs bare", "Trace hits", "Clean"},
-	}
-	// One shared metrics registry observes every perf run; its snapshot
-	// lands under "metrics" in BENCH_<date>.json.
-	registry := hth.NewMetrics()
-	observers := []hth.Observer{registry}
-	if intro != nil {
-		observers = append(observers, intro)
-	}
-	var rows []perfRow
-	for _, wl := range corpus.PerfWorkloads() {
-		var bare time.Duration
-		for _, mode := range []corpus.PerfMode{corpus.PerfBare, corpus.PerfNoDataflow, corpus.PerfFull} {
-			start := time.Now()
-			res, err := corpus.RunPerfObserved(wl, mode, observers...)
-			elapsed := time.Since(start)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hth-bench: perf %s/%s: %v\n", wl, mode, err)
-				os.Exit(1)
-			}
-			if mode == corpus.PerfBare {
-				bare = elapsed
-			}
-			slow := "1.00x"
-			if bare > 0 {
-				slow = fmt.Sprintf("%.2fx", float64(elapsed)/float64(bare))
-			}
-			// Trace-tier share of all block entries.
-			trace := "—"
-			if res.Stats.TraceCompiled > 0 {
-				trace = fmt.Sprintf("%.1f%%", 100*float64(res.Stats.TraceHits)/float64(res.Stats.Blocks))
-			}
-			// Clean-tier share of all block entries: the fraction that ran
-			// fully uninstrumented after a footprint proof.
-			clean := "—"
-			if res.Stats.CleanDemoted > 0 {
-				clean = fmt.Sprintf("%.1f%%", 100*float64(res.Stats.CleanHits)/float64(res.Stats.Blocks))
-			}
-			t.Add(wl, mode.String(), fmt.Sprint(res.TotalSteps),
-				elapsed.Round(time.Microsecond).String(), slow, trace, clean)
-			rows = append(rows, perfRow{
-				Workload:       wl,
-				Mode:           mode.String(),
-				GuestInstrs:    res.TotalSteps,
-				WallNS:         elapsed.Nanoseconds(),
-				InstrsPerSec:   float64(res.TotalSteps) / elapsed.Seconds(),
-				TaintSets:      res.Stats.TaintSets,
-				TaintUnions:    res.Stats.TaintUnions,
-				TaintUnionHits: res.Stats.TaintUnionHits,
-				TaintFastHits:  res.Stats.TaintFastHits,
-				TierPinned:     res.Stats.TierPinned,
-				TraceCompiled:  res.Stats.TraceCompiled,
-				TraceHits:      res.Stats.TraceHits,
-				TraceSideExits: res.Stats.TraceSideExits,
-
-				CleanHits:         res.Stats.CleanHits,
-				CleanDemotions:    res.Stats.CleanDemoted,
-				ReinstrumentCount: res.Stats.Reinstrumented,
-			})
-		}
-	}
-	fmt.Println(t)
-	fmt.Println("Shape check (paper §9): data-flow tracking dominates the overhead the")
-	fmt.Println("paper measures per instruction — but once the trace tier fuses hot")
-	fmt.Println("blocks into superblocks, 'full' may undercut even 'bare': traces retire")
-	fmt.Println("guest instructions without per-instruction dispatch, so the tiered")
-	fmt.Println("engine repays the instrumentation cost on loop-dominated workloads.")
-	return rows, registry.Snapshot()
-}
-
-// writeBenchJSON writes (or updates) the dated benchmark report. The
-// tool owns the "date", "host", "perf" and "metrics" keys; any other
-// top-level keys already in the file — e.g. a hand-captured
-// "go_test_bench" section from `go test -bench` — are preserved, so
-// regenerating the perf sweep does not wipe companion measurements.
-func writeBenchJSON(path string, rows []perfRow, metrics *hth.MetricsSnapshot) error {
-	doc := map[string]any{}
-	if old, err := os.ReadFile(path); err == nil {
-		// Best-effort: an unreadable or invalid existing file is
-		// replaced rather than failing the run.
-		_ = json.Unmarshal(old, &doc)
-	}
-	doc["date"] = time.Now().Format("2006-01-02")
-	doc["host"] = map[string]any{
-		"goos":       runtime.GOOS,
-		"goarch":     runtime.GOARCH,
-		"gomaxprocs": runtime.GOMAXPROCS(0),
-	}
-	doc["perf"] = rows
-	doc["metrics"] = metrics
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

@@ -4,7 +4,7 @@
 // drain on SIGINT/SIGTERM (in-flight jobs finish; queued jobs come
 // back as structured aborts — no job is ever lost).
 //
-//	hth-serve [-addr :8077] [-shards 4] [-workers 1] [-queue 16]
+//	hth-serve [-addr 127.0.0.1:8077] [-shards 4] [-workers 1] [-queue 16]
 //	          [-retries 2] [-drain 30s]
 //	          [-chaos-seed N -chaos-rate P]   # fault-storm soak mode
 //
@@ -19,8 +19,9 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -32,17 +33,34 @@ import (
 )
 
 func main() {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	os.Exit(run(os.Args[1:], sig, os.Stderr))
+}
+
+// run serves the flags in args until a signal arrives on stop, then
+// drains. It logs to logw and returns the process exit code: 0 after a
+// clean drain, 1 when serving or the drain fails, 2 on a bad flag.
+func run(args []string, stop <-chan os.Signal, logw io.Writer) int {
+	fs := flag.NewFlagSet("hth-serve", flag.ContinueOnError)
+	fs.SetOutput(logw)
 	var (
-		addr      = flag.String("addr", "127.0.0.1:8077", "listen address")
-		shards    = flag.Int("shards", 4, "worker shards (tenants hash across them)")
-		workers   = flag.Int("workers", 1, "worker goroutines per shard")
-		queue     = flag.Int("queue", 16, "queued jobs per shard before backpressure (429)")
-		retries   = flag.Int("retries", 2, "crash retries per job before a typed error")
-		drain     = flag.Duration("drain", 30*time.Second, "graceful drain budget on SIGINT/SIGTERM")
-		chaosSeed = flag.Uint64("chaos-seed", 0, "service fault-injection seed (0 = chaos off)")
-		chaosRate = flag.Float64("chaos-rate", 0.05, "service fault probability per decision point")
+		addr      = fs.String("addr", "127.0.0.1:8077", "listen address (port 0 picks a free port; the log names it)")
+		shards    = fs.Int("shards", 4, "worker shards (tenants hash across them)")
+		workers   = fs.Int("workers", 1, "worker goroutines per shard")
+		queue     = fs.Int("queue", 16, "queued jobs per shard before backpressure (429)")
+		retries   = fs.Int("retries", 2, "crash retries per job before a typed error")
+		drain     = fs.Duration("drain", 30*time.Second, "graceful drain budget on SIGINT/SIGTERM")
+		chaosSeed = fs.Uint64("chaos-seed", 0, "service fault-injection seed (0 = chaos off)")
+		chaosRate = fs.Float64("chaos-rate", 0.05, "service fault probability per decision point")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	lg := log.New(logw, "", log.LstdFlags)
 
 	cfg := hth.ServiceConfig{
 		Shards:          *shards,
@@ -52,23 +70,27 @@ func main() {
 	}
 	if *chaosSeed != 0 {
 		cfg.Chaos = &chaos.Plan{Seed: *chaosSeed, Rate: *chaosRate}
-		log.Printf("chaos armed: seed=%#x rate=%g (service-level faults only)", *chaosSeed, *chaosRate)
+		lg.Printf("chaos armed: seed=%#x rate=%g (service-level faults only)", *chaosSeed, *chaosRate)
+	}
+	lis, err := net.Listen("tcp", *addr)
+	if err != nil {
+		lg.Printf("listen: %v", err)
+		return 1
 	}
 	svc := hth.NewService(cfg)
 
-	srv := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	srv := &http.Server{Handler: svc.Handler()}
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("hth-serve listening on %s (%d shards × %d workers, queue %d)",
-		*addr, *shards, *workers, *queue)
+	go func() { errc <- srv.Serve(lis) }()
+	lg.Printf("hth-serve listening on %s (%d shards × %d workers, queue %d)",
+		lis.Addr(), *shards, *workers, *queue)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case err := <-errc:
-		log.Fatalf("serve: %v", err)
-	case s := <-sig:
-		log.Printf("%s: draining (budget %s)...", s, *drain)
+		lg.Printf("serve: %v", err)
+		return 1
+	case s := <-stop:
+		lg.Printf("%s: draining (budget %s)...", s, *drain)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
@@ -77,11 +99,12 @@ func main() {
 	// finish, queued jobs terminate as structured aborts.
 	shutdownErr := srv.Shutdown(ctx)
 	if err := svc.Drain(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "drain incomplete: %v\n", err)
-		os.Exit(1)
+		lg.Printf("drain incomplete: %v", err)
+		return 1
 	}
 	if shutdownErr != nil && !errors.Is(shutdownErr, http.ErrServerClosed) {
-		fmt.Fprintf(os.Stderr, "http shutdown: %v\n", shutdownErr)
+		lg.Printf("http shutdown: %v", shutdownErr)
 	}
-	log.Printf("drained clean; bye")
+	lg.Printf("drained clean; bye")
+	return 0
 }

@@ -13,8 +13,7 @@ import (
 // replay pretty-prints (or summarizes) a JSONL trace written by the
 // hth.JSONL observer (plain or gzipped — flight dumps are gzipped by
 // default). Only the filtered events are rendered, but the summary
-// always counts the full stream. The filter syntax is obs.ParseFilter,
-// shared with the introspection server's /events endpoint.
+// always counts the full stream. The filter syntax is obs.ParseFilter.
 //
 // For span-bearing traces the summary grows a per-job latency rollup:
 // one line per "job" trace with its queue, exec, and end-to-end time

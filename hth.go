@@ -70,7 +70,7 @@ type Config struct {
 	MaxOpenFDs int
 	// Observers receive the run's structured event stream (syscalls,
 	// scheduler decisions, taint samples, rule fires, warnings, chaos
-	// faults). See JSONL, NewMetrics, CLIPSText and NewIntrospection.
+	// faults). See JSONL, NewMetrics and CLIPSText.
 	// With no observers the bus is disabled and every publish site
 	// costs one nil-check.
 	Observers []Observer

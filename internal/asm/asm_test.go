@@ -17,9 +17,19 @@ func mustAsm(t *testing.T, src string) *image.Image {
 	return img
 }
 
+// section returns img's section called name, or nil.
+func section(img *image.Image, name string) *image.Section {
+	for i := range img.Sections {
+		if img.Sections[i].Name == name {
+			return &img.Sections[i]
+		}
+	}
+	return nil
+}
+
 func textSection(t *testing.T, img *image.Image) *image.Section {
 	t.Helper()
-	sec := img.Section(".text")
+	sec := section(img, ".text")
 	if sec == nil {
 		t.Fatal("no .text section")
 	}
@@ -135,7 +145,7 @@ c: .byte 1, 2, 0xFF
 d: .word 0x11223344, a
 e: .space 3, 0xEE
 `)
-	sec := img.Section(".data")
+	sec := section(img, ".data")
 	if sec == nil {
 		t.Fatal("no data section")
 	}
@@ -158,7 +168,7 @@ func TestAssembleStringEscapes(t *testing.T) {
 .data
 s: .asciz "a\nb\t\"q\"\x41\0z"
 `)
-	got := img.Section(".data").Data
+	got := section(img, ".data").Data
 	want := []byte("a\nb\t\"q\"A\x00z\x00")
 	if string(got) != string(want) {
 		t.Errorf("escapes: %q, want %q", got, want)
@@ -212,7 +222,7 @@ s: .asciz "semi ; inside string"
 	if n := len(textSection(t, img).Instrs); n != 2 {
 		t.Errorf("instrs = %d", n)
 	}
-	if got := string(img.Section(".data").Data); got != "semi ; inside string\x00" {
+	if got := string(section(img, ".data").Data); got != "semi ; inside string\x00" {
 		t.Errorf("string with semicolon: %q", got)
 	}
 }
@@ -406,7 +416,7 @@ msg: .asciz "const"
 .text
     mov eax, msg
 `)
-	sec := img.Section(".rodata")
+	sec := section(img, ".rodata")
 	if sec == nil || sec.Kind != image.ROData {
 		t.Fatal("rodata section missing")
 	}

@@ -89,7 +89,7 @@ func TestDisassemblyRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v\nsource:\n%s", trial, err, src.String())
 		}
-		got := img.Section(".text").Instrs
+		got := section(img, ".text").Instrs
 		if len(got) != n {
 			t.Fatalf("trial %d: %d instrs, want %d", trial, len(got), n)
 		}
@@ -143,7 +143,7 @@ func TestAssembleLoadExecuteRandomALU(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Execute on a bare CPU via a span built from the image.
-		sec := img.Section(".text")
+		sec := section(img, ".text")
 		cpu := isa.NewCPU()
 		cpu.Code.Add(isa.NewSpan(0x1000, "alu", sec.Instrs, img.TextSymbols(sectionIndex(img, ".text"))))
 		cpu.EIP = 0x1000

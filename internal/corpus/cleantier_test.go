@@ -18,7 +18,7 @@ import (
 func TestCleanTierDifferentialSweep(t *testing.T) {
 	scs := All()
 	cell := func(promoteThreshold, cleanThreshold int) []RunOutcome {
-		return RunAllWith(scs, 0, func(_ *Scenario, cfg *hth.Config) {
+		return runAll(scs, 0, func(_ *Scenario, cfg *hth.Config) {
 			cfg.Monitor.PromoteThreshold = promoteThreshold
 			cfg.Monitor.CleanThreshold = cleanThreshold
 		})

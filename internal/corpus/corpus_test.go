@@ -55,7 +55,7 @@ func TestMacroBenchmarks(t *testing.T) {
 func TestPerfWorkloads(t *testing.T) {
 	for _, wl := range PerfWorkloads() {
 		for _, mode := range []PerfMode{PerfBare, PerfNoDataflow, PerfFull} {
-			res, err := RunPerfObserved(wl, mode)
+			res, err := runPerf(wl, mode, nil)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", wl, mode, err)
 			}
@@ -79,7 +79,7 @@ func TestPerfWorkloads(t *testing.T) {
 }
 
 func TestRunPerfUnknown(t *testing.T) {
-	if _, err := RunPerfObserved("bogus", PerfFull); err == nil {
+	if _, err := runPerf("bogus", PerfFull, nil); err == nil {
 		t.Error("unknown workload accepted")
 	}
 }

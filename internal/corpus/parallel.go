@@ -38,14 +38,6 @@ func RunAll(scenarios []*Scenario, parallelism int) []RunOutcome {
 	return runAll(scenarios, parallelism, nil)
 }
 
-// RunAllWith is RunAll with a per-scenario configuration hook, applied
-// after the scenario's own tweaks. It is how sweeps pin engine knobs
-// corpus rows do not own — the tier differential harness runs the same
-// corpus twice with opposite PromoteThreshold values this way.
-func RunAllWith(scenarios []*Scenario, parallelism int, tweak func(*Scenario, *hth.Config)) []RunOutcome {
-	return runAll(scenarios, parallelism, tweak)
-}
-
 // chaosMaxSteps bounds guest execution during fault-injecting sweeps:
 // an injected error can send a guest's retry loop spinning, and the
 // run must become a structured vos.ErrBudget outcome quickly instead
@@ -86,7 +78,9 @@ func RunAllChaosWith(scenarios []*Scenario, parallelism int, plan chaos.Plan, tw
 // runAll fans the sweep out on an internal/pool worker pool — the
 // same substrate the analysis service shards over — with an unbounded
 // queue (every scenario must execute) and per-task panic containment
-// already provided by runScenario.
+// already provided by runScenario. extra, if non-nil, is a per-scenario
+// configuration hook applied after the scenario's own tweaks: it is
+// how the differential sweeps pin engine knobs corpus rows do not own.
 func runAll(scenarios []*Scenario, parallelism int, extra func(*Scenario, *hth.Config)) []RunOutcome {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)

@@ -2,17 +2,24 @@ package corpus
 
 import (
 	"fmt"
+	"testing"
 
 	hth "repro"
 )
 
 // §9 — Performance evaluation workloads. The paper identifies data
 // flow tracking as Harrier's main bottleneck (every data-moving
-// instruction is instrumented). These guests let the benches compare:
+// instruction is instrumented). These guests let the benchmarks
+// below compare:
 //
 //	bare        — no monitor attached (native interpreter speed)
 //	nodataflow  — Harrier without Track_DataFlow
 //	full        — the complete prototype
+//
+// The nine cells, alu/mem/sparse × bare/nodataflow/full, with the
+// trace and clean tiers' shares of block entries:
+//
+//	go test -run '^$' -bench '^BenchmarkPerf(ALU|Mem|Sparse)(Bare|NoDataflow|FullDataflow)$|^BenchmarkPerfMemSparseTaint$' ./internal/corpus
 //
 // aluWorkload is register-arithmetic heavy: the worst case for
 // per-instruction instrumentation overhead.
@@ -145,19 +152,12 @@ func (m PerfMode) String() string {
 // PerfWorkloads names the available performance guests.
 func PerfWorkloads() []string { return []string{"alu", "mem", "sparse"} }
 
-// RunPerfObserved executes the named workload under the given mode
-// and returns the result (inspect TotalSteps for the work done), with
-// observers attached to the run's event bus — hth-bench feeds every
-// perf run into one shared hth.Metrics registry this way. No observers
-// means a disabled bus.
-func RunPerfObserved(workload string, mode PerfMode, observers ...hth.Observer) (*hth.Result, error) {
-	return RunPerfWith(workload, mode, nil, observers...)
-}
-
-// RunPerfWith is RunPerfObserved with a configuration hook applied
-// just before the run — the tier A/B benchmarks pin PromoteThreshold
-// through it without the perf workloads leaking out of this package.
-func RunPerfWith(workload string, mode PerfMode, tweak func(*hth.Config), observers ...hth.Observer) (*hth.Result, error) {
+// runPerf executes the named workload under the given mode and returns
+// the result (inspect TotalSteps for the work done). tweak, if non-nil,
+// adjusts the configuration just before the run — the tier A/B
+// benchmarks pin PromoteThreshold through it. The run has no
+// observers, so its event bus is disabled.
+func runPerf(workload string, mode PerfMode, tweak func(*hth.Config)) (*hth.Result, error) {
 	sys := hth.NewSystem()
 	// Batch-sized scheduler quantum: these are single-process
 	// throughput guests, so fairness granularity buys nothing. A slice
@@ -186,9 +186,77 @@ func RunPerfWith(workload string, mode PerfMode, tweak func(*hth.Config), observ
 	case PerfNoDataflow:
 		cfg.Monitor.Dataflow = false
 	}
-	cfg.Observers = observers
 	if tweak != nil {
 		tweak(&cfg)
 	}
 	return sys.Run(cfg, spec)
+}
+
+// benchPerf measures one §9 monitoring mode on one workload,
+// reporting guest instructions per second so the three modes'
+// slowdown factors can be compared (the paper's Table-3-style shape:
+// dataflow dominates the overhead), plus the shares of block entries
+// the trace and clean tiers served (0 in bare mode, which counts no
+// blocks).
+func benchPerf(b *testing.B, workload string, mode PerfMode, tweak func(*hth.Config)) {
+	b.ReportAllocs()
+	var steps, blocks, traceHits, cleanHits uint64
+	for i := 0; i < b.N; i++ {
+		res, err := runPerf(workload, mode, tweak)
+		if err != nil {
+			b.Fatal(err)
+		}
+		steps += res.TotalSteps
+		blocks += res.Stats.Blocks
+		traceHits += res.Stats.TraceHits
+		cleanHits += res.Stats.CleanHits
+	}
+	instrPerOp := float64(steps) / float64(b.N)
+	b.ReportMetric(instrPerOp, "guest-instrs/op")
+	b.ReportMetric(instrPerOp*float64(b.N)/b.Elapsed().Seconds(), "guest-instrs/s")
+	var traceShare, cleanShare float64
+	if blocks > 0 {
+		traceShare = float64(traceHits) / float64(blocks)
+		cleanShare = float64(cleanHits) / float64(blocks)
+	}
+	b.ReportMetric(traceShare, "trace-share")
+	b.ReportMetric(cleanShare, "clean-share")
+}
+
+// interpTier pins every block to the interpreter tier, the
+// pre-tiering configuration the trace tier is A/B-measured against.
+func interpTier(cfg *hth.Config) { cfg.Monitor.PromoteThreshold = 0 }
+
+// noCleanTier caps the engine at the trace tier — the configuration
+// BenchmarkPerfMemSparseTaint is A/B-measured against. Without the
+// clean tier every trace entry runs the full-transfer trace loop.
+func noCleanTier(cfg *hth.Config) { cfg.Monitor.CleanThreshold = 0 }
+
+func BenchmarkPerfALUBare(b *testing.B)       { benchPerf(b, "alu", PerfBare, nil) }
+func BenchmarkPerfALUNoDataflow(b *testing.B) { benchPerf(b, "alu", PerfNoDataflow, nil) }
+func BenchmarkPerfALUFullDataflow(b *testing.B) {
+	benchPerf(b, "alu", PerfFull, nil)
+}
+func BenchmarkPerfALUInterpDataflow(b *testing.B) {
+	benchPerf(b, "alu", PerfFull, interpTier)
+}
+func BenchmarkPerfMemBare(b *testing.B)       { benchPerf(b, "mem", PerfBare, nil) }
+func BenchmarkPerfMemNoDataflow(b *testing.B) { benchPerf(b, "mem", PerfNoDataflow, nil) }
+func BenchmarkPerfMemFullDataflow(b *testing.B) {
+	benchPerf(b, "mem", PerfFull, nil)
+}
+func BenchmarkPerfMemInterpDataflow(b *testing.B) {
+	benchPerf(b, "mem", PerfFull, interpTier)
+}
+func BenchmarkPerfSparseBare(b *testing.B)       { benchPerf(b, "sparse", PerfBare, nil) }
+func BenchmarkPerfSparseNoDataflow(b *testing.B) { benchPerf(b, "sparse", PerfNoDataflow, nil) }
+
+// BenchmarkPerfMemSparseTaint is the sparse workload's full-monitoring
+// cell; it keeps its historical name because scripts/benchgate.sh
+// floors it.
+func BenchmarkPerfMemSparseTaint(b *testing.B) {
+	benchPerf(b, "sparse", PerfFull, nil)
+}
+func BenchmarkPerfMemSparseTaintNoClean(b *testing.B) {
+	benchPerf(b, "sparse", PerfFull, noCleanTier)
 }

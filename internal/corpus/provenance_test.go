@@ -17,7 +17,7 @@ import (
 func TestProvenanceDifferentialSweep(t *testing.T) {
 	scs := All()
 	sweep := func(prov bool, threshold int) []RunOutcome {
-		return RunAllWith(scs, 0, func(_ *Scenario, cfg *hth.Config) {
+		return runAll(scs, 0, func(_ *Scenario, cfg *hth.Config) {
 			cfg.Provenance = prov
 			cfg.Monitor.PromoteThreshold = threshold
 		})

@@ -15,7 +15,7 @@ import (
 func TestSpanDifferentialSweep(t *testing.T) {
 	scs := All()
 	base := SweepSignature(RunAll(scs, 0))
-	spanned := SweepSignature(RunAllWith(scs, 0, func(_ *Scenario, cfg *hth.Config) {
+	spanned := SweepSignature(runAll(scs, 0, func(_ *Scenario, cfg *hth.Config) {
 		cfg.Spans = true
 	}))
 	for i := range base {

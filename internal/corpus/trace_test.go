@@ -40,7 +40,7 @@ func TestTraceDifferentialSweep(t *testing.T) {
 // interpSweep is the corpus sweep signature at the interpreter tier
 // with provenance off, computed once for every differential cell.
 var interpSweep = sync.OnceValue(func() []string {
-	return SweepSignature(RunAllWith(All(), 0, func(_ *Scenario, cfg *hth.Config) {
+	return SweepSignature(runAll(All(), 0, func(_ *Scenario, cfg *hth.Config) {
 		cfg.Monitor.PromoteThreshold = 0
 	}))
 })
@@ -52,7 +52,7 @@ var interpSweep = sync.OnceValue(func() []string {
 func checkTracedCell(t *testing.T, promoteThreshold int, prov bool) {
 	t.Helper()
 	name := fmt.Sprintf("threshold=%d prov=%v", promoteThreshold, prov)
-	outs := RunAllWith(All(), 0, func(_ *Scenario, cfg *hth.Config) {
+	outs := runAll(All(), 0, func(_ *Scenario, cfg *hth.Config) {
 		cfg.Monitor.PromoteThreshold = promoteThreshold
 		cfg.Provenance = prov
 	})

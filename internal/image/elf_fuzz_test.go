@@ -74,7 +74,7 @@ func TestDecodeELFFixtures(t *testing.T) {
 		if !img.HasEntry() {
 			t.Errorf("%s: no entry symbol", name)
 		}
-		if img.Section(".text") == nil {
+		if section(img, ".text") == nil {
 			t.Errorf("%s: no .text section", name)
 		}
 		if _, ok := img.Symbols["_start"]; !ok {

@@ -186,16 +186,6 @@ func (im *Image) HasEntry() bool {
 	return ok
 }
 
-// Section returns the named section, or nil.
-func (im *Image) Section(name string) *Section {
-	for i := range im.Sections {
-		if im.Sections[i].Name == name {
-			return &im.Sections[i]
-		}
-	}
-	return nil
-}
-
 // TextSymbols returns instruction-index -> name maps per text section,
 // used by the loader to label spans for disassembly and routine hooks.
 // When several symbols share an offset (the ELF frontend's synthetic

@@ -90,10 +90,10 @@ func TestValidateNativeIndex(t *testing.T) {
 
 func TestSectionLookupAndSize(t *testing.T) {
 	im := validImage()
-	if im.Section(".text") == nil || im.Section(".data") == nil {
+	if section(im, ".text") == nil || section(im, ".data") == nil {
 		t.Error("Section lookup failed")
 	}
-	if im.Section(".bss") != nil {
+	if section(im, ".bss") != nil {
 		t.Error("found nonexistent section")
 	}
 	if got := im.Sections[0].Size(); got != isa.InstrSize {
@@ -119,4 +119,14 @@ func TestSectionKindString(t *testing.T) {
 	if Text.String() != "text" || Data.String() != "data" || ROData.String() != "rodata" {
 		t.Error("kind strings wrong")
 	}
+}
+
+// section returns img's section called name, or nil.
+func section(img *Image, name string) *Section {
+	for i := range img.Sections {
+		if img.Sections[i].Name == name {
+			return &img.Sections[i]
+		}
+	}
+	return nil
 }

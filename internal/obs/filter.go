@@ -5,10 +5,9 @@ import (
 	"strconv"
 )
 
-// Filter selects events by layer, kind, pid, and rule — the one
-// selection vocabulary shared by `hth-trace -replay` flags and the
-// introspection server's /events query parameters. The zero Filter
-// matches everything.
+// Filter selects events by layer, kind, pid, and rule — the selection
+// vocabulary of `hth-trace -replay`'s flags. The zero Filter matches
+// everything.
 type Filter struct {
 	Layer    Layer
 	HasLayer bool

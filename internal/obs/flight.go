@@ -18,8 +18,9 @@ const DefaultFlightSize = 4096
 // rule fire, guest fault, chaos containment, or deadline replays the
 // final stretch of causality.
 //
-// Unlike most sinks, a Flight is safe for concurrent use: the
-// introspection server reads (/flight) while the simulator publishes.
+// Unlike most sinks, a Flight is safe for concurrent use: its methods
+// lock. A run's ring is written by its bus and read by the run's own
+// dump once the run ends.
 type Flight struct {
 	mu    sync.Mutex
 	buf   []Event

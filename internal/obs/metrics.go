@@ -26,7 +26,6 @@ type Metrics struct {
 	byName map[countKey]uint64
 	gauges map[string]float64
 	hists  map[string][]Bucket
-	extra  map[string]uint64
 
 	// Per-tenant latency histograms by (stage, tenant), fed from
 	// KindJobLatency events. The histograms are fixed-shape values so
@@ -64,7 +63,6 @@ func NewMetrics() *Metrics {
 		byName:  make(map[countKey]uint64),
 		gauges:  make(map[string]float64),
 		hists:   make(map[string][]Bucket),
-		extra:   make(map[string]uint64),
 		lat:     make(map[latKey]*LatencyHist),
 		tenants: make(map[string]struct{}),
 	}
@@ -188,15 +186,6 @@ var counterPrefix = map[Kind]string{
 	KindJobAbort:     "job_aborted.",
 }
 
-// Inc bumps a free-form registry counter by name ("sse_slow_dropped").
-// These land in Snapshot.Counters verbatim; names with a Prometheus
-// family (see exactCounters in prom.go) render under it.
-func (m *Metrics) Inc(name string) {
-	m.mu.Lock()
-	m.extra[name]++
-	m.mu.Unlock()
-}
-
 // LatencyRollup aggregates one latency stage across all tenants into
 // millisecond quantiles. ok is false when the stage has no
 // observations.
@@ -251,9 +240,6 @@ func (m *Metrics) Snapshot() *Snapshot {
 	}
 	for k, n := range m.byName {
 		s.Counters[counterPrefix[k.kind]+k.s] = n
-	}
-	for name, n := range m.extra {
-		s.Counters[name] = n
 	}
 	if m.tenantDropped > 0 {
 		s.Counters["tenant_labels_dropped"] = m.tenantDropped

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -174,5 +175,34 @@ func TestNamesRoundTrip(t *testing.T) {
 		if !ok || got != k {
 			t.Errorf("KindByName(%q) = %v, %v", k.String(), got, ok)
 		}
+	}
+}
+
+// failWriter errors on every write.
+type failWriter struct{ calls int }
+
+var errSink = errors.New("disk full")
+
+func (f *failWriter) Write(p []byte) (int, error) { f.calls++; return 0, errSink }
+
+// TestJSONLSurfacesWriteError: a sink whose writer dies mid-run must
+// report it on Close, not produce a silently empty trace.
+func TestJSONLSurfacesWriteError(t *testing.T) {
+	fw := &failWriter{}
+	s := JSONL(fw)
+	// Enough events to overflow the 4 KiB buffer mid-run.
+	for i := 0; i < 200; i++ {
+		s.Event(Event{Seq: uint64(i), Layer: LayerVOS, Kind: KindSyscallEnter, Str: "SYS_read_with_padding_payload"})
+	}
+	err := s.Close()
+	if !errors.Is(err, errSink) {
+		t.Fatalf("Close = %v, want %v", err, errSink)
+	}
+	if fw.calls != 1 {
+		t.Fatalf("writer called %d times after first error, want 1 (sticky error)", fw.calls)
+	}
+	// Idempotent: a second Close reports the same error.
+	if err := s.Close(); !errors.Is(err, errSink) {
+		t.Fatalf("second Close = %v", err)
 	}
 }

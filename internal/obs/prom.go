@@ -9,8 +9,8 @@ import (
 )
 
 // WritePrometheus renders a metrics snapshot in the Prometheus text
-// exposition format (version 0.0.4), the wire form the introspection
-// server serves on /metrics. The output is byte-stable for a given
+// exposition format (version 0.0.4), the wire form the analysis
+// service serves on /metrics. The output is byte-stable for a given
 // snapshot: families and label values are emitted in sorted order and
 // no timestamp is attached, so a deterministic run exposes a
 // deterministic page (modulo the wall-clock throughput gauge).
@@ -125,8 +125,6 @@ func WritePrometheus(w io.Writer, s *Snapshot) error {
 var exactCounters = map[string]struct{ name, help string }{
 	"tenant_labels_dropped": {"hth_tenant_labels_dropped_total",
 		"Tenant label observations folded into the \"other\" bucket by the cardinality cap."},
-	"sse_slow_dropped": {"hth_sse_dropped_total",
-		"Events dropped to slow /events SSE subscribers."},
 }
 
 // latencyFamilies maps a latency stage to its Prometheus histogram

@@ -74,7 +74,7 @@ func TestPrometheusByteStable(t *testing.T) {
 
 // TestMetricsSnapshotUnderPublish hammers Snapshot (and the /metrics
 // render path) against a publishing run; run with -race this is the
-// snapshot-safety gate for the introspection server.
+// snapshot-safety gate for the service's /metrics.
 func TestMetricsSnapshotUnderPublish(t *testing.T) {
 	m := NewMetrics()
 	stop := make(chan struct{})

@@ -324,30 +324,3 @@ func TestLatencyRollup(t *testing.T) {
 		t.Errorf("LatencyQuantile = %d, %v", v, ok)
 	}
 }
-
-// TestSSEWedgedSubscriber wedges a subscriber (never drains its
-// channel) and checks the publisher never blocks, the overflow is
-// dropped deterministically (buffer fills, the rest fall), and the
-// drops surface as the hth_sse_dropped_total registry counter.
-func TestSSEWedgedSubscriber(t *testing.T) {
-	in := NewIntrospection()
-	wedgedID, ch := in.subscribe() // never read from
-	defer in.unsubscribe(wedgedID)
-
-	const n = 2000 // > the 1024 channel buffer, forces drops
-	for i := 0; i < n; i++ {
-		in.Event(Event{Kind: KindSyscallEnter, Str: "SYS_read", Num: uint64(i)})
-	}
-	want := uint64(n - cap(ch))
-	snap := in.metrics.Snapshot()
-	if d := snap.Counters["sse_slow_dropped"]; d != want {
-		t.Fatalf("dropped %d events, want %d (buffer %d of %d)", d, want, cap(ch), n)
-	}
-	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, snap); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(buf.Bytes(), []byte("hth_sse_dropped_total")) {
-		t.Error("exposition missing hth_sse_dropped_total")
-	}
-}

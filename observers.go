@@ -46,15 +46,3 @@ func CLIPSTranscript(w io.Writer) Observer { return obs.CLIPSTranscript(w) }
 // Provenance is the per-source causal chain recorder (see
 // Config.Provenance).
 type Provenance = obs.Provenance
-
-// Introspection is the live HTTP introspection server: /metrics in
-// Prometheus text format, /events as a filterable SSE stream, /flight
-// as its flight-recorder ring, and /debug/pprof.
-type Introspection = obs.Introspection
-
-// NewIntrospection returns an introspection server with its own
-// flight ring. Start it on an address, append it to Config.Observers
-// of as many runs as it should watch (metrics accumulate, the ring
-// keeps rolling), and Shutdown it when done; it keeps serving between
-// and after runs.
-func NewIntrospection() *Introspection { return obs.NewIntrospection() }

@@ -4,6 +4,7 @@
 # allocates nothing; this gate holds that promise two ways:
 #
 #   1. allocs/op ceiling (deterministic): BenchmarkPerfMemFullDataflow
+#      (internal/corpus/perf_test.go, with the other §9 benchmarks)
 #      executes ~294k guest instructions per op, so even one stray
 #      allocation per event site blows the count by orders of
 #      magnitude. This catches hot-path allocation regressions exactly,
@@ -54,7 +55,7 @@ if [ -z "$baseline" ]; then
 fi
 
 out=$(go test -run '^$' -bench BenchmarkPerfMemFullDataflow -benchmem \
-    -benchtime "$benchtime" -count "$runs" .)
+    -benchtime "$benchtime" -count "$runs" ./internal/corpus)
 echo "$out"
 
 echo "$out" | awk -v best=0 -v allocs=0 -v base="$baseline" -v tol="$tolerance" \
@@ -105,7 +106,7 @@ fi
 echo "benchgate: sparse floor $sparsefloor guest-instrs/s"
 
 sout=$(go test -run '^$' -bench 'BenchmarkPerfMemSparseTaint$' \
-    -benchtime "$benchtime" -count "$runs" .)
+    -benchtime "$benchtime" -count "$runs" ./internal/corpus)
 echo "$sout"
 
 echo "$sout" | awk -v best=0 -v floor="$sparsefloor" '

@@ -27,6 +27,9 @@ go -C cmd/hth-load test .
 # and the tier promotion/demotion paths run their full test load under
 # the detector.
 go test -race ./...
+# Paper tables: every row of every evaluation table must reproduce
+# (hth-bench exits 1 on any diverged row).
+go run ./cmd/hth-bench -table all -parallel 4 >/dev/null
 # Robustness gate: zero-rate identity plus fault containment over the
 # full corpus on a fixed seed (see cmd/hth-bench).
 go run ./cmd/hth-bench -chaos 0xC0FFEE,0.05 -parallel 4 >/dev/null
@@ -87,7 +90,7 @@ for ex in examples/*/; do
 done
 go run ./examples/trojandetect -provenance >/dev/null
 # Command-line gate: the CLIs no other gate runs exit 0 on one input
-# each (hth-serve needs a listener; the root tests cover its handler).
+# each (hth-serve's own test starts it, submits a job and drains it).
 clidir=$(mktemp -d)
 trap 'rm -rf "$clidir"' EXIT
 printf '.text\n_start:\n    mov ebx, 0\n    mov eax, 1\n    int 0x80\n' >"$clidir/p.s"

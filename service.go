@@ -359,9 +359,10 @@ type JobResult struct {
 	// the shadows' Store() is nil, and so is the monitor's Store:
 	// registers, exit state, warnings, events, stats and block
 	// frequencies stay, but a taint tag reachable from Raw (a
-	// register's tag, an fd's origin) names nothing. The images reachable from Raw (Process.Images,
-	// Process.OS.FS) include the process-wide guest libraries
-	// every job shares: read them, never mutate them.
+	// register's tag, an fd's origin) names nothing. The images
+	// reachable from Raw (Process.Images, Process.OS.FS) include the
+	// process-wide guest libraries every job shares: read them, never
+	// mutate them.
 	Raw *Result `json:"-"`
 }
 

@@ -19,11 +19,11 @@ import (
 // Keys are "pkg.Func" or "pkg.Type.Method".
 var surfaceAllowlist = map[string]string{
 	"chaos.Injector.SlowReader": "TestServiceChaosSoak: the soak's tenants throttle their stream reads on the plan's slow-reader faults",
-	"image.Image.Section":       "the asm tests (asm_test.go, roundtrip_test.go) check assembled sections by name",
 	"isa.Memory.Pages":          "TestServiceMatchesBatchRun: a settled service job gives back every guest page",
 	"taint.Shadow.Pages":        "TestServiceMatchesBatchRun: a settled service job gives back every shadow page",
 	"taint.Shadow.BytePages":    "loader TestDataTailTagging and vos TestStartupShadowStaysWordMode count the shadow pages that load-time tagging degrades to byte mode",
 	"secpert.SharedPolicy":      "TestSharedPolicyImmutable: the guard hashes the shared policy before and after a service sweep",
+	"vos.OS.SetStepsPerSlice":   "TestTraceSliceResume runs at slices of 128 and 13, and the §9 perf benchmarks (internal/corpus/perf_test.go) at 4096",
 }
 
 // TestNoDeadSurface type-checks every package of the module plus the
