@@ -15,10 +15,11 @@ chaos:
 # The service chaos soak: concurrent tenants under a seeded
 # service-level fault storm (worker crashes, stalls, corrupted specs,
 # slow readers) — zero lost jobs, zero leaked goroutines — plus the
-# zero-rate identity soak and the corpus-through-service signature
-# gate, all under the race detector.
+# zero-rate identity soak, the worker-crash path (one typed error per
+# crashed job) and the corpus-through-service signature gate, all
+# under the race detector.
 soak:
-	$(GO) test -race -count=1 -run 'TestServiceChaosSoak|TestServiceSoakZeroRate' .
+	$(GO) test -race -count=1 -run 'TestServiceChaosSoak|TestServiceSoakZeroRate|TestServiceCrashEndsJobOnce|TestServiceWorkerCrashTypedError' .
 	$(GO) test -race -count=1 -run TestServiceSweepSignatureIdentity ./internal/corpus
 
 test:
@@ -65,7 +66,7 @@ spans:
 	$(GO) test -count=1 -run 'TestProvenanceChromeTrace|TestChromeTraceEscapesStrings' ./internal/obs
 	$(GO) test -count=1 -run 'TestPrometheusLatencyGolden|TestTenantCardinalityCap' ./internal/obs
 	$(GO) test -race -count=1 -run 'TestSpanRecorder|TestTierTimer|TestLatency' ./internal/obs
-	$(GO) test -race -count=1 -run 'TestServiceJobSpanTree|TestServiceCrashRetrySpans|TestServiceDeadlineSpanStatus|TestServiceHealthLatencyRollups' .
+	$(GO) test -race -count=1 -run 'TestServiceJobSpanTree|TestServiceCrashEndsJobOnce|TestServiceDeadlineSpanStatus|TestServiceHealthLatencyRollups' .
 	$(GO) test -count=1 -run TestSpanDifferentialSweep ./internal/corpus
 
 # Record a trojandetect JSONL event trace, replay it with hth-trace,

@@ -5,7 +5,7 @@
 // back as structured aborts — no job is ever lost).
 //
 //	hth-serve [-addr 127.0.0.1:8077] [-shards 4] [-workers 1] [-queue 16]
-//	          [-retries 2] [-drain 30s]
+//	          [-drain 30s]
 //	          [-chaos-seed N -chaos-rate P]   # fault-storm soak mode
 //
 //	curl -s localhost:8077/healthz                  # incl. latency_ms rollups
@@ -49,7 +49,6 @@ func run(args []string, stop <-chan os.Signal, logw io.Writer) int {
 		shards    = fs.Int("shards", 4, "worker shards (tenants hash across them)")
 		workers   = fs.Int("workers", 1, "worker goroutines per shard")
 		queue     = fs.Int("queue", 16, "queued jobs per shard before backpressure (429)")
-		retries   = fs.Int("retries", 2, "crash retries per job before a typed error")
 		drain     = fs.Duration("drain", 30*time.Second, "graceful drain budget on SIGINT/SIGTERM")
 		chaosSeed = fs.Uint64("chaos-seed", 0, "service fault-injection seed (0 = chaos off)")
 		chaosRate = fs.Float64("chaos-rate", 0.05, "service fault probability per decision point")
@@ -66,7 +65,6 @@ func run(args []string, stop <-chan os.Signal, logw io.Writer) int {
 		Shards:          *shards,
 		WorkersPerShard: *workers,
 		QueueDepth:      *queue,
-		MaxRetries:      *retries,
 	}
 	if *chaosSeed != 0 {
 		cfg.Chaos = &chaos.Plan{Seed: *chaosSeed, Rate: *chaosRate}

@@ -280,7 +280,7 @@ func (s *System) InstallBinary(path string, data []byte) error {
 // InstallDecodedBinary places a raw binary at path together with an
 // image already decoded from exactly those bytes, skipping the decode
 // InstallBinary would repeat. The service uses it to reuse its
-// submit-time validation decode on every execution attempt.
+// submit-time validation decode when the job runs.
 func (s *System) InstallDecodedBinary(path string, data []byte, img *image.Image) {
 	s.OS.FS.InstallDecoded(path, data, img)
 }

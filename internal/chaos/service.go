@@ -8,8 +8,8 @@ package chaos
 //
 // Determinism contract: the service derives one Injector per job
 // (Plan.Derive over the job id), and a job's decision points are
-// consulted in a fixed order — submit-time corruption, then per
-// attempt: stall, crash-pre, crash-post. The consultations happen on
+// consulted in a fixed order — submit-time corruption, then on the
+// worker: stall, crash-pre, crash-post. The consultations happen on
 // different goroutines but are sequential in the job's lifetime, with
 // happens-before edges through the pool queue, so one (plan, job id)
 // pair produces one fault stream regardless of scheduling.

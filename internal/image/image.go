@@ -98,9 +98,10 @@ type DataReloc struct {
 //
 // An Image is read-only once the frontend that built it returns (asm
 // assembly, ELF decode, DecodeAs). The guest libraries are single
-// process-wide Images that every guest world installs, and one decoded
-// upload is reused across a job's attempts. So the loader, the virtual
-// filesystem, secbin and every other consumer may only read an Image.
+// process-wide Images that every guest world installs, and an upload
+// decoded at submit is installed by its job's run. So the loader, the
+// virtual filesystem, secbin and every other consumer may only read an
+// Image.
 // The loader copies Instrs before it relocates them, and writes data
 // sections into guest memory, never back. Code that needs a different
 // image builds a new one.

@@ -164,7 +164,7 @@ const (
 	// Str = tenant, Str2 = job id, Num = shard, Num2 = shed level.
 	KindJobEnqueue
 	// KindJobStart is a service job beginning execution on a worker.
-	// Str = tenant, Str2 = job id, Num = shard, Num2 = attempt (0-based).
+	// Str = tenant, Str2 = job id, Num = shard.
 	KindJobStart
 	// KindJobDone is a service job terminating with a result or a
 	// typed error. Str = tenant, Str2 = outcome code ("done", an error

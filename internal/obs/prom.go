@@ -23,6 +23,10 @@ import (
 //	warning.<name>   → hth_warnings_total{rule="<name>"}
 //	chaos.<name>     → hth_chaos_faults_total{kind="<name>"}
 //
+// plus the job_* per-tenant families, and tenant_labels_dropped →
+// hth_tenant_labels_dropped_total. Every counter the registry emits
+// lands in one of these.
+//
 // Gauges become hth_<name> with non-alphanumerics folded to '_', and
 // discrete distributions ("taint.width") become one labelled series
 // per bucket value.
@@ -47,32 +51,21 @@ func WritePrometheus(w io.Writer, s *Snapshot) error {
 		{"warning.", family{"hth_warnings_total", "rule", "Policy warnings by rule."}},
 	}
 	grouped := make(map[string]map[string]uint64)
-	var other, exact []string
 	for k := range s.Counters {
-		if _, ok := exactCounters[k]; ok {
-			exact = append(exact, k)
-			continue
-		}
-		matched := false
 		for _, f := range families {
 			if strings.HasPrefix(k, f.prefix) {
 				if grouped[f.name] == nil {
 					grouped[f.name] = make(map[string]uint64)
 				}
 				grouped[f.name][k[len(f.prefix):]] = s.Counters[k]
-				matched = true
 				break
 			}
 		}
-		if !matched {
-			other = append(other, k)
-		}
 	}
-	sort.Strings(exact)
-	for _, k := range exact {
-		f := exactCounters[k]
-		pw.header(f.name, "counter", f.help)
-		pw.printf("%s %d\n", f.name, s.Counters[k])
+	if n, ok := s.Counters["tenant_labels_dropped"]; ok {
+		pw.header("hth_tenant_labels_dropped_total", "counter",
+			"Tenant label observations folded into the \"other\" bucket by the cardinality cap.")
+		pw.printf("hth_tenant_labels_dropped_total %d\n", n)
 	}
 	for _, f := range families {
 		vals := grouped[f.name]
@@ -82,13 +75,6 @@ func WritePrometheus(w io.Writer, s *Snapshot) error {
 		pw.header(f.name, "counter", f.help)
 		for _, lv := range sortedKeys(vals) {
 			pw.printf("%s{%s=%q} %d\n", f.name, f.label, lv, vals[lv])
-		}
-	}
-	if len(other) > 0 {
-		sort.Strings(other)
-		pw.header("hth_counter_total", "counter", "Uncategorized counters by name.")
-		for _, k := range other {
-			pw.printf("hth_counter_total{name=%q} %d\n", k, s.Counters[k])
 		}
 	}
 
@@ -120,21 +106,15 @@ func WritePrometheus(w io.Writer, s *Snapshot) error {
 	return pw.err
 }
 
-// exactCounters maps free-form registry counter names to dedicated
-// Prometheus families (everything else lands in hth_counter_total).
-var exactCounters = map[string]struct{ name, help string }{
-	"tenant_labels_dropped": {"hth_tenant_labels_dropped_total",
-		"Tenant label observations folded into the \"other\" bucket by the cardinality cap."},
-}
-
-// latencyFamilies maps a latency stage to its Prometheus histogram
-// family and the divisor converting raw units to the family's unit.
+// latencyFamilies maps each latency stage the service publishes to its
+// Prometheus histogram family and the divisor converting raw units to
+// the family's unit.
 var latencyFamilies = map[string]struct {
 	name, help string
 	div        float64
 }{
 	"queue":         {"hth_job_queue_wait_seconds", "Job queue wait by tenant.", 1e9},
-	"exec":          {"hth_job_exec_seconds", "Job execution time by tenant (summed across retries).", 1e9},
+	"exec":          {"hth_job_exec_seconds", "Job execution time by tenant.", 1e9},
 	"e2e":           {"hth_job_e2e_seconds", "Job end-to-end latency (submit to verdict) by tenant.", 1e9},
 	"deadline_burn": {"hth_job_deadline_burn_ratio", "Fraction of the job deadline consumed by execution, by tenant.", 1e6},
 }
@@ -146,12 +126,7 @@ var latencyFamilies = map[string]struct {
 func writeLatencyFamilies(pw *promWriter, series []LatencySeries) {
 	lastStage := ""
 	for _, ls := range series {
-		fam, ok := latencyFamilies[ls.Stage]
-		if !ok {
-			fam.name = "hth_job_" + sanitizeMetricName(ls.Stage) + "_raw"
-			fam.help = "Latency stage in raw units."
-			fam.div = 1
-		}
+		fam := latencyFamilies[ls.Stage]
 		if ls.Stage != lastStage {
 			pw.header(fam.name, "histogram", fam.help)
 			lastStage = ls.Stage

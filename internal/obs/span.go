@@ -37,9 +37,6 @@ type Span struct {
 	Start  int64  `json:"start_ns"`
 	End    int64  `json:"end_ns,omitempty"`
 	Status string `json:"status,omitempty"`
-	// Attr is a per-name numeric detail (for "exec" spans: the
-	// 0-based attempt).
-	Attr uint64 `json:"attr,omitempty"`
 }
 
 // Duration is End-Start, 0 while the span is open.
@@ -53,7 +50,7 @@ func (s *Span) Duration() int64 {
 // SpanRecorder records the spans of one trace (one service job, or
 // one batch run). It is safe for concurrent use: the service touches
 // a job's recorder from the submitter goroutine, the shard worker,
-// the retry timer, and Drain.
+// and Drain.
 //
 // Every span mutation can optionally be mirrored onto an event bus
 // (SetPublish) as span.start/span.end events, which is how the flight
@@ -99,18 +96,18 @@ func (r *SpanRecorder) Now() int64 {
 }
 
 // StartSpan opens a span under parent (0 = root) and returns its ID.
-func (r *SpanRecorder) StartSpan(parent uint64, name string, attr uint64) uint64 {
-	return r.StartSpanAt(parent, name, r.Now(), attr)
+func (r *SpanRecorder) StartSpan(parent uint64, name string) uint64 {
+	return r.StartSpanAt(parent, name, r.Now())
 }
 
 // StartSpanAt opens a span with an explicit start time, for intervals
 // that began before the recorder existed (the service stamps the job
 // root at the moment Submit was entered, before admission decided the
 // job deserved a trace at all).
-func (r *SpanRecorder) StartSpanAt(parent uint64, name string, startNS int64, attr uint64) uint64 {
+func (r *SpanRecorder) StartSpanAt(parent uint64, name string, startNS int64) uint64 {
 	id := spanIDs.Add(1)
 	r.mu.Lock()
-	r.spans = append(r.spans, Span{ID: id, Parent: parent, Name: name, Start: startNS, Attr: attr})
+	r.spans = append(r.spans, Span{ID: id, Parent: parent, Name: name, Start: startNS})
 	pub := r.pub
 	r.mu.Unlock()
 	if pub != nil {
@@ -194,8 +191,7 @@ func (r *SpanRecorder) Root() *Span {
 
 // NamedDuration sums the duration of every closed span with the given
 // name, returning the total and the span count. The service derives
-// its queue/exec latency observations from this (a retried job has
-// one queue and one exec span per attempt).
+// its queue/exec latency observations from this.
 func (r *SpanRecorder) NamedDuration(name string) (total int64, n int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -30,8 +30,8 @@ func TestSpanRecorderLifecycle(t *testing.T) {
 	if r.TraceID() != "j000042" {
 		t.Fatalf("trace id %q", r.TraceID())
 	}
-	root := r.StartSpanAt(0, "job", r.Now()-1e6, 0)
-	q := r.StartSpan(root, "queue", 0)
+	root := r.StartSpanAt(0, "job", r.Now()-1e6)
+	q := r.StartSpan(root, "queue")
 	if n := openSpans(r); n != 2 {
 		t.Fatalf("open %d, want 2", n)
 	}
@@ -85,7 +85,7 @@ func TestSpanRecorderPublishMirror(t *testing.T) {
 	r := NewSpanRecorder("trace-x")
 	var events []Event
 	r.SetPublish(func(e Event) { events = append(events, e) })
-	root := r.StartSpan(0, "job", 0)
+	root := r.StartSpan(0, "job")
 	r.AddSpan(root, "exec", r.Now()-1000, r.Now(), "done")
 	r.EndSpan(root, "done")
 	starts, ends := 0, 0
@@ -110,13 +110,13 @@ func TestSpanRecorderPublishMirror(t *testing.T) {
 
 // TestSpanRecorderStress hammers one recorder from many goroutines —
 // the service touches a job's recorder from the submitter, the shard
-// worker, the retry timer, and Drain. Run with -race this is the span
-// plane's concurrency gate.
+// worker, and Drain. Run with -race this is the span plane's
+// concurrency gate.
 func TestSpanRecorderStress(t *testing.T) {
 	r := NewSpanRecorder("stress")
 	var published atomic.Int64
 	r.SetPublish(func(Event) { published.Add(1) })
-	root := r.StartSpan(0, "job", 0)
+	root := r.StartSpan(0, "job")
 	var wg sync.WaitGroup
 	const workers = 8
 	ids := make(chan uint64, workers*64)
@@ -125,7 +125,7 @@ func TestSpanRecorderStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 64; i++ {
-				id := r.StartSpan(root, "work", uint64(i))
+				id := r.StartSpan(root, "work")
 				ids <- id
 				r.AddSpan(root, "blip", r.Now(), r.Now(), "ok")
 			}

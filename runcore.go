@@ -97,11 +97,11 @@ func newRunCore(s *System, cfg Config) *runCore {
 			}
 		}
 		if parent == 0 {
-			parent = rec.StartSpan(0, "run", 0)
+			parent = rec.StartSpan(0, "run")
 			rc.spanRoot = parent
 		}
 		rc.spans, rc.spanParent = rec, parent
-		instSpan = rec.StartSpan(parent, "instrument", 0)
+		instSpan = rec.StartSpan(parent, "instrument")
 	}
 	if !cfg.Unmonitored {
 		rc.sec = secpert.New(cfg.Policy, cfg.Advisor)
@@ -167,7 +167,7 @@ func (rc *runCore) wireSecpert() {
 func (rc *runCore) start(spec RunSpec) (*vos.Process, error) {
 	var loadSpan uint64
 	if rc.spans != nil {
-		loadSpan = rc.spans.StartSpan(rc.spanParent, "load", 0)
+		loadSpan = rc.spans.StartSpan(rc.spanParent, "load")
 	}
 	if rc.bus != nil {
 		rc.bus.Publish(obs.Event{

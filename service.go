@@ -30,13 +30,13 @@ import (
 //   - the per-shard queue is bounded, and a full queue is explicit
 //     backpressure (an *OverloadError carrying a Retry-After hint —
 //     HTTP 429 at the transport), never unbounded buffering;
-//   - admission control reads each shard's live occupancy and worker
-//     recycle streak and sheds expensive features tier by tier
-//     (provenance → flight recorder → event log/stream) before it
-//     starts rejecting work;
+//   - admission control reads each shard's live occupancy and sheds
+//     expensive features tier by tier (provenance → flight recorder →
+//     event log/stream) before it starts rejecting work;
 //   - a worker that panics — outside the run's own containment — is
-//     recycled, and its job retries with exponential backoff up to
-//     MaxRetries before terminating in a typed error;
+//     recycled, and its job ends at once in the typed worker-crash
+//     error (the monitor is deterministic, so a re-run would repeat
+//     the panic);
 //   - Drain never loses a job: in-flight jobs finish, queued jobs are
 //     completed as structured aborts (code JobAborted).
 //
@@ -58,15 +58,9 @@ type Service struct {
 	mu        sync.Mutex
 	jobs      map[string]*JobHandle
 	doneOrder []string // completed job ids, oldest first, for eviction
-	retries   map[string]*retryEntry
 	faults    []chaos.Fault
 	seq       uint64
 	draining  bool
-}
-
-type retryEntry struct {
-	timer *time.Timer
-	job   *job
 }
 
 // shard is one slice of the worker pool. Tenants hash to shards, so a
@@ -75,13 +69,12 @@ type retryEntry struct {
 type shard struct {
 	id   int
 	pool *pool.Pool
-	// gFill, gStreak and gQueueWait name the shard's health gauges in
-	// the metrics registry, built once so publishing formats nothing.
-	gFill, gStreak, gQueueWait string
+	// gFill and gQueueWait name the shard's health gauges in the
+	// metrics registry, built once so publishing formats nothing.
+	gFill, gQueueWait string
 
-	mu     sync.Mutex
-	streak int     // consecutive worker recycles without a completed job
-	mix    TierMix // tier mix accumulated over this shard's done jobs
+	mu  sync.Mutex
+	mix TierMix // tier mix accumulated over this shard's done jobs
 }
 
 // ServiceConfig sizes the service and its failure policy. The zero
@@ -95,12 +88,6 @@ type ServiceConfig struct {
 	// QueueDepth bounds each shard's queue of admitted-but-not-running
 	// jobs (default 16). A full queue rejects with *OverloadError.
 	QueueDepth int
-	// MaxRetries is how many times a job whose worker crashed is
-	// retried before terminating in a typed error (default 2).
-	MaxRetries int
-	// RetryBackoff is the first crash-retry delay, doubled per attempt
-	// (default 25ms).
-	RetryBackoff time.Duration
 	// RetryAfter is the backpressure hint handed to rejected
 	// submitters (default 500ms; the HTTP layer renders it as a
 	// Retry-After header).
@@ -138,14 +125,6 @@ func (c *ServiceConfig) normalize() {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 16
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	} else if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 25 * time.Millisecond
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = 500 * time.Millisecond
@@ -265,7 +244,9 @@ const (
 	// the run boundary (*RunError).
 	JobRunPanic = "run-panic"
 	// JobWorkerCrash is a worker goroutine crash outside the run's
-	// containment, after retries were exhausted.
+	// containment (a Setup hook panic, a service bug, or the chaos
+	// worker-crash fault). The job is not re-run: the monitor is
+	// deterministic, so a re-run would crash the same way.
 	JobWorkerCrash = "worker-crash"
 	// JobAborted is a queued job completed as a structured abort
 	// because the service drained before it could run.
@@ -339,9 +320,6 @@ type JobResult struct {
 	TierMix *TierMix `json:"tier_mix,omitempty"`
 	// Shed is the degradation tier the job was admitted at.
 	Shed int `json:"shed,omitempty"`
-	// Attempts counts executions (1 unless worker crashes forced
-	// retries).
-	Attempts int `json:"attempts"`
 	// DroppedUpdates counts stream updates dropped because the tenant
 	// read too slowly (the stream never stalls a worker).
 	DroppedUpdates uint64 `json:"dropped_updates,omitempty"`
@@ -506,8 +484,8 @@ func (h *JobHandle) push(u JobUpdate) {
 }
 
 // claim installs the terminal result exactly once, reporting whether
-// this call won (drain/retry races may offer two endings; the first
-// sticks). Waiters stay blocked until release.
+// this call won (a panic inside finish or complete may offer a second
+// ending; the first sticks). Waiters stay blocked until release.
 func (h *JobHandle) claim(r *JobResult) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -528,22 +506,21 @@ func (h *JobHandle) release() {
 	close(h.done)
 }
 
-// job is the internal unit of work: the spec, the handle, the derived
-// chaos injector, and the retry state.
+// job is the internal unit of work: the spec, the handle, and the
+// derived chaos injector.
 type job struct {
 	h       *JobHandle
 	spec    JobSpec
-	decoded map[string]*image.Image // binary payloads decoded at submit, reused per attempt
+	decoded map[string]*image.Image // binary payloads decoded at submit
 	inj     *chaos.Injector         // nil without a service chaos plan
 	shed    int
-	attempt int // 0-based execution attempt
 
 	// Lifecycle trace state: the recorder (shared with the handle),
-	// the root "job" span, the open queue/exec spans of the current
-	// attempt, and the effective deadline for the deadline-burn gauge.
-	// qspan/espan are written by whichever goroutine owns the job at
-	// that moment (submitter, worker, retry timer) and EndSpan is
-	// idempotent, so racing terminators close them safely.
+	// the root "job" span, the open queue/exec spans, and the
+	// effective deadline for the deadline-burn gauge. qspan/espan are
+	// written by whichever goroutine owns the job at that moment
+	// (submitter, worker) and EndSpan is idempotent, so racing
+	// terminators close them safely.
 	rec        *obs.SpanRecorder
 	root       uint64
 	qspan      uint64
@@ -559,7 +536,6 @@ func NewService(cfg ServiceConfig) *Service {
 		cfg:     cfg,
 		metrics: obs.NewMetrics(),
 		jobs:    make(map[string]*JobHandle),
-		retries: make(map[string]*retryEntry),
 	}
 	sinks := append(append([]Observer(nil), cfg.Observers...), s.metrics)
 	s.bus = obs.NewBus(sinks...)
@@ -570,7 +546,6 @@ func NewService(cfg ServiceConfig) *Service {
 			id:         i,
 			pool:       pool.New(pool.Options{Workers: cfg.WorkersPerShard, Depth: cfg.QueueDepth}),
 			gFill:      prefix + "fill",
-			gStreak:    prefix + "recycle_streak",
 			gQueueWait: prefix + "queue_wait_avg_ns",
 		}
 	}
@@ -597,26 +572,18 @@ func (s *Service) shardFor(tenant string) *shard {
 	return s.shards[int(h.Sum32())%len(s.shards)]
 }
 
-// pressure reads the shard's live occupancy, as percent of its total
-// capacity (queue depth + workers, so 100 means saturated), and its
-// worker recycle streak.
-func (s *Service) pressure(sh *shard) (fill, streak int) {
+// fill reads the shard's live occupancy, as percent of its total
+// capacity (queue depth + workers, so 100 means saturated).
+func (s *Service) fill(sh *shard) int {
 	load := sh.pool.Queued() + sh.pool.InFlight()
-	sh.mu.Lock()
-	streak = sh.streak
-	sh.mu.Unlock()
-	return load * 100 / (s.cfg.QueueDepth + s.cfg.WorkersPerShard), streak
+	return load * 100 / (s.cfg.QueueDepth + s.cfg.WorkersPerShard)
 }
 
-// publishShardGauges folds the shard's live occupancy and worker
-// health into the registry for /metrics; admission never reads them
-// back.
+// publishShardGauges folds the shard's live occupancy and queue wait
+// into the registry for /metrics; admission never reads them back.
 func (s *Service) publishShardGauges(sh *shard) {
-	fill, streak := s.pressure(sh)
 	s.publish(Event{Layer: obs.LayerService, Kind: obs.KindMetric,
-		Str: sh.gFill, Num: uint64(fill)})
-	s.publish(Event{Layer: obs.LayerService, Kind: obs.KindMetric,
-		Str: sh.gStreak, Num: uint64(streak)})
+		Str: sh.gFill, Num: uint64(s.fill(sh))})
 	if n, total := sh.pool.QueueWait(); n > 0 {
 		s.publish(Event{Layer: obs.LayerService, Kind: obs.KindMetric,
 			Str: sh.gQueueWait, Num: uint64(total.Nanoseconds()) / n})
@@ -624,13 +591,11 @@ func (s *Service) publishShardGauges(sh *shard) {
 }
 
 // shedLevel is the admission decision: it reads the target shard's
-// live health and picks the degradation tier for a new job. Queue
-// pressure sheds observability features progressively; a shard whose
-// workers keep crashing jumps straight to the cheapest tier.
+// live occupancy and picks the degradation tier for a new job. Queue
+// pressure sheds observability features progressively.
 func (s *Service) shedLevel(sh *shard) int {
-	fill, streak := s.pressure(sh)
-	switch {
-	case streak >= 2 || fill >= 90:
+	switch fill := s.fill(sh); {
+	case fill >= 90:
 		return ShedTrace
 	case fill >= 75:
 		return ShedFlight
@@ -663,8 +628,7 @@ func validateSpec(spec *JobSpec) *JobError {
 // failures (ErrBadImage) reject; a payload that sniffs as source but
 // fails to compile stays a bad *program*, reported at execute time
 // exactly like a Programs entry. Successful decodes are returned so
-// execute reuses them instead of repeating the parse+translate per
-// attempt.
+// execute reuses them instead of repeating the parse+translate.
 func decodeBinaries(spec *JobSpec) (map[string]*image.Image, *JobError) {
 	if len(spec.Binaries) == 0 {
 		return nil, nil
@@ -751,7 +715,7 @@ func (s *Service) Submit(spec JobSpec) (*JobHandle, error) {
 		e.Layer = obs.LayerService
 		s.publish(e)
 	})
-	root := rec.StartSpanAt(0, "job", submitT.UnixNano(), 0)
+	root := rec.StartSpanAt(0, "job", submitT.UnixNano())
 	if len(spec.Binaries) > 0 {
 		rec.AddSpan(root, "decode", decodeT.UnixNano(), rec.Now(), "ok")
 	}
@@ -762,7 +726,7 @@ func (s *Service) Submit(spec JobSpec) (*JobHandle, error) {
 	h.spans = rec
 	j := &job{h: h, spec: spec, decoded: decoded, inj: inj, shed: shed,
 		rec: rec, root: root, deadlineNS: int64(s.jobDeadline(&spec))}
-	j.qspan = rec.StartSpan(root, "queue", 0)
+	j.qspan = rec.StartSpan(root, "queue")
 
 	ok := sh.pool.Submit(pool.Task{
 		Run:     func() { s.runJob(j) },
@@ -802,7 +766,7 @@ func (s *Service) Lookup(id string) *JobHandle {
 	return s.jobs[id]
 }
 
-// runJob executes one attempt on a worker goroutine. Chaos decision
+// runJob executes the job on a worker goroutine. Chaos decision
 // points (queue stall, worker crash pre/post) fire here, outside the
 // run's own panic containment, so they exercise the pool's recycle
 // path for real.
@@ -811,9 +775,9 @@ func (s *Service) runJob(j *job) {
 	j.h.state = "running"
 	j.h.mu.Unlock()
 	j.rec.EndSpan(j.qspan, "ok")
-	j.espan = j.rec.StartSpan(j.root, "exec", uint64(j.attempt))
+	j.espan = j.rec.StartSpan(j.root, "exec")
 	s.publish(Event{Layer: obs.LayerService, Kind: obs.KindJobStart,
-		Str: j.h.tenant, Str2: j.h.id, Num: uint64(j.h.shard), Num2: uint64(j.attempt)})
+		Str: j.h.tenant, Str2: j.h.id, Num: uint64(j.h.shard)})
 	if j.inj != nil {
 		if ms, ok := j.inj.QueueStall(j.h.id); ok {
 			time.Sleep(time.Duration(ms) * time.Millisecond)
@@ -856,7 +820,7 @@ func (s *Service) execute(j *job) (*Result, error) {
 	for _, p := range bins {
 		if img := j.decoded[p]; img != nil {
 			// Decoded once at submit; installing the cached image skips
-			// repeating the parse+translate on every attempt.
+			// repeating the parse+translate.
 			sys.InstallDecodedBinary(p, j.spec.Binaries[p], img)
 			continue
 		}
@@ -893,7 +857,7 @@ func (s *Service) execute(j *job) (*Result, error) {
 		cfg.Deadline = deadline
 	}
 	// Graft the run's phase spans (load/instrument/execute/report and
-	// the per-tier execution children) under this attempt's exec span.
+	// the per-tier execution children) under the job's exec span.
 	cfg.Spans = true
 	cfg.spanRec = j.rec
 	cfg.spanParent = j.espan
@@ -950,13 +914,12 @@ func severityName(n int) string {
 	return fmt.Sprintf("severity(%d)", n)
 }
 
-// finish classifies one completed attempt into the job's terminal
-// result.
+// finish classifies the job's execution into its terminal result.
 func (s *Service) finish(j *job, res *Result, err error, wall time.Duration) {
 	finishT := j.rec.Now()
 	r := &JobResult{
 		ID: j.h.id, Tenant: j.h.tenant,
-		Shed: j.shed, Attempts: j.attempt + 1, WallNS: wall.Nanoseconds(),
+		Shed: j.shed, WallNS: wall.Nanoseconds(),
 	}
 	code := "done"
 	if err != nil {
@@ -1017,7 +980,7 @@ func (s *Service) finish(j *job, res *Result, err error, wall time.Duration) {
 			res.monitor.Release()
 		}
 	}
-	// Close this attempt's exec span with the execution's own status
+	// Close the exec span with the execution's own status
 	// (the scheduler outcome for done runs — "deadline" when the
 	// wall-clock budget expired — or the error code), then account the
 	// verdict assembly that just happened. Crash paths already closed
@@ -1033,11 +996,10 @@ func (s *Service) finish(j *job, res *Result, err error, wall time.Duration) {
 }
 
 // finishAborted completes a job that will never run (drained while
-// queued or waiting on a crash-retry) as a structured abort.
+// queued) as a structured abort.
 func (s *Service) finishAborted(j *job) {
 	r := &JobResult{
-		ID: j.h.id, Tenant: j.h.tenant, Status: "aborted",
-		Shed: j.shed, Attempts: j.attempt,
+		ID: j.h.id, Tenant: j.h.tenant, Status: "aborted", Shed: j.shed,
 		Error: &JobError{Code: JobAborted, Msg: "service drained before the job ran"},
 	}
 	if s.complete(j, r, JobAborted) {
@@ -1067,15 +1029,9 @@ func (s *Service) complete(j *job, r *JobResult, code string) bool {
 	}
 	s.publishJobLatency(j, r)
 	sh := s.shards[j.h.shard]
-	if r.Status == "done" || (r.Error != nil && r.Error.Code != JobWorkerCrash) {
-		// A job that made it through a worker — a verdict, or a typed
-		// failure other than the crash path itself — proves the
-		// shard's workers are alive again.
+	if r.TierMix != nil {
 		sh.mu.Lock()
-		sh.streak = 0
-		if r.TierMix != nil {
-			sh.mix.add(*r.TierMix)
-		}
+		sh.mix.add(*r.TierMix)
 		sh.mu.Unlock()
 	}
 	s.mu.Lock()
@@ -1094,10 +1050,9 @@ func (s *Service) complete(j *job, r *JobResult, code string) bool {
 }
 
 // publishJobLatency emits the settled job's latency observations —
-// queue wait, execution time (summed across crash retries), and
-// end-to-end submit→verdict — plus, for completed runs, the fraction
-// of the wall-clock deadline the final attempt consumed (ratio ×1e6,
-// the deadline-burn gauge's raw unit). The registry folds these into
+// queue wait, execution time, and end-to-end submit→verdict — plus,
+// for completed runs, the fraction of the wall-clock deadline the run
+// consumed (ratio ×1e6, the deadline-burn gauge's raw unit). The registry folds these into
 // its per-tenant fixed-bucket histograms.
 func (s *Service) publishJobLatency(j *job, r *JobResult) {
 	qns, _ := j.rec.NamedDuration("queue")
@@ -1154,70 +1109,14 @@ func (s *Service) Faults() []chaos.Fault {
 }
 
 // jobPanicked handles a worker crash: the pool has already recycled
-// the goroutine; here the shard's health gauges take the hit and the
-// job retries with exponential backoff until MaxRetries, then
-// terminates in the typed worker-crash error.
+// the goroutine; here the recycle is published and the job ends in
+// the typed worker-crash error naming the panic value.
 func (s *Service) jobPanicked(j *job, v any) {
 	j.rec.EndSpan(j.espan, "crash")
 	sh := s.shards[j.h.shard]
-	sh.mu.Lock()
-	sh.streak++
-	sh.mu.Unlock()
 	s.publish(Event{Layer: obs.LayerService, Kind: obs.KindWorkerRecycle,
 		Num: uint64(sh.id), Str: j.h.tenant, Str2: j.h.id})
-	s.publishShardGauges(sh)
-
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining || j.attempt >= s.cfg.MaxRetries {
-		s.finish(j, nil, &JobError{
-			Code: JobWorkerCrash,
-			Msg:  fmt.Sprintf("worker panicked (%v) after %d attempt(s)", v, j.attempt+1),
-		}, 0)
-		return
-	}
-	j.attempt++
-	backoff := s.cfg.RetryBackoff << (j.attempt - 1)
-	// The retry's queue span opens here so it covers the backoff wait
-	// as well as the requeue; runJob closes it when a worker picks the
-	// attempt up. Written before the retry entry is registered under
-	// s.mu, so Drain's abort path reads it safely.
-	j.qspan = j.rec.StartSpan(j.root, "queue", uint64(j.attempt))
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		s.finishAborted(j)
-		return
-	}
-	entry := &retryEntry{job: j}
-	entry.timer = time.AfterFunc(backoff, func() { s.resubmit(j) })
-	s.retries[j.h.id] = entry
-	s.mu.Unlock()
-}
-
-// resubmit re-enqueues a crash-retried job on its home shard.
-func (s *Service) resubmit(j *job) {
-	s.mu.Lock()
-	delete(s.retries, j.h.id)
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
-		s.finishAborted(j)
-		return
-	}
-	sh := s.shards[j.h.shard]
-	ok := sh.pool.Submit(pool.Task{
-		Run:     func() { s.runJob(j) },
-		Abort:   func() { s.finishAborted(j) },
-		OnPanic: func(v any) { s.jobPanicked(j, v) },
-	})
-	if !ok {
-		s.finish(j, nil, &JobError{
-			Code: JobWorkerCrash,
-			Msg:  fmt.Sprintf("shard %d queue full on crash retry %d", sh.id, j.attempt),
-		}, 0)
-	}
+	s.finish(j, nil, &JobError{Code: JobWorkerCrash, Msg: fmt.Sprintf("worker panicked: %v", v)}, 0)
 }
 
 // ShardHealth is one shard's live state in a health snapshot.
@@ -1226,7 +1125,6 @@ type ShardHealth struct {
 	Queued   int     `json:"queued"`
 	InFlight int     `json:"in_flight"`
 	Recycled uint64  `json:"recycled"`
-	Streak   int     `json:"recycle_streak"`
 	Fill     float64 `json:"fill_percent"`
 	// TierMix aggregates the execution-tier mix over this shard's
 	// completed jobs since the service started.
@@ -1260,14 +1158,14 @@ func (s *Service) Health() ServiceHealth {
 	capacity := s.cfg.QueueDepth + s.cfg.WorkersPerShard
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		streak, mix := sh.streak, sh.mix
+		mix := sh.mix
 		sh.mu.Unlock()
 		q, inf := sh.pool.Queued(), sh.pool.InFlight()
 		hs.Shards = append(hs.Shards, ShardHealth{
 			Shard: sh.id, Queued: q, InFlight: inf,
-			Recycled: sh.pool.Recycled(), Streak: streak,
-			Fill:    float64((q+inf)*100) / float64(capacity),
-			TierMix: mix,
+			Recycled: sh.pool.Recycled(),
+			Fill:     float64((q+inf)*100) / float64(capacity),
+			TierMix:  mix,
 		})
 		hs.TierMix.add(mix)
 	}
@@ -1287,8 +1185,7 @@ func (s *Service) Health() ServiceHealth {
 
 // Drain shuts the service down without losing a job: no new
 // submissions (ErrDraining), in-flight jobs run to completion, queued
-// jobs — including those parked on crash-retry backoff — terminate as
-// structured aborts. Returns ctx.Err() if the context expires first
+// jobs terminate as structured aborts. Returns ctx.Err() if the context expires first
 // (workers keep finishing in the background; Drain is not resumable).
 func (s *Service) Drain(ctx context.Context) error {
 	s.mu.Lock()
@@ -1297,18 +1194,7 @@ func (s *Service) Drain(ctx context.Context) error {
 		return errors.New("hth: service already draining")
 	}
 	s.draining = true
-	pending := s.retries
-	s.retries = make(map[string]*retryEntry)
 	s.mu.Unlock()
-
-	// Jobs parked on a crash-retry timer: stop the timer and abort. A
-	// timer that already fired is racing resubmit, which observes
-	// draining and aborts itself — settle() makes the outcome
-	// single-winner either way.
-	for _, e := range pending {
-		e.timer.Stop()
-		s.finishAborted(e.job)
-	}
 
 	done := make(chan struct{})
 	go func() {

@@ -3,6 +3,7 @@ package hth_test
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,8 +22,7 @@ func openSpans(rec *obs.SpanRecorder) int {
 	return n
 }
 
-// spansByName indexes a recorder's spans by name (a name may repeat —
-// one queue/exec pair per attempt).
+// spansByName indexes a recorder's spans by name.
 func spansByName(rec *obs.SpanRecorder) map[string][]obs.Span {
 	out := map[string][]obs.Span{}
 	for _, sp := range rec.Spans() {
@@ -77,7 +77,7 @@ func TestServiceJobSpanTree(t *testing.T) {
 	if exec.Status != "clean" {
 		t.Errorf("exec span status %q, want the scheduler outcome", exec.Status)
 	}
-	// runCore phases hang off this attempt's exec span.
+	// runCore phases hang off the exec span.
 	for _, name := range []string{"load", "instrument", "execute", "report"} {
 		if p := byName[name][0].Parent; p != exec.ID {
 			t.Errorf("%s span parent %d, want exec %d", name, p, exec.ID)
@@ -169,66 +169,59 @@ func names(rec *obs.SpanRecorder) []string {
 	return out
 }
 
-// TestServiceCrashRetrySpans pins the retry shape: a worker crash on
-// the first attempt closes that exec span as "crash", opens a second
-// queue span covering the backoff, and the retried attempt adds a
-// second exec span — all under one root trace that still closes
-// "done".
-func TestServiceCrashRetrySpans(t *testing.T) {
-	s := hth.NewService(hth.ServiceConfig{
-		Shards: 1, WorkersPerShard: 1, QueueDepth: 8,
-		MaxRetries: 2, RetryBackoff: time.Millisecond,
-	})
+// TestServiceCrashEndsJobOnce pins the crash shape: a worker panic
+// ends its job at once in one typed worker-crash error naming the
+// panic value. The monitor is deterministic, so a Setup hook that
+// panics panics the same way on a re-run: two submissions of one spec
+// fail identically, each with one queue and one exec span (closed as
+// "crash"). The crashes recycle two workers and leave the shard fit
+// to admit the next job unshed.
+func TestServiceCrashEndsJobOnce(t *testing.T) {
+	s := hth.NewService(hth.ServiceConfig{Shards: 1, WorkersPerShard: 1, QueueDepth: 8})
 	spec := trojanSpec("acme")
-	programs := spec.Programs
-	spec.Programs = nil
-	attempts := 0
-	spec.Setup = func(sys *hth.System) {
-		attempts++
-		if attempts == 1 {
-			panic("flaky setup: first attempt dies")
+	spec.Setup = func(*hth.System) { panic("setup: no such device") }
+	var msgs []string
+	for i := 0; i < 2; i++ {
+		h, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for p, src := range programs {
-			sys.MustInstallSource(p, src)
+		res := waitJob(t, h)
+		if res.Status != "failed" || res.Error == nil || res.Error.Code != hth.JobWorkerCrash {
+			t.Fatalf("run %d: status %q error %+v, want the typed worker crash", i, res.Status, res.Error)
+		}
+		if !strings.Contains(res.Error.Msg, "setup: no such device") {
+			t.Errorf("run %d: crash message %q does not name the panic value", i, res.Error.Msg)
+		}
+		msgs = append(msgs, res.Error.Msg)
+		rec := h.Spans()
+		if n := openSpans(rec); n != 0 {
+			t.Errorf("run %d: %d spans open after the crash", i, n)
+		}
+		byName := spansByName(rec)
+		if n := len(byName["queue"]); n != 1 {
+			t.Errorf("run %d: %d queue spans, want 1: %v", i, n, names(rec))
+		}
+		if ex := byName["exec"]; len(ex) != 1 || ex[0].Status != "crash" {
+			t.Errorf("run %d: exec spans %+v, want one closed as crash", i, ex)
+		}
+		if root := rec.Root(); root.Status != hth.JobWorkerCrash {
+			t.Errorf("run %d: root status %q, want %q", i, root.Status, hth.JobWorkerCrash)
 		}
 	}
-	h, err := s.Submit(spec)
+	if msgs[0] != msgs[1] {
+		t.Errorf("a re-run crashed differently: %q vs %q", msgs[0], msgs[1])
+	}
+	if got := s.Health().Shards[0].Recycled; got != 2 {
+		t.Errorf("recycled = %d, want 2 (one per crashed job)", got)
+	}
+	h, err := s.Submit(trojanSpec("acme"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := waitJob(t, h)
-	if res.Status != "done" || res.Attempts != 2 {
-		t.Fatalf("status %q attempts %d: %+v", res.Status, res.Attempts, res.Error)
-	}
-	rec := h.Spans()
-	if n := openSpans(rec); n != 0 {
-		t.Errorf("%d spans open after retry completion", n)
-	}
-	byName := spansByName(rec)
-	execs := byName["exec"]
-	if len(execs) != 2 {
-		t.Fatalf("%d exec spans, want 2 (one per attempt): %v", len(execs), names(rec))
-	}
-	if execs[0].Status != "crash" {
-		t.Errorf("first exec status %q, want crash", execs[0].Status)
-	}
-	if execs[1].Status != "clean" {
-		t.Errorf("second exec status %q, want the run outcome", execs[1].Status)
-	}
-	if execs[0].Attr != 0 || execs[1].Attr != 1 {
-		t.Errorf("exec attempts = %d, %d; want 0, 1", execs[0].Attr, execs[1].Attr)
-	}
-	if len(byName["queue"]) != 2 {
-		t.Errorf("%d queue spans, want 2 (admission + retry backoff)", len(byName["queue"]))
-	}
-	root := rec.Root()
-	for _, sp := range execs {
-		if sp.Parent != root.ID {
-			t.Errorf("exec span parent %d, want the one root %d", sp.Parent, root.ID)
-		}
-	}
-	if root.Status != "done" {
-		t.Errorf("root status %q, want done", root.Status)
+	if res.Status != "done" || res.Shed != hth.ShedNone {
+		t.Errorf("healthy job after two crashes: status %q shed %d, want done at ShedNone", res.Status, res.Shed)
 	}
 	drainService(t, s)
 }
