@@ -16,10 +16,10 @@ chaos:
 # service-level fault storm (worker crashes, stalls, corrupted specs,
 # slow readers) — zero lost jobs, zero leaked goroutines — plus the
 # zero-rate identity soak, the worker-crash path (one typed error per
-# crashed job) and the corpus-through-service signature gate, all
-# under the race detector.
+# crashed job), dispatch to the first free worker, and the
+# corpus-through-service signature gate, all under the race detector.
 soak:
-	$(GO) test -race -count=1 -run 'TestServiceChaosSoak|TestServiceSoakZeroRate|TestServiceCrashEndsJobOnce|TestServiceWorkerCrashTypedError' .
+	$(GO) test -race -count=1 -run 'TestServiceChaosSoak|TestServiceSoakZeroRate|TestServiceCrashEndsJobOnce|TestServiceWorkerCrashTypedError|TestServiceWorkConserving' .
 	$(GO) test -race -count=1 -run TestServiceSweepSignatureIdentity ./internal/corpus
 
 test:

@@ -1,10 +1,10 @@
 // Command hth-serve runs the HTH analysis service: a long-lived
-// HTTP/JSON front over a sharded pool of monitored-run workers, with
-// bounded queues, admission control, load shedding, and a graceful
+// HTTP/JSON front over one pool of monitored-run workers, with a
+// bounded queue, admission control, load shedding, and a graceful
 // drain on SIGINT/SIGTERM (in-flight jobs finish; queued jobs come
 // back as structured aborts — no job is ever lost).
 //
-//	hth-serve [-addr 127.0.0.1:8077] [-shards 4] [-workers 1] [-queue 16]
+//	hth-serve [-addr 127.0.0.1:8077] [-workers 4] [-queue 64]
 //	          [-drain 30s]
 //	          [-chaos-seed N -chaos-rate P]   # fault-storm soak mode
 //
@@ -46,9 +46,8 @@ func run(args []string, stop <-chan os.Signal, logw io.Writer) int {
 	fs.SetOutput(logw)
 	var (
 		addr      = fs.String("addr", "127.0.0.1:8077", "listen address (port 0 picks a free port; the log names it)")
-		shards    = fs.Int("shards", 4, "worker shards (tenants hash across them)")
-		workers   = fs.Int("workers", 1, "worker goroutines per shard")
-		queue     = fs.Int("queue", 16, "queued jobs per shard before backpressure (429)")
+		workers   = fs.Int("workers", 4, "worker goroutines; each job runs on the first free one")
+		queue     = fs.Int("queue", 64, "queued jobs before backpressure (429)")
 		drain     = fs.Duration("drain", 30*time.Second, "graceful drain budget on SIGINT/SIGTERM")
 		chaosSeed = fs.Uint64("chaos-seed", 0, "service fault-injection seed (0 = chaos off)")
 		chaosRate = fs.Float64("chaos-rate", 0.05, "service fault probability per decision point")
@@ -61,11 +60,7 @@ func run(args []string, stop <-chan os.Signal, logw io.Writer) int {
 	}
 	lg := log.New(logw, "", log.LstdFlags)
 
-	cfg := hth.ServiceConfig{
-		Shards:          *shards,
-		WorkersPerShard: *workers,
-		QueueDepth:      *queue,
-	}
+	cfg := hth.ServiceConfig{Workers: *workers, QueueDepth: *queue}
 	if *chaosSeed != 0 {
 		cfg.Chaos = &chaos.Plan{Seed: *chaosSeed, Rate: *chaosRate}
 		lg.Printf("chaos armed: seed=%#x rate=%g (service-level faults only)", *chaosSeed, *chaosRate)
@@ -80,8 +75,8 @@ func run(args []string, stop <-chan os.Signal, logw io.Writer) int {
 	srv := &http.Server{Handler: svc.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(lis) }()
-	lg.Printf("hth-serve listening on %s (%d shards × %d workers, queue %d)",
-		lis.Addr(), *shards, *workers, *queue)
+	lg.Printf("hth-serve listening on %s (%d workers, queue %d)",
+		lis.Addr(), *workers, *queue)
 
 	select {
 	case err := <-errc:

@@ -40,7 +40,7 @@ func TestServeSubmitDrain(t *testing.T) {
 	var logs syncBuffer
 	stop := make(chan os.Signal, 1)
 	exit := make(chan int, 1)
-	go func() { exit <- run([]string{"-addr", "127.0.0.1:0", "-shards", "1"}, stop, &logs) }()
+	go func() { exit <- run([]string{"-addr", "127.0.0.1:0", "-workers", "1"}, stop, &logs) }()
 
 	listening := regexp.MustCompile(`listening on (\S+)`)
 	deadline := time.Now().Add(10 * time.Second)

@@ -270,6 +270,8 @@ func (s *System) InstallSource(path, src string) error {
 // format-agnostic frontend registry (ELF magic first, then the text
 // heuristic). The raw bytes are retained alongside the decoded image,
 // so a guest execve of the path re-decodes exactly what was installed.
+// The file shares data rather than copying it (a guest write copies
+// first), so the caller must not modify data after the call.
 // Structural failures — a malformed ELF, machine code outside the
 // supported subset — wrap image.ErrBadImage.
 func (s *System) InstallBinary(path string, data []byte) error {
@@ -280,7 +282,8 @@ func (s *System) InstallBinary(path string, data []byte) error {
 // InstallDecodedBinary places a raw binary at path together with an
 // image already decoded from exactly those bytes, skipping the decode
 // InstallBinary would repeat. The service uses it to reuse its
-// submit-time validation decode when the job runs.
+// submit-time validation decode when the job runs. Like InstallBinary,
+// the file shares data: the caller must not modify it after the call.
 func (s *System) InstallDecodedBinary(path string, data []byte, img *image.Image) {
 	s.OS.FS.InstallDecoded(path, data, img)
 }
@@ -293,7 +296,9 @@ func (s *System) MustInstallSource(path, src string) {
 	}
 }
 
-// CreateFile places a plain file in the guest filesystem.
+// CreateFile places a plain file in the guest filesystem. The file
+// shares data rather than copying it (a guest write copies first), so
+// the caller must not modify data after the call.
 func (s *System) CreateFile(path string, data []byte) {
 	s.OS.FS.Create(path, data)
 }

@@ -76,7 +76,7 @@ func RunAllChaosWith(scenarios []*Scenario, parallelism int, plan chaos.Plan, tw
 }
 
 // runAll fans the sweep out on an internal/pool worker pool — the
-// same substrate the analysis service shards over — with an unbounded
+// same substrate the analysis service runs its jobs on — with an unbounded
 // queue (every scenario must execute) and per-task panic containment
 // already provided by runScenario. extra, if non-nil, is a per-scenario
 // configuration hook applied after the scenario's own tweaks: it is

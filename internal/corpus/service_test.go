@@ -11,9 +11,9 @@ import (
 
 // TestServiceSweepSignatureIdentity is the service half of the
 // identity gate: every corpus scenario submitted through hth.Service
-// (no chaos plan, quiet shards → no shedding) must produce a sweep
+// (no chaos plan, a quiet pool → no shedding) must produce a sweep
 // signature element-wise identical to the batch RunAll sweep. The
-// service's queueing, sharding, and budget clamps must be invisible
+// service's queueing, dispatch, and budget clamps must be invisible
 // to detection. The corpus goes through one service twice: the first
 // pass's settled jobs release their guest and shadow pages to the
 // free lists, so the second pass runs mostly on recycled pages, and a
@@ -36,8 +36,8 @@ func TestServiceSweepSignatureIdentity(t *testing.T) {
 	}
 }
 
-// serviceSweep submits every scenario to one 4-shard × 2-worker
-// hth.Service passes times over, each pass after the last has
+// serviceSweep submits every scenario to one 8-worker hth.Service
+// passes times over, each pass after the last has
 // settled, drains the service, and returns each pass's outcomes in
 // scenario order. A job that does not finish "done" carries its
 // status as the outcome's Err.
@@ -46,7 +46,7 @@ func serviceSweep(t *testing.T, scs []*Scenario, passes int) [][]RunOutcome {
 	// Generous queue so no scenario is shed or rejected: identity is
 	// the point here, load behaviour is pinned elsewhere.
 	svc := hth.NewService(hth.ServiceConfig{
-		Shards: 4, WorkersPerShard: 2, QueueDepth: len(scs),
+		Workers: 8, QueueDepth: len(scs),
 	})
 	all := make([][]RunOutcome, passes)
 	for pass := range all {

@@ -59,7 +59,7 @@ func (l *imageLedger) wrap(setup func(*hth.System)) func(*hth.System) {
 // every guest world, so no run may write to them. It hashes the shared
 // guestlib images and every image any corpus scenario installs
 // (in-house assembly, corpus shared objects, decoded ELF fixtures),
-// then runs a full batch sweep and a sharded service sweep — fork,
+// then runs a full batch sweep and an 8-worker service sweep — fork,
 // execve and .import resolution over the same images — and requires
 // every hash to be unchanged.
 func TestSharedImagesImmutable(t *testing.T) {

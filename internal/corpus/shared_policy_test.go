@@ -91,8 +91,8 @@ func policyHash() uint64 {
 // TestSharedPolicyImmutable is the guard for Secpert's shared policy:
 // every Secpert's engine registers the same Appendix A templates and
 // the same compiled rule patterns, so no run may write to them. It
-// deep-hashes that data around a full batch sweep and a sharded
-// service sweep (4 shards x 2 workers) and requires every hash to be
+// deep-hashes that data around a full batch sweep and a service
+// sweep (8 workers) and requires every hash to be
 // unchanged; under -race the service sweep also checks that
 // concurrent jobs only ever read it.
 func TestSharedPolicyImmutable(t *testing.T) {

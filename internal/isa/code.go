@@ -138,17 +138,18 @@ func (s *Span) SetTraceSlot(i int, v any) {
 	s.slots[i] = v
 }
 
-// DropTraceSlots empties every slot, returning how many were occupied.
-// The monitor calls it when the code its slots were compiled from is
-// about to be unmapped (execve).
+// DropTraceSlots empties every slot and frees the slot array,
+// returning how many slots were occupied. The monitor calls it when
+// the code its slots were compiled from is about to be unmapped
+// (execve), and the service when a job settles.
 func (s *Span) DropTraceSlots() int {
 	n := 0
-	for i, v := range s.slots {
+	for _, v := range s.slots {
 		if v != nil {
 			n++
-			s.slots[i] = nil
 		}
 	}
+	s.slots = nil
 	return n
 }
 

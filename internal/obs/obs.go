@@ -160,15 +160,15 @@ const (
 	// Num2 = kind detail, Str = fault kind, Str2 = path/address.
 	KindChaosFault
 
-	// KindJobEnqueue is a service job admitted to a shard queue.
-	// Str = tenant, Str2 = job id, Num = shard, Num2 = shed level.
+	// KindJobEnqueue is a service job admitted to the queue.
+	// Str = tenant, Str2 = job id, Num2 = shed level.
 	KindJobEnqueue
 	// KindJobStart is a service job beginning execution on a worker.
-	// Str = tenant, Str2 = job id, Num = shard.
+	// Str = tenant, Str2 = job id.
 	KindJobStart
 	// KindJobDone is a service job terminating with a result or a
 	// typed error. Str = tenant, Str2 = outcome code ("done", an error
-	// code, or "aborted"), Num = shard, Num2 = shed level.
+	// code, or "aborted"), Num2 = shed level.
 	KindJobDone
 	// KindJobShed is an admission decision degrading a job's feature
 	// set under load. Str = tenant, Str2 = job id, Num = shed level.
@@ -177,8 +177,7 @@ const (
 	// abort during drain. Str = tenant, Str2 = job id.
 	KindJobAbort
 	// KindWorkerRecycle is a service worker goroutine replaced after a
-	// task panic. Num = shard, Str = tenant of the panicking job,
-	// Str2 = job id.
+	// task panic. Str = tenant of the panicking job, Str2 = job id.
 	KindWorkerRecycle
 
 	// KindSpanStart opens a lifecycle span. Num = span id (process-

@@ -49,7 +49,7 @@ func (s *Span) Duration() int64 {
 
 // SpanRecorder records the spans of one trace (one service job, or
 // one batch run). It is safe for concurrent use: the service touches
-// a job's recorder from the submitter goroutine, the shard worker,
+// a job's recorder from the submitter goroutine, the worker,
 // and Drain.
 //
 // Every span mutation can optionally be mirrored onto an event bus

@@ -109,7 +109,7 @@ func TestSpanRecorderPublishMirror(t *testing.T) {
 }
 
 // TestSpanRecorderStress hammers one recorder from many goroutines —
-// the service touches a job's recorder from the submitter, the shard
+// the service touches a job's recorder from the submitter, the
 // worker, and Drain. Run with -race this is the span plane's
 // concurrency gate.
 func TestSpanRecorderStress(t *testing.T) {

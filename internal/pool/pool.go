@@ -106,8 +106,8 @@ func (p *Pool) Submit(t Task) bool {
 
 // QueueWait reports the cumulative time dequeued tasks spent waiting
 // in the queue and how many tasks that covers — the pool-level side
-// of the service's queue-wait attribution (shard gauges divide the
-// two for a running average).
+// of the service's queue-wait attribution (its gauge divides the two
+// for a running average).
 func (p *Pool) QueueWait() (tasks uint64, total time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

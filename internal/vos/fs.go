@@ -21,11 +21,25 @@ import (
 
 // File is one filesystem object: a byte store, optionally backed by a
 // loadable image (executables).
+//
+// Create and the installs share the caller's bytes instead of copying
+// them, capped to their length, so many guest worlds built from one
+// slice hold one array. The guest's write path is the only in-place
+// writer: it copies Data on the file's first write (see owned), so
+// the caller's bytes never change and no world sees another's writes.
 type File struct {
 	Path  string
 	Data  []byte
 	Image *image.Image // non-nil for executable files
+
+	// owned reports that Data is this file's private copy, which the
+	// write path may modify in place.
+	owned bool
 }
+
+// shared caps data to its length, so no append through a File can
+// reach the caller's spare capacity.
+func shared(data []byte) []byte { return data[:len(data):len(data)] }
 
 // FS is a flat in-memory filesystem.
 type FS struct {
@@ -38,8 +52,9 @@ func NewFS() *FS {
 }
 
 // Create adds (or truncates) a plain file with the given contents.
+// The file shares data; the caller must not modify it afterwards.
 func (fs *FS) Create(path string, data []byte) *File {
-	f := &File{Path: path, Data: append([]byte(nil), data...)}
+	f := &File{Path: path, Data: shared(data)}
 	fs.files[path] = f
 	return f
 }
@@ -53,16 +68,17 @@ func (fs *FS) Install(path string, img *image.Image) *File {
 
 // InstallBinary places an executable at path from its raw bytes,
 // decoding them through the registered format frontends (ELF sniffed
-// by magic, assembly text as the fallback). The bytes stay on the
-// file, so guests can read the binary back. Decode failures are
-// returned unchanged: structural ones wrap image.ErrBadImage, text
-// compile diagnostics come back as-is.
+// by magic, assembly text as the fallback). The file shares the
+// bytes, so guests can read the binary back; the caller must not
+// modify them afterwards. Decode failures are returned unchanged:
+// structural ones wrap image.ErrBadImage, text compile diagnostics
+// come back as-is.
 func (fs *FS) InstallBinary(path string, data []byte) (*File, error) {
 	img, err := image.Decode(path, data)
 	if err != nil {
 		return nil, err
 	}
-	f := &File{Path: path, Data: append([]byte(nil), data...), Image: img}
+	f := &File{Path: path, Data: shared(data), Image: img}
 	fs.files[path] = f
 	return f, nil
 }
@@ -71,8 +87,9 @@ func (fs *FS) InstallBinary(path string, data []byte) (*File, error) {
 // an image the caller already decoded from exactly those bytes,
 // skipping the decode InstallBinary would repeat. Images are immutable
 // after load, so sharing one across files (or guest worlds) is safe.
+// The file shares data too; the caller must not modify it afterwards.
 func (fs *FS) InstallDecoded(path string, data []byte, img *image.Image) *File {
-	f := &File{Path: path, Data: append([]byte(nil), data...), Image: img}
+	f := &File{Path: path, Data: shared(data), Image: img}
 	fs.files[path] = f
 	return f
 }

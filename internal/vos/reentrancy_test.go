@@ -12,7 +12,7 @@ import (
 // OS instances scheduling guests concurrently must neither race (run
 // with -race) nor influence each other's execution. This is the
 // property that lets the analysis service run one private OS per job
-// across worker shards with no locking.
+// across its workers with no locking.
 func TestConcurrentInstances(t *testing.T) {
 	const src = `
 .entry _start

@@ -475,6 +475,12 @@ func (k *kernel) writeCommon(p *Process, fd *FDesc, sock *SockInfo, args [5]uint
 			data = data[:room]
 		}
 		f := fd.file
+		if !f.owned {
+			// The first write to a file copies the bytes it shares
+			// with the caller that created it (see File).
+			f.Data = slices.Clone(f.Data)
+			f.owned = true
+		}
 		end := fd.off + len(data)
 		if n := len(f.Data); end > n {
 			f.Data = slices.Grow(f.Data, end-n)[:end]

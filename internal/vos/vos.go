@@ -3,7 +3,7 @@
 // Reentrancy: the package is reentrant but an OS instance is not. All
 // package-level state is immutable (sentinel errors and constants),
 // so any number of OS instances may run concurrently on different
-// goroutines — the analysis service's worker shards and the corpus
+// goroutines — the analysis service's workers and the corpus
 // sweeps rely on exactly this. A single OS holds freely-mutated
 // scheduler, filesystem, and process state with no internal locking;
 // everything that touches one instance must stay on one goroutine at

@@ -1,6 +1,7 @@
 package vos
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -1110,4 +1111,117 @@ args: .space 12
 	if p.ExitCode != 32 {
 		t.Errorf("exit = %d, want EPIPE", p.ExitCode)
 	}
+}
+
+// fileWriteProg opens /data/f with flags, optionally lseeks to seek
+// (SEEK_SET), writes msg unless it is empty, then reopens the file
+// read-only and echoes its contents to stdout.
+func fileWriteProg(flags, seek int, msg string) string {
+	var b strings.Builder
+	b.WriteString(`
+.text
+_start:
+    mov ebx, path
+    mov ecx, ` + strconv.Itoa(flags) + `
+    mov eax, 5          ; open
+    int 0x80
+    mov esi, eax
+`)
+	if seek >= 0 {
+		b.WriteString(`
+    mov ebx, esi
+    mov ecx, ` + strconv.Itoa(seek) + `
+    mov edx, 0
+    mov eax, 19         ; lseek(fd, seek, SEEK_SET)
+    int 0x80
+`)
+	}
+	if msg != "" {
+		b.WriteString(`
+    mov ebx, esi
+    mov ecx, msg
+    mov edx, ` + strconv.Itoa(len(msg)) + `
+    mov eax, 4          ; write
+    int 0x80
+`)
+	}
+	b.WriteString(`
+    mov ebx, esi
+    mov eax, 6          ; close
+    int 0x80
+    mov ebx, path
+    mov ecx, 0
+    mov eax, 5          ; reopen read-only
+    int 0x80
+    mov ebx, eax
+    mov ecx, buf
+    mov edx, 32
+    mov eax, 3          ; read the whole file
+    int 0x80
+    mov edx, eax
+    mov ebx, 1
+    mov ecx, buf
+    mov eax, 4          ; echo it
+    int 0x80
+    hlt
+.data
+path: .asciz "/data/f"
+msg:  .asciz "` + msg + `"
+buf:  .space 32
+`)
+	return b.String()
+}
+
+// TestFileCopyOnWrite pins the sharing contract of FS.Create: a file
+// shares the caller's bytes until the guest first writes it, and every
+// kind of write copies first. The caller's slice carries spare
+// capacity, so an append through the file into it would show too.
+func TestFileCopyOnWrite(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		flags, seek int
+		want        string // the file after writing "XY"
+	}{
+		{"in place", ORdWr, -1, "XYcdef"},
+		{"past EOF after lseek", ORdWr, 8, "abcdef\x00\x00XY"},
+		{"truncate", OWrOnly | OTrunc, -1, "XY"},
+		{"append", OWrOnly | OAppend, -1, "abcdefXY"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := make([]byte, 6, 16)
+			copy(src, "abcdef")
+			orig := append([]byte(nil), src[:cap(src)]...)
+			// Two worlds built from one slice, each writing its own
+			// bytes: neither may see the other's write.
+			for _, msg := range []string{"XY", "PQ"} {
+				os := buildOS(t, fileWriteProg(tc.flags, tc.seek, msg))
+				os.FS.Create("/data/f", src)
+				start(t, os, ProcSpec{})
+				run(t, os)
+				want := strings.Replace(tc.want, "XY", msg, 1)
+				if got := string(os.Console); got != want {
+					t.Errorf("%s: guest read back %q, want %q", msg, got, want)
+				}
+				if f, _ := os.FS.Lookup("/data/f"); string(f.Data) != want {
+					t.Errorf("%s: file holds %q, want %q", msg, f.Data, want)
+				}
+			}
+			if got := src[:cap(src)]; string(got) != string(orig) {
+				t.Errorf("caller's bytes changed: %q, want %q", got, orig)
+			}
+		})
+	}
+	t.Run("never written", func(t *testing.T) {
+		src := []byte("abcdef")
+		os := buildOS(t, fileWriteProg(ORdOnly, -1, ""))
+		os.FS.Create("/data/f", src)
+		start(t, os, ProcSpec{})
+		run(t, os)
+		if got := string(os.Console); got != "abcdef" {
+			t.Errorf("guest read back %q", got)
+		}
+		if f, _ := os.FS.Lookup("/data/f"); &f.Data[0] != &src[0] {
+			t.Error("a file the guest never wrote no longer aliases the caller's array")
+		}
+	})
 }

@@ -19,18 +19,19 @@ import (
 	"repro/internal/pool"
 )
 
-// Service is the long-running analysis front of HTH: a sharded pool
-// of workers executing monitored runs ("jobs") submitted by many
+// Service is the long-running analysis front of HTH: one pool of
+// workers executing monitored runs ("jobs") submitted by many
 // concurrent tenants, built so that hostile or bursty load degrades
 // the service gracefully instead of wedging it:
 //
-//   - every job runs in a private System on a worker goroutine from a
-//     per-tenant shard, so one wedged or crashing job cannot poison
-//     another tenant's throughput;
-//   - the per-shard queue is bounded, and a full queue is explicit
+//   - every job runs in a private System on the first free worker
+//     goroutine, so a queued job waits only while every worker is
+//     busy; per-job step and deadline budgets bound how long one job
+//     holds a worker;
+//   - the queue is bounded, and a full queue is explicit
 //     backpressure (an *OverloadError carrying a Retry-After hint —
 //     HTTP 429 at the transport), never unbounded buffering;
-//   - admission control reads each shard's live occupancy and sheds
+//   - admission control reads the pool's live occupancy and sheds
 //     expensive features tier by tier (provenance → flight recorder →
 //     event log/stream) before it starts rejecting work;
 //   - a worker that panics — outside the run's own containment — is
@@ -47,7 +48,7 @@ import (
 type Service struct {
 	cfg     ServiceConfig
 	metrics *obs.Metrics
-	shards  []*shard
+	pool    *pool.Pool
 
 	// busMu serializes bus publishes: the obs.Bus itself is built for
 	// the simulator's single thread, but the service publishes from
@@ -61,32 +62,17 @@ type Service struct {
 	faults    []chaos.Fault
 	seq       uint64
 	draining  bool
-}
-
-// shard is one slice of the worker pool. Tenants hash to shards, so a
-// tenant whose jobs keep crashing workers or stuffing the queue
-// degrades mostly its own shard.
-type shard struct {
-	id   int
-	pool *pool.Pool
-	// gFill and gQueueWait name the shard's health gauges in the
-	// metrics registry, built once so publishing formats nothing.
-	gFill, gQueueWait string
-
-	mu  sync.Mutex
-	mix TierMix // tier mix accumulated over this shard's done jobs
+	mix       TierMix // tier mix accumulated over the done jobs
 }
 
 // ServiceConfig sizes the service and its failure policy. The zero
 // value is usable: every field has a default.
 type ServiceConfig struct {
-	// Shards is the number of independent worker shards (default 4).
-	Shards int
-	// WorkersPerShard is the worker-goroutine count per shard
-	// (default 1).
-	WorkersPerShard int
-	// QueueDepth bounds each shard's queue of admitted-but-not-running
-	// jobs (default 16). A full queue rejects with *OverloadError.
+	// Workers is the worker-goroutine count (default 4); each admitted
+	// job runs on the first free one.
+	Workers int
+	// QueueDepth bounds the queue of admitted-but-not-running jobs
+	// (default 64). A full queue rejects with *OverloadError.
 	QueueDepth int
 	// RetryAfter is the backpressure hint handed to rejected
 	// submitters (default 500ms; the HTTP layer renders it as a
@@ -117,14 +103,11 @@ type ServiceConfig struct {
 }
 
 func (c *ServiceConfig) normalize() {
-	if c.Shards <= 0 {
-		c.Shards = 4
-	}
-	if c.WorkersPerShard <= 0 {
-		c.WorkersPerShard = 1
+	if c.Workers <= 0 {
+		c.Workers = 4
 	}
 	if c.QueueDepth <= 0 {
-		c.QueueDepth = 16
+		c.QueueDepth = 64
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = 500 * time.Millisecond
@@ -164,8 +147,8 @@ const (
 // bench harness and the corpus identity gate) and are not reachable
 // over HTTP.
 type JobSpec struct {
-	// Tenant labels the submitter for sharding and per-tenant metrics
-	// ("" is folded to "anon").
+	// Tenant labels the submitter in per-tenant metrics ("" is folded
+	// to "anon").
 	Tenant string `json:"tenant,omitempty"`
 	// Programs maps guest paths to assembly source; each is assembled
 	// and installed into the job's private System.
@@ -175,9 +158,12 @@ type JobSpec struct {
 	// ELF32 executables land here. A payload no frontend accepts, or a
 	// malformed one (truncated ELF, machine code outside the supported
 	// subset), terminates the job with the typed bad-image error —
-	// HTTP 400 — never a worker crash.
+	// HTTP 400 — never a worker crash. The job's guest files share
+	// these bytes rather than copying them (a guest write copies
+	// first), so the caller must not modify them after Submit.
 	Binaries map[string][]byte `json:"binaries,omitempty"`
-	// Files maps guest paths to plain file contents.
+	// Files maps guest paths to plain file contents. Like Binaries, the
+	// guest files share the bytes: do not modify them after Submit.
 	Files map[string][]byte `json:"files,omitempty"`
 	// Path is the program to execute (required).
 	Path string `json:"path"`
@@ -269,17 +255,16 @@ func (e *JobError) Error() string {
 	return fmt.Sprintf("hth: job %s: %s", e.Code, e.Msg)
 }
 
-// OverloadError is the backpressure rejection: the tenant's shard
-// queue is full. Retry after the hinted delay (HTTP 429 with a
-// Retry-After header at the transport).
+// OverloadError is the backpressure rejection: the service's queue is
+// full. Retry after the hinted delay (HTTP 429 with a Retry-After
+// header at the transport).
 type OverloadError struct {
-	Shard      int
 	RetryAfter time.Duration
 }
 
 // Error renders the rejection.
 func (e *OverloadError) Error() string {
-	return fmt.Sprintf("hth: service overloaded (shard %d queue full); retry after %s", e.Shard, e.RetryAfter)
+	return fmt.Sprintf("hth: service overloaded (queue full); retry after %s", e.RetryAfter)
 }
 
 // ErrDraining rejects submissions while the service is shutting down
@@ -331,16 +316,18 @@ type JobResult struct {
 
 	// Raw is the full monitored result for in-process embedders (nil
 	// for failed/aborted jobs; never serialized). The service releases
-	// every process's taint shadow and guest memory, and the run's
-	// taint store and block-counter cache, when the job settles, so
-	// the shadows and memories reachable from Raw.Process are empty,
-	// the shadows' Store() is nil, and so is the monitor's Store:
-	// registers, exit state, warnings, events, stats and block
+	// every process's taint shadow and guest memory, its code's
+	// compiled traces, and the run's taint store and block-counter
+	// cache, when the job settles, so the shadows and memories
+	// reachable from Raw.Process are empty, every span's trace slots
+	// read empty, the shadows' Store() is nil, and so is the monitor's
+	// Store: registers, exit state, warnings, events, stats and block
 	// frequencies stay, but a taint tag reachable from Raw (a
 	// register's tag, an fd's origin) names nothing. The images
 	// reachable from Raw (Process.Images, Process.OS.FS) include the
-	// process-wide guest libraries every job shares: read them, never
-	// mutate them.
+	// process-wide guest libraries every job shares, and a file the
+	// guest never wrote holds the submitter's own JobSpec bytes: read
+	// them, never mutate them.
 	Raw *Result `json:"-"`
 }
 
@@ -395,7 +382,6 @@ type JobUpdate struct {
 type JobHandle struct {
 	id     string
 	tenant string
-	shard  int
 
 	done    chan struct{}
 	updates chan JobUpdate // nil unless streaming
@@ -407,9 +393,9 @@ type JobHandle struct {
 	res   *JobResult
 }
 
-func newHandle(id, tenant string, shard int, stream bool) *JobHandle {
+func newHandle(id, tenant string, stream bool) *JobHandle {
 	h := &JobHandle{
-		id: id, tenant: tenant, shard: shard,
+		id: id, tenant: tenant,
 		done:  make(chan struct{}),
 		state: "queued",
 	}
@@ -424,9 +410,6 @@ func (h *JobHandle) ID() string { return h.id }
 
 // Tenant returns the submitting tenant label.
 func (h *JobHandle) Tenant() string { return h.tenant }
-
-// Shard returns the shard the job was admitted to.
-func (h *JobHandle) Shard() int { return h.shard }
 
 // Done is closed when the job reaches a terminal state.
 func (h *JobHandle) Done() <-chan struct{} { return h.done }
@@ -539,21 +522,12 @@ func NewService(cfg ServiceConfig) *Service {
 	}
 	sinks := append(append([]Observer(nil), cfg.Observers...), s.metrics)
 	s.bus = obs.NewBus(sinks...)
-	s.shards = make([]*shard, cfg.Shards)
-	for i := range s.shards {
-		prefix := fmt.Sprintf("service.shard.%d.", i)
-		s.shards[i] = &shard{
-			id:         i,
-			pool:       pool.New(pool.Options{Workers: cfg.WorkersPerShard, Depth: cfg.QueueDepth}),
-			gFill:      prefix + "fill",
-			gQueueWait: prefix + "queue_wait_avg_ns",
-		}
-	}
+	s.pool = pool.New(pool.Options{Workers: cfg.Workers, Depth: cfg.QueueDepth})
 	return s
 }
 
 // Metrics returns the service's registry: per-tenant job counters,
-// shard health gauges, worker recycles — the /metrics source and the
+// pool health gauges, worker recycles — the /metrics source and the
 // input to admission control.
 func (s *Service) Metrics() *obs.Metrics { return s.metrics }
 
@@ -565,36 +539,29 @@ func (s *Service) publish(e Event) {
 	s.busMu.Unlock()
 }
 
-// shardFor maps a tenant to its home shard.
-func (s *Service) shardFor(tenant string) *shard {
-	h := fnv.New32a()
-	io.WriteString(h, tenant)
-	return s.shards[int(h.Sum32())%len(s.shards)]
-}
-
-// fill reads the shard's live occupancy, as percent of its total
+// fill reads the pool's live occupancy, as percent of its total
 // capacity (queue depth + workers, so 100 means saturated).
-func (s *Service) fill(sh *shard) int {
-	load := sh.pool.Queued() + sh.pool.InFlight()
-	return load * 100 / (s.cfg.QueueDepth + s.cfg.WorkersPerShard)
+func (s *Service) fill() int {
+	load := s.pool.Queued() + s.pool.InFlight()
+	return load * 100 / (s.cfg.QueueDepth + s.cfg.Workers)
 }
 
-// publishShardGauges folds the shard's live occupancy and queue wait
+// publishPoolGauges folds the pool's live occupancy and queue wait
 // into the registry for /metrics; admission never reads them back.
-func (s *Service) publishShardGauges(sh *shard) {
+func (s *Service) publishPoolGauges() {
 	s.publish(Event{Layer: obs.LayerService, Kind: obs.KindMetric,
-		Str: sh.gFill, Num: uint64(s.fill(sh))})
-	if n, total := sh.pool.QueueWait(); n > 0 {
+		Str: "service.fill", Num: uint64(s.fill())})
+	if n, total := s.pool.QueueWait(); n > 0 {
 		s.publish(Event{Layer: obs.LayerService, Kind: obs.KindMetric,
-			Str: sh.gQueueWait, Num: uint64(total.Nanoseconds()) / n})
+			Str: "service.queue_wait_avg_ns", Num: uint64(total.Nanoseconds()) / n})
 	}
 }
 
-// shedLevel is the admission decision: it reads the target shard's
-// live occupancy and picks the degradation tier for a new job. Queue
+// shedLevel is the admission decision: it reads the pool's live
+// occupancy and picks the degradation tier for a new job. Queue
 // pressure sheds observability features progressively.
-func (s *Service) shedLevel(sh *shard) int {
-	switch fill := s.fill(sh); {
+func (s *Service) shedLevel() int {
+	switch fill := s.fill(); {
 	case fill >= 90:
 		return ShedTrace
 	case fill >= 75:
@@ -653,8 +620,8 @@ func decodeBinaries(spec *JobSpec) (map[string]*image.Image, *JobError) {
 }
 
 // Submit admits a job. The error is a *JobError (malformed spec), an
-// *OverloadError (shard queue full — backpressure; retry after the
-// hint), or ErrDraining. An admitted job always terminates: watch the
+// *OverloadError (queue full — backpressure; retry after the hint), or
+// ErrDraining. An admitted job always terminates: watch the
 // returned handle.
 func (s *Service) Submit(spec JobSpec) (*JobHandle, error) {
 	submitT := time.Now()
@@ -680,18 +647,17 @@ func (s *Service) Submit(spec JobSpec) (*JobHandle, error) {
 			spec.Path = ""
 		}
 	}
-	sh := s.shardFor(spec.Tenant)
 	jerr := validateSpec(&spec)
 	var decoded map[string]*image.Image
 	var decodeT time.Time
 	if jerr == nil {
-		// Backpressure before decode work: a saturated shard rejects
+		// Backpressure before decode work: a saturated pool rejects
 		// here, before any payload parsing, so a flood of pathological
 		// uploads cannot buy unbounded submit-path CPU. The check
 		// mirrors pool.Submit's own queue-full condition; the admit
 		// below remains authoritative if the race goes the other way.
-		if sh.pool.Queued() >= s.cfg.QueueDepth {
-			return nil, &OverloadError{Shard: sh.id, RetryAfter: s.cfg.RetryAfter}
+		if s.pool.Queued() >= s.cfg.QueueDepth {
+			return nil, &OverloadError{RetryAfter: s.cfg.RetryAfter}
 		}
 		decodeT = time.Now()
 		decoded, jerr = decodeBinaries(&spec)
@@ -721,14 +687,14 @@ func (s *Service) Submit(spec JobSpec) (*JobHandle, error) {
 	}
 	rec.AddSpan(root, "admit", submitT.UnixNano(), rec.Now(), "ok")
 
-	shed := s.shedLevel(sh)
-	h := newHandle(id, spec.Tenant, sh.id, spec.Stream && shed < ShedTrace)
+	shed := s.shedLevel()
+	h := newHandle(id, spec.Tenant, spec.Stream && shed < ShedTrace)
 	h.spans = rec
 	j := &job{h: h, spec: spec, decoded: decoded, inj: inj, shed: shed,
 		rec: rec, root: root, deadlineNS: int64(s.jobDeadline(&spec))}
 	j.qspan = rec.StartSpan(root, "queue")
 
-	ok := sh.pool.Submit(pool.Task{
+	ok := s.pool.Submit(pool.Task{
 		Run:     func() { s.runJob(j) },
 		Abort:   func() { s.finishAborted(j) },
 		OnPanic: func(v any) { s.jobPanicked(j, v) },
@@ -742,7 +708,7 @@ func (s *Service) Submit(spec JobSpec) (*JobHandle, error) {
 		if draining {
 			return nil, ErrDraining
 		}
-		return nil, &OverloadError{Shard: sh.id, RetryAfter: s.cfg.RetryAfter}
+		return nil, &OverloadError{RetryAfter: s.cfg.RetryAfter}
 	}
 
 	s.mu.Lock()
@@ -753,8 +719,8 @@ func (s *Service) Submit(spec JobSpec) (*JobHandle, error) {
 			Str: spec.Tenant, Str2: id, Num: uint64(shed)})
 	}
 	s.publish(Event{Layer: obs.LayerService, Kind: obs.KindJobEnqueue,
-		Str: spec.Tenant, Str2: id, Num: uint64(sh.id), Num2: uint64(shed)})
-	s.publishShardGauges(sh)
+		Str: spec.Tenant, Str2: id, Num2: uint64(shed)})
+	s.publishPoolGauges()
 	return h, nil
 }
 
@@ -777,7 +743,7 @@ func (s *Service) runJob(j *job) {
 	j.rec.EndSpan(j.qspan, "ok")
 	j.espan = j.rec.StartSpan(j.root, "exec")
 	s.publish(Event{Layer: obs.LayerService, Kind: obs.KindJobStart,
-		Str: j.h.tenant, Str2: j.h.id, Num: uint64(j.h.shard)})
+		Str: j.h.tenant, Str2: j.h.id})
 	if j.inj != nil {
 		if ms, ok := j.inj.QueueStall(j.h.id); ok {
 			time.Sleep(time.Duration(ms) * time.Millisecond)
@@ -961,19 +927,23 @@ func (s *Service) finish(j *job, res *Result, err error, wall time.Duration) {
 				Chain: append([]string(nil), w.Chain...),
 			}
 		}
-		// The result is built; drop every process's taint shadow and
-		// guest memory so a kept result does not hold the job's pages
-		// alive. Each page whose last owner this is goes to the page
-		// free lists, and later jobs on any worker take it from there
-		// instead of allocating. The shadows drop their taint store
-		// too, and the monitor then hands the store and its
+		// The result is built; drop every process's taint shadow,
+		// guest memory and compiled traces so a kept result does not
+		// hold them alive. Each page whose last owner this is goes to
+		// the page free lists, and later jobs on any worker take it
+		// from there instead of allocating. The shadows drop their
+		// taint store too, and the monitor then hands the store and its
 		// block-counter cache to later jobs: r.Raw keeps no route to
-		// either. From here on the job's memory and shadow read as
-		// empty through r.Raw.
+		// either. The loader builds spans per job, so no live job
+		// shares the trace slots dropped here. From here on the job's
+		// memory, shadow and trace slots read as empty through r.Raw.
 		for _, p := range res.Process.OS.Processes() {
 			p.CPU.Mem.Reset()
 			if sh := p.CPU.Shadow; sh != nil {
 				sh.Release()
+			}
+			for _, sp := range p.CPU.Code.Spans() {
+				sp.DropTraceSlots()
 			}
 		}
 		if res.monitor != nil {
@@ -1010,7 +980,7 @@ func (s *Service) finishAborted(j *job) {
 
 // complete settles the handle (first terminal state wins), collects
 // the job's injected faults, publishes the lifecycle event, and
-// refreshes the shard's health gauges. Waiters are released last, so
+// refreshes the pool's health gauges. Waiters are released last, so
 // one woken by Done() sees its job in every health and metrics view.
 func (s *Service) complete(j *job, r *JobResult, code string) bool {
 	if j.inj != nil {
@@ -1028,13 +998,10 @@ func (s *Service) complete(j *job, r *JobResult, code string) bool {
 		return false
 	}
 	s.publishJobLatency(j, r)
-	sh := s.shards[j.h.shard]
-	if r.TierMix != nil {
-		sh.mu.Lock()
-		sh.mix.add(*r.TierMix)
-		sh.mu.Unlock()
-	}
 	s.mu.Lock()
+	if r.TierMix != nil {
+		s.mix.add(*r.TierMix)
+	}
 	s.doneOrder = append(s.doneOrder, j.h.id)
 	for len(s.doneOrder) > s.cfg.KeepResults {
 		evict := s.doneOrder[0]
@@ -1043,8 +1010,8 @@ func (s *Service) complete(j *job, r *JobResult, code string) bool {
 	}
 	s.mu.Unlock()
 	s.publish(Event{Layer: obs.LayerService, Kind: obs.KindJobDone,
-		Str: j.h.tenant, Str2: code, Num: uint64(j.h.shard), Num2: uint64(j.shed)})
-	s.publishShardGauges(sh)
+		Str: j.h.tenant, Str2: code, Num2: uint64(j.shed)})
+	s.publishPoolGauges()
 	j.h.release()
 	return true
 }
@@ -1113,30 +1080,25 @@ func (s *Service) Faults() []chaos.Fault {
 // the typed worker-crash error naming the panic value.
 func (s *Service) jobPanicked(j *job, v any) {
 	j.rec.EndSpan(j.espan, "crash")
-	sh := s.shards[j.h.shard]
 	s.publish(Event{Layer: obs.LayerService, Kind: obs.KindWorkerRecycle,
-		Num: uint64(sh.id), Str: j.h.tenant, Str2: j.h.id})
+		Str: j.h.tenant, Str2: j.h.id})
 	s.finish(j, nil, &JobError{Code: JobWorkerCrash, Msg: fmt.Sprintf("worker panicked: %v", v)}, 0)
-}
-
-// ShardHealth is one shard's live state in a health snapshot.
-type ShardHealth struct {
-	Shard    int     `json:"shard"`
-	Queued   int     `json:"queued"`
-	InFlight int     `json:"in_flight"`
-	Recycled uint64  `json:"recycled"`
-	Fill     float64 `json:"fill_percent"`
-	// TierMix aggregates the execution-tier mix over this shard's
-	// completed jobs since the service started.
-	TierMix TierMix `json:"tier_mix"`
 }
 
 // ServiceHealth is the /healthz snapshot.
 type ServiceHealth struct {
-	Draining bool          `json:"draining"`
-	Shards   []ShardHealth `json:"shards"`
-	// TierMix is the fleet-wide aggregate of the per-shard mixes: what
-	// fraction of all block entries the fleet served per tier.
+	Draining bool `json:"draining"`
+	// Queued and InFlight count the pool's waiting and running jobs;
+	// Recycled counts worker goroutines replaced after a crash.
+	Queued   int    `json:"queued"`
+	InFlight int    `json:"in_flight"`
+	Recycled uint64 `json:"recycled"`
+	// Fill is the pool's occupancy as percent of queue depth plus
+	// workers: the number admission sheds on.
+	Fill float64 `json:"fill_percent"`
+	// TierMix aggregates the execution-tier mix over every completed
+	// job since the service started: what fraction of all block
+	// entries the fleet served per tier.
 	TierMix TierMix `json:"tier_mix"`
 	// Latency holds the fleet-wide p50/p95/p99 rollups (milliseconds)
 	// per latency stage — "queue", "exec", "e2e" — aggregated across
@@ -1153,22 +1115,11 @@ type ServiceHealth struct {
 // Health snapshots the service's live state.
 func (s *Service) Health() ServiceHealth {
 	s.mu.Lock()
-	hs := ServiceHealth{Draining: s.draining}
+	hs := ServiceHealth{Draining: s.draining, TierMix: s.mix}
 	s.mu.Unlock()
-	capacity := s.cfg.QueueDepth + s.cfg.WorkersPerShard
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		mix := sh.mix
-		sh.mu.Unlock()
-		q, inf := sh.pool.Queued(), sh.pool.InFlight()
-		hs.Shards = append(hs.Shards, ShardHealth{
-			Shard: sh.id, Queued: q, InFlight: inf,
-			Recycled: sh.pool.Recycled(),
-			Fill:     float64((q+inf)*100) / float64(capacity),
-			TierMix:  mix,
-		})
-		hs.TierMix.add(mix)
-	}
+	hs.Queued, hs.InFlight = s.pool.Queued(), s.pool.InFlight()
+	hs.Recycled = s.pool.Recycled()
+	hs.Fill = float64((hs.Queued+hs.InFlight)*100) / float64(s.cfg.QueueDepth+s.cfg.Workers)
 	for _, stage := range [...]string{"queue", "exec", "e2e"} {
 		if r, ok := s.metrics.LatencyRollup(stage); ok {
 			if hs.Latency == nil {
@@ -1198,9 +1149,7 @@ func (s *Service) Drain(ctx context.Context) error {
 
 	done := make(chan struct{})
 	go func() {
-		for _, sh := range s.shards {
-			sh.pool.Drain()
-		}
+		s.pool.Drain()
 		s.busMu.Lock()
 		s.bus.Close()
 		s.busMu.Unlock()

@@ -26,7 +26,7 @@ type soakStats struct {
 }
 
 // runServiceSoak is the shared soak harness: tenants × jobsPerTenant
-// concurrent submitters against a small sharded service under the
+// concurrent submitters against a small service under the
 // given fault plan. It enforces the chaos gate's universal
 // guarantees — every job terminates in a verdict or a typed error, a
 // job fails with the worker-crash error exactly when one worker crash
@@ -35,7 +35,7 @@ type soakStats struct {
 func runServiceSoak(t *testing.T, plan *chaos.Plan, tenants, jobsPerTenant int) soakStats {
 	t.Helper()
 	s := hth.NewService(hth.ServiceConfig{
-		Shards: 4, WorkersPerShard: 2, QueueDepth: 4,
+		Workers: 8, QueueDepth: 4,
 		RetryAfter: 2 * time.Millisecond,
 		Chaos:      plan,
 	})

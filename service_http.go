@@ -20,13 +20,13 @@ import (
 //	                      trace_event JSON (open in Perfetto):
 //	                      submit→queue→exec→verdict with runCore phase
 //	                      and per-tier time children under each exec.
-//	GET  /healthz         shard health snapshot (503 while draining),
+//	GET  /healthz         pool health snapshot (503 while draining),
 //	                      including per-stage p50/p95/p99 latency
 //	                      rollups and the deadline-burn p95 gauge.
 //	GET  /metrics         Prometheus text exposition of the registry.
 //
 // Failure mapping: a malformed spec is 400 with the typed JobError, a
-// full shard queue is 429 with a Retry-After header, a draining
+// full queue is 429 with a Retry-After header, a draining
 // service is 503. A submitted job can never be lost: every admitted
 // id resolves to a terminal result (or a structured abort) until
 // evicted by ServiceConfig.KeepResults.
@@ -102,7 +102,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, res)
 	default:
 		writeJSON(w, http.StatusAccepted, map[string]any{
-			"id": h.ID(), "shard": h.Shard(), "status": h.Status(),
+			"id": h.ID(), "status": h.Status(),
 		})
 	}
 }
@@ -121,7 +121,7 @@ func (s *Service) streamJob(w http.ResponseWriter, r *http.Request, h *JobHandle
 			fl.Flush()
 		}
 	}
-	enc.Encode(map[string]any{"event": "accepted", "id": h.ID(), "shard": h.Shard()})
+	enc.Encode(map[string]any{"event": "accepted", "id": h.ID()})
 	flush()
 	updates := h.Updates() // nil when shed: the loop skips straight to done
 	for updates != nil {

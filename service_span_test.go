@@ -37,7 +37,7 @@ func spansByName(rec *obs.SpanRecorder) map[string][]obs.Span {
 // span and the per-tier children under execute summing to (at most)
 // the execute span — and it exports as Chrome trace JSON over HTTP.
 func TestServiceJobSpanTree(t *testing.T) {
-	s := hth.NewService(hth.ServiceConfig{Shards: 1, WorkersPerShard: 1})
+	s := hth.NewService(hth.ServiceConfig{Workers: 1})
 	h, err := s.Submit(trojanSpec("acme"))
 	if err != nil {
 		t.Fatal(err)
@@ -174,10 +174,10 @@ func names(rec *obs.SpanRecorder) []string {
 // panic value. The monitor is deterministic, so a Setup hook that
 // panics panics the same way on a re-run: two submissions of one spec
 // fail identically, each with one queue and one exec span (closed as
-// "crash"). The crashes recycle two workers and leave the shard fit
+// "crash"). The crashes recycle two workers and leave the pool fit
 // to admit the next job unshed.
 func TestServiceCrashEndsJobOnce(t *testing.T) {
-	s := hth.NewService(hth.ServiceConfig{Shards: 1, WorkersPerShard: 1, QueueDepth: 8})
+	s := hth.NewService(hth.ServiceConfig{Workers: 1, QueueDepth: 8})
 	spec := trojanSpec("acme")
 	spec.Setup = func(*hth.System) { panic("setup: no such device") }
 	var msgs []string
@@ -212,7 +212,7 @@ func TestServiceCrashEndsJobOnce(t *testing.T) {
 	if msgs[0] != msgs[1] {
 		t.Errorf("a re-run crashed differently: %q vs %q", msgs[0], msgs[1])
 	}
-	if got := s.Health().Shards[0].Recycled; got != 2 {
+	if got := s.Health().Recycled; got != 2 {
 		t.Errorf("recycled = %d, want 2 (one per crashed job)", got)
 	}
 	h, err := s.Submit(trojanSpec("acme"))
@@ -230,7 +230,7 @@ func TestServiceCrashEndsJobOnce(t *testing.T) {
 // blows its wall-clock budget terminates with its exec span closed as
 // "deadline", never left open.
 func TestServiceDeadlineSpanStatus(t *testing.T) {
-	s := hth.NewService(hth.ServiceConfig{Shards: 1, WorkersPerShard: 1})
+	s := hth.NewService(hth.ServiceConfig{Workers: 1})
 	spec := hth.JobSpec{
 		Tenant: "acme",
 		Programs: map[string]string{"/bin/spin": `
@@ -267,7 +267,7 @@ loop: jmp loop
 // completed job, the health snapshot carries queue/exec/e2e quantile
 // rollups and a deadline-burn p95, all positive and ordered.
 func TestServiceHealthLatencyRollups(t *testing.T) {
-	s := hth.NewService(hth.ServiceConfig{Shards: 1, WorkersPerShard: 1})
+	s := hth.NewService(hth.ServiceConfig{Workers: 1})
 	h, err := s.Submit(trojanSpec("acme"))
 	if err != nil {
 		t.Fatal(err)

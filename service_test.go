@@ -63,6 +63,49 @@ func monitorOf(res *hth.Result) *harrier.Harrier {
 	return h
 }
 
+// heldTraceSlots counts the trace slots still filled in the code of
+// every process of res.
+func heldTraceSlots(res *hth.Result) int {
+	n := 0
+	for _, p := range res.Process.OS.Processes() {
+		for _, sp := range p.CPU.Code.Spans() {
+			for i := range sp.Instrs {
+				if sp.TraceSlot(i) != nil {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// hotLoopSrc reads stdin into buf, then moves the tainted word 200
+// times: the loop passes the promotion threshold and runs at the trace
+// tier.
+const hotLoopSrc = `
+.text
+_start:
+    mov ebx, 0
+    mov ecx, buf
+    mov edx, 16
+    mov eax, 3          ; read(stdin): taints buf
+    int 0x80
+    mov esi, 200
+hot:
+    mov eax, [buf]
+    add eax, esi
+    mov [dst], eax
+    dec esi
+    cmp esi, 0
+    jnz hot
+    mov ebx, 0
+    mov eax, 1
+    int 0x80
+.data
+buf: .space 16
+dst: .space 16
+`
+
 // blockFreqs reads mon's nonzero block counts at every instruction
 // address in the code of ref's processes, keyed "image:addr".
 func blockFreqs(mon *harrier.Harrier, ref []*vos.Process) map[string]int64 {
@@ -81,7 +124,7 @@ func blockFreqs(mon *harrier.Harrier, ref []*vos.Process) map[string]int64 {
 
 // TestServiceReleasesMonitorState: a settled job's kept result has no
 // route to its taint store or its block-counter cache, which the
-// service hands to later jobs. The corpus runs one job at a time on
+// service hands to later jobs, and holds no compiled trace. The corpus runs one job at a time on
 // one worker, so every job after the first runs on the store and block
 // cache the job before it released; each must still match the batch
 // reference's sweep signature, stats and block frequencies. A stale
@@ -90,7 +133,7 @@ func TestServiceReleasesMonitorState(t *testing.T) {
 	scs := corpus.All()
 	batch := corpus.RunAll(scs, 0)
 	want := corpus.SweepSignature(batch)
-	s := hth.NewService(hth.ServiceConfig{Shards: 1, WorkersPerShard: 1})
+	s := hth.NewService(hth.ServiceConfig{Workers: 1})
 	defer drainService(t, s)
 	counted := 0
 	for i, sc := range scs {
@@ -118,6 +161,9 @@ func TestServiceReleasesMonitorState(t *testing.T) {
 				t.Errorf("%s: settled pid %d's shadow still holds its store", sc.Name, p.PID)
 			}
 		}
+		if n := heldTraceSlots(raw); n != 0 {
+			t.Errorf("%s: settled job's code still holds %d trace slots", sc.Name, n)
+		}
 		mon, ref := monitorOf(raw), monitorOf(batch[i].Result)
 		if mon == nil || ref == nil {
 			if mon != ref {
@@ -139,6 +185,21 @@ func TestServiceReleasesMonitorState(t *testing.T) {
 	}
 	if counted < len(scs)/2 {
 		t.Fatalf("only %d of %d scenarios counted blocks; the frequency check is near vacuous", counted, len(scs))
+	}
+	// The corpus runs almost wholly in the interpreter; a job whose hot
+	// loop takes the trace tier keeps the trace-slot check honest.
+	h, err := s.Submit(hth.JobSpec{Tenant: "hot",
+		Programs: map[string]string{"/bin/hot": hotLoopSrc}, Path: "/bin/hot",
+		Stdin: []byte("0123456789abcdef")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := waitJob(t, h)
+	if res.Status != "done" || res.TierMix == nil || res.TierMix.Trace == 0 {
+		t.Fatalf("hot loop: status %q tier mix %+v, want trace-tier entries", res.Status, res.TierMix)
+	}
+	if n := heldTraceSlots(res.Raw); n != 0 {
+		t.Errorf("hot loop: settled job's code still holds %d trace slots", n)
 	}
 }
 
@@ -261,13 +322,59 @@ func waitRunning(t *testing.T, h *hth.JobHandle) {
 	}
 }
 
+// TestServiceWorkConserving pins dispatch to the first free worker:
+// with the default config, two jobs submitted back to back must run at
+// the same time, whatever their tenants. Each job's Setup signals its
+// arrival and waits up to 5s for the other's. Tenants k00 and k04 hash
+// (FNV-32a mod 4) to one bucket, so a service that pinned tenants to
+// single-worker shards would queue the second job behind the first and
+// both waits would time out.
+func TestServiceWorkConserving(t *testing.T) {
+	s := hth.NewService(hth.ServiceConfig{})
+	defer drainService(t, s)
+	arrived := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	var met [2]bool
+	var handles []*hth.JobHandle
+	for i, tenant := range []string{"k00", "k04"} {
+		spec := trojanSpec(tenant)
+		progs := spec.Programs
+		spec.Programs = nil
+		spec.Setup = func(sys *hth.System) {
+			close(arrived[i])
+			select {
+			case <-arrived[1-i]:
+				met[i] = true
+			case <-time.After(5 * time.Second):
+			}
+			for p, src := range progs {
+				sys.MustInstallSource(p, src)
+			}
+		}
+		h, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, h)
+	}
+	for i, h := range handles {
+		res := waitJob(t, h)
+		if res.Status != "done" {
+			t.Errorf("job %s: status %q (%+v)", res.ID, res.Status, res.Error)
+		}
+		if !met[i] {
+			t.Errorf("job %s (tenant %s) never ran alongside the other: it queued while a worker idled",
+				res.ID, res.Tenant)
+		}
+	}
+}
+
 // TestServiceBackpressure pins the bounded-queue contract: with the
 // single worker blocked and the queue full, Submit rejects with a
 // typed *OverloadError carrying the Retry-After hint — it never
 // blocks and never buffers unboundedly.
 func TestServiceBackpressure(t *testing.T) {
 	s := hth.NewService(hth.ServiceConfig{
-		Shards: 1, WorkersPerShard: 1, QueueDepth: 2,
+		Workers: 1, QueueDepth: 2,
 		RetryAfter: 250 * time.Millisecond,
 	})
 	spec, release := gateSpec("acme")
@@ -286,7 +393,7 @@ func TestServiceBackpressure(t *testing.T) {
 	if !errors.As(err, &over) {
 		t.Fatalf("full queue returned %v, want *OverloadError", err)
 	}
-	if over.RetryAfter != 250*time.Millisecond || over.Shard != 0 {
+	if over.RetryAfter != 250*time.Millisecond {
 		t.Errorf("overload = %+v", over)
 	}
 	release()
@@ -298,7 +405,7 @@ func TestServiceBackpressure(t *testing.T) {
 // and (b) degradation never changes the verdict.
 func TestServiceShedLadder(t *testing.T) {
 	s := hth.NewService(hth.ServiceConfig{
-		Shards: 1, WorkersPerShard: 1, QueueDepth: 16,
+		Workers: 1, QueueDepth: 16,
 	})
 	// Capacity is 17 (queue + worker); fill crosses 50/75/90 percent
 	// at loads 9, 13, and 16.
@@ -329,7 +436,7 @@ func TestServiceShedLadder(t *testing.T) {
 		}
 		sheds = append(sheds, res.Shed)
 	}
-	// Job k was admitted while k-1 jobs occupied the shard.
+	// Job k was admitted while k-1 jobs occupied the pool.
 	for i, want := range map[int]int{
 		1: hth.ShedNone, 9: hth.ShedNone,
 		10: hth.ShedProvenance, 13: hth.ShedProvenance,
@@ -347,7 +454,7 @@ func TestServiceShedLadder(t *testing.T) {
 // the in-flight job finishes with its verdict; queued jobs come back
 // as structured aborts; new submissions are rejected with ErrDraining.
 func TestServiceDrainAbortsQueued(t *testing.T) {
-	s := hth.NewService(hth.ServiceConfig{Shards: 1, WorkersPerShard: 1, QueueDepth: 4})
+	s := hth.NewService(hth.ServiceConfig{Workers: 1, QueueDepth: 4})
 	spec, release := gateSpec("acme")
 	h1, err := s.Submit(spec)
 	if err != nil {
@@ -404,7 +511,7 @@ func TestServiceDrainAbortsQueued(t *testing.T) {
 // log holds exactly that one crash.
 func TestServiceWorkerCrashTypedError(t *testing.T) {
 	s := hth.NewService(hth.ServiceConfig{
-		Shards: 1, WorkersPerShard: 1, QueueDepth: 8,
+		Workers: 1, QueueDepth: 8,
 		Chaos: &chaos.Plan{Seed: 7, Rate: 1, Only: []chaos.Kind{chaos.WorkerCrash}},
 	})
 	h, err := s.Submit(trojanSpec("acme"))
@@ -421,7 +528,7 @@ func TestServiceWorkerCrashTypedError(t *testing.T) {
 	if len(res.ServiceFaults) != 1 || !strings.Contains(res.ServiceFaults[0], "workercrash") {
 		t.Errorf("service faults = %q, want the one worker crash", res.ServiceFaults)
 	}
-	if got := s.Health().Shards[0].Recycled; got != 1 {
+	if got := s.Health().Recycled; got != 1 {
 		t.Errorf("recycled = %d, want 1", got)
 	}
 	drainService(t, s)
@@ -462,7 +569,7 @@ func TestServiceBadSpec(t *testing.T) {
 func TestServiceFlightDumpPerJob(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "flight.jsonl.gz")
-	s := hth.NewService(hth.ServiceConfig{Shards: 1, WorkersPerShard: 2, QueueDepth: 8})
+	s := hth.NewService(hth.ServiceConfig{Workers: 2, QueueDepth: 8})
 	var handles []*hth.JobHandle
 	for i := 0; i < 2; i++ {
 		spec := trojanSpec("acme")
@@ -644,7 +751,7 @@ func TestServiceHTTP(t *testing.T) {
 		t.Errorf("unknown job: code %d", resp.StatusCode)
 	}
 
-	// Health reports the shards.
+	// Health reports the pool and the done jobs' tier mix.
 	resp, err = http.Get(srv.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -652,7 +759,7 @@ func TestServiceHTTP(t *testing.T) {
 	var hs hth.ServiceHealth
 	json.NewDecoder(resp.Body).Decode(&hs)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || len(hs.Shards) != 4 || hs.Draining {
+	if resp.StatusCode != http.StatusOK || hs.TierMix.Blocks == 0 || hs.Draining {
 		t.Errorf("healthz: code %d %+v", resp.StatusCode, hs)
 	}
 
@@ -675,10 +782,10 @@ func TestServiceHTTP(t *testing.T) {
 }
 
 // TestServiceHTTPBackpressure pins the 429 + Retry-After rendering of
-// a full shard queue.
+// a full queue.
 func TestServiceHTTPBackpressure(t *testing.T) {
 	s := hth.NewService(hth.ServiceConfig{
-		Shards: 1, WorkersPerShard: 1, QueueDepth: 1,
+		Workers: 1, QueueDepth: 1,
 		RetryAfter: 1500 * time.Millisecond,
 	})
 	srv := httptest.NewServer(s.Handler())
