@@ -16,10 +16,11 @@ chaos:
 # service-level fault storm (worker crashes, stalls, corrupted specs,
 # slow readers) — zero lost jobs, zero leaked goroutines — plus the
 # zero-rate identity soak, the worker-crash path (one typed error per
-# crashed job), dispatch to the first free worker, and the
+# crashed job), dispatch to the first free worker, a full pool that
+# still grants every job the features it asked for, and the
 # corpus-through-service signature gate, all under the race detector.
 soak:
-	$(GO) test -race -count=1 -run 'TestServiceChaosSoak|TestServiceSoakZeroRate|TestServiceCrashEndsJobOnce|TestServiceWorkerCrashTypedError|TestServiceWorkConserving' .
+	$(GO) test -race -count=1 -run 'TestServiceChaosSoak|TestServiceSoakZeroRate|TestServiceCrashEndsJobOnce|TestServiceWorkerCrashTypedError|TestServiceWorkConserving|TestServiceFullPoolKeepsFeatures' .
 	$(GO) test -race -count=1 -run TestServiceSweepSignatureIdentity ./internal/corpus
 
 test:

@@ -1,6 +1,6 @@
 // Command hth-serve runs the HTH analysis service: a long-lived
 // HTTP/JSON front over one pool of monitored-run workers, with a
-// bounded queue, admission control, load shedding, and a graceful
+// bounded queue (a full one answers 429 with Retry-After) and a graceful
 // drain on SIGINT/SIGTERM (in-flight jobs finish; queued jobs come
 // back as structured aborts — no job is ever lost).
 //

@@ -11,14 +11,14 @@ import (
 
 // TestServiceSweepSignatureIdentity is the service half of the
 // identity gate: every corpus scenario submitted through hth.Service
-// (no chaos plan, a quiet pool → no shedding) must produce a sweep
-// signature element-wise identical to the batch RunAll sweep. The
-// service's queueing, dispatch, and budget clamps must be invisible
-// to detection. The corpus goes through one service twice: the first
-// pass's settled jobs release their guest and shadow pages to the
-// free lists, so the second pass runs mostly on recycled pages, and a
-// recycled page that kept a stale byte or tag, or aliased a live one,
-// would move a signature.
+// (no chaos plan, a queue deep enough to admit them all) must produce
+// a sweep signature element-wise identical to the batch RunAll sweep.
+// The service's queueing, dispatch, and budget clamps must be
+// invisible to detection. The corpus goes through one service twice:
+// the first pass's settled jobs release their guest and shadow pages
+// to the free lists, so the second pass runs mostly on recycled pages,
+// and a recycled page that kept a stale byte or tag, or aliased a live
+// one, would move a signature.
 func TestServiceSweepSignatureIdentity(t *testing.T) {
 	scs := All()
 	if len(scs) == 0 {
@@ -43,7 +43,7 @@ func TestServiceSweepSignatureIdentity(t *testing.T) {
 // status as the outcome's Err.
 func serviceSweep(t *testing.T, scs []*Scenario, passes int) [][]RunOutcome {
 	t.Helper()
-	// Generous queue so no scenario is shed or rejected: identity is
+	// Generous queue so no scenario is rejected: identity is
 	// the point here, load behaviour is pinned elsewhere.
 	svc := hth.NewService(hth.ServiceConfig{
 		Workers: 8, QueueDepth: len(scs),

@@ -95,7 +95,7 @@ func (m *Metrics) Event(e Event) {
 	switch e.Kind {
 	case KindSyscallEnter, KindRuleFire, KindWarning, KindChaosFault:
 		m.byName[countKey{e.Kind, e.Str}]++
-	case KindJobEnqueue, KindJobDone, KindJobShed, KindJobAbort:
+	case KindJobEnqueue, KindJobDone, KindJobAbort:
 		// The job kinds carry the tenant in Str, so service counters
 		// are tenant-labelled for free — behind the cardinality cap.
 		m.byName[countKey{e.Kind, m.tenantLabel(e.Str)}]++
@@ -182,7 +182,6 @@ var counterPrefix = map[Kind]string{
 	KindChaosFault:   "chaos.",
 	KindJobEnqueue:   "job_submitted.",
 	KindJobDone:      "job_done.",
-	KindJobShed:      "job_shed.",
 	KindJobAbort:     "job_aborted.",
 }
 

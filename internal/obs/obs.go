@@ -161,18 +161,15 @@ const (
 	KindChaosFault
 
 	// KindJobEnqueue is a service job admitted to the queue.
-	// Str = tenant, Str2 = job id, Num2 = shed level.
+	// Str = tenant, Str2 = job id.
 	KindJobEnqueue
 	// KindJobStart is a service job beginning execution on a worker.
 	// Str = tenant, Str2 = job id.
 	KindJobStart
 	// KindJobDone is a service job terminating with a result or a
 	// typed error. Str = tenant, Str2 = outcome code ("done", an error
-	// code, or "aborted"), Num2 = shed level.
+	// code, or "aborted").
 	KindJobDone
-	// KindJobShed is an admission decision degrading a job's feature
-	// set under load. Str = tenant, Str2 = job id, Num = shed level.
-	KindJobShed
 	// KindJobAbort is a queued service job completed as a structured
 	// abort during drain. Str = tenant, Str2 = job id.
 	KindJobAbort
@@ -228,7 +225,6 @@ var kindNames = [numKinds]string{
 	KindJobEnqueue:    "job.enqueue",
 	KindJobStart:      "job.start",
 	KindJobDone:       "job.done",
-	KindJobShed:       "job.shed",
 	KindJobAbort:      "job.abort",
 	KindWorkerRecycle: "worker.recycle",
 

@@ -44,7 +44,6 @@ func WritePrometheus(w io.Writer, s *Snapshot) error {
 		{"events.", family{"hth_events_total", "kind", "Observed events by kind."}},
 		{"job_aborted.", family{"hth_jobs_aborted_total", "tenant", "Service jobs aborted during drain by tenant."}},
 		{"job_done.", family{"hth_jobs_done_total", "tenant", "Service jobs terminated by tenant."}},
-		{"job_shed.", family{"hth_jobs_shed_total", "tenant", "Service jobs admitted with degraded features by tenant."}},
 		{"job_submitted.", family{"hth_jobs_submitted_total", "tenant", "Service jobs admitted by tenant."}},
 		{"rule.", family{"hth_rule_fires_total", "rule", "Expert-system rule firings by rule."}},
 		{"syscall.", family{"hth_syscalls_total", "name", "Tracked guest system calls by name."}},

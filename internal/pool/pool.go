@@ -15,10 +15,7 @@
 //     completed as a structured abort).
 package pool
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // Task is one unit of work. Run executes on a worker goroutine; the
 // optional hooks give the submitter a say in the two abnormal ends a
@@ -36,10 +33,6 @@ type Task struct {
 	// been arranged. The task is not retried by the pool; retry policy
 	// belongs to the submitter.
 	OnPanic func(v any)
-
-	// enqueued is stamped by Submit so the dequeue can attribute the
-	// task's queue wait (see QueueWait).
-	enqueued time.Time
 }
 
 // Options configure a pool.
@@ -51,10 +44,6 @@ type Options struct {
 	// (the corpus discipline: enqueue the whole sweep, let the
 	// workers drain it).
 	Depth int
-	// OnRecycle, when non-nil, is told about each worker recycle (a
-	// task panic that retired a worker goroutine and spawned a
-	// replacement), with the recovered value.
-	OnRecycle func(v any)
 }
 
 // Pool runs tasks on a fixed set of worker goroutines.
@@ -65,9 +54,7 @@ type Pool struct {
 	queue    []Task
 	inflight int
 	recycled uint64
-	waited   uint64 // tasks whose queue wait has been recorded
-	waitNS   int64  // cumulative queue wait
-	closed   bool   // no further Submits; workers exit when queue empties
+	closed   bool // no further Submits; workers exit when queue empties
 	wg       sync.WaitGroup
 }
 
@@ -97,21 +84,10 @@ func (p *Pool) Submit(t Task) bool {
 		p.mu.Unlock()
 		return false
 	}
-	t.enqueued = time.Now()
 	p.queue = append(p.queue, t)
 	p.mu.Unlock()
 	p.cond.Signal()
 	return true
-}
-
-// QueueWait reports the cumulative time dequeued tasks spent waiting
-// in the queue and how many tasks that covers — the pool-level side
-// of the service's queue-wait attribution (its gauge divides the two
-// for a running average).
-func (p *Pool) QueueWait() (tasks uint64, total time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.waited, time.Duration(p.waitNS)
 }
 
 // Queued returns the number of tasks waiting to run.
@@ -184,10 +160,6 @@ func (p *Pool) worker() {
 		t := p.queue[0]
 		p.queue = p.queue[1:]
 		p.inflight++
-		if !t.enqueued.IsZero() {
-			p.waited++
-			p.waitNS += time.Since(t.enqueued).Nanoseconds()
-		}
 		p.mu.Unlock()
 		if !p.runTask(t) {
 			// The task panicked: recycle this worker. The replacement
@@ -215,9 +187,6 @@ func (p *Pool) runTask(t Task) (ok bool) {
 			ok = false
 			if t.OnPanic != nil {
 				t.OnPanic(r)
-			}
-			if p.opts.OnRecycle != nil {
-				p.opts.OnRecycle(r)
 			}
 		}
 	}()

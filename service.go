@@ -31,9 +31,9 @@ import (
 //   - the queue is bounded, and a full queue is explicit
 //     backpressure (an *OverloadError carrying a Retry-After hint —
 //     HTTP 429 at the transport), never unbounded buffering;
-//   - admission control reads the pool's live occupancy and sheds
-//     expensive features tier by tier (provenance → flight recorder →
-//     event log/stream) before it starts rejecting work;
+//   - every admitted job runs with exactly the features its spec
+//     asked for: load decides whether a job is admitted, never what
+//     it returns;
 //   - a worker that panics — outside the run's own containment — is
 //     recycled, and its job ends at once in the typed worker-crash
 //     error (the monitor is deterministic, so a re-run would repeat
@@ -43,18 +43,11 @@ import (
 //
 // Detections are the point of the service, so none of the resilience
 // machinery may touch them: at chaos rate zero a job's warnings are
-// bit-identical to a batch System.Run of the same inputs, whatever
-// the shed tier (shedding removes observability, never policy).
+// bit-identical to a batch System.Run of the same inputs.
 type Service struct {
 	cfg     ServiceConfig
 	metrics *obs.Metrics
 	pool    *pool.Pool
-
-	// busMu serializes bus publishes: the obs.Bus itself is built for
-	// the simulator's single thread, but the service publishes from
-	// submitters, workers, and timers.
-	busMu sync.Mutex
-	bus   *obs.Bus
 
 	mu        sync.Mutex
 	jobs      map[string]*JobHandle
@@ -96,10 +89,6 @@ type ServiceConfig struct {
 	// fixed decision points. Zero-rate plans are inert. This drives the
 	// chaos soak; production services leave it nil.
 	Chaos *chaos.Plan
-	// Observers receive the service's own event stream (job lifecycle,
-	// worker recycles, admission gauges) in addition to the built-in
-	// metrics registry. They must be safe for concurrent use.
-	Observers []Observer
 }
 
 func (c *ServiceConfig) normalize() {
@@ -122,23 +111,6 @@ func (c *ServiceConfig) normalize() {
 		c.KeepResults = 4096
 	}
 }
-
-// Shed tiers: under load the service strips a job's expensive
-// features in this order before it starts rejecting work. Shedding
-// only ever removes observability — provenance chains, post-mortem
-// flight dumps, the event log and live stream — never detection, so a
-// shed job's warnings are identical to an unshedded one.
-const (
-	// ShedNone runs the job exactly as specified.
-	ShedNone = 0
-	// ShedProvenance drops provenance tracing.
-	ShedProvenance = 1
-	// ShedFlight additionally drops the flight recorder and its dump.
-	ShedFlight = 2
-	// ShedTrace additionally drops the event log and the live update
-	// stream (the job still returns its full verdict and warnings).
-	ShedTrace = 3
-)
 
 // JobSpec describes one analysis job: the guest world to build, the
 // program to run under the monitor, and per-job budget and feature
@@ -177,28 +149,27 @@ type JobSpec struct {
 	// DeadlineMS overrides the wall-clock budget in milliseconds
 	// (clamped by the service's MaxDeadline).
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// Provenance requests causal provenance chains on warnings (shed
-	// under load: tier >= ShedProvenance drops it).
+	// Provenance requests causal provenance chains on warnings.
 	Provenance bool `json:"provenance,omitempty"`
 	// Symbolize renders provenance block hops as image:symbol+delta
 	// frames when the loaded images carry symbols; it is effective only
-	// while Provenance is granted (and is shed with it).
+	// together with Provenance.
 	Symbolize bool `json:"symbolize,omitempty"`
 	// Stream requests live JobUpdate delivery (warnings as they fire)
-	// on the handle's Updates channel (shed at tier >= ShedTrace).
+	// on the handle's Updates channel.
 	Stream bool `json:"stream,omitempty"`
 
 	// FlightPath requests a post-mortem flight dump; the actual file
 	// is "<path>.<jobid>.jsonl.gz" so concurrent jobs never clobber
-	// each other (shed at tier >= ShedFlight). In-process submitters
-	// only: a server-side file path is not the client's to choose.
+	// each other. In-process submitters only: a server-side file path
+	// is not the client's to choose.
 	FlightPath string `json:"-"`
 	// Setup, when non-nil, builds the guest world programmatically
 	// before Programs/Files are installed. In-process submitters only.
 	Setup func(*System) `json:"-"`
 	// Tweak, when non-nil, adjusts the run configuration after
-	// defaults are applied and before service budget clamps and shed
-	// masking. In-process submitters only.
+	// defaults are applied and before the service's budget clamps and
+	// the spec's feature requests. In-process submitters only.
 	Tweak func(*Config) `json:"-"`
 }
 
@@ -303,8 +274,6 @@ type JobResult struct {
 	// TierMix is the run's execution-tier block-entry mix (nil for
 	// failed/aborted jobs and for unmonitored runs).
 	TierMix *TierMix `json:"tier_mix,omitempty"`
-	// Shed is the degradation tier the job was admitted at.
-	Shed int `json:"shed,omitempty"`
 	// DroppedUpdates counts stream updates dropped because the tenant
 	// read too slowly (the stream never stalls a worker).
 	DroppedUpdates uint64 `json:"dropped_updates,omitempty"`
@@ -422,9 +391,9 @@ func (h *JobHandle) Done() <-chan struct{} { return h.done }
 func (h *JobHandle) Spans() *obs.SpanRecorder { return h.spans }
 
 // Updates returns the live stream channel (nil unless the spec asked
-// for streaming and the admission tier allowed it). The channel is
-// closed at job termination; a slow reader loses intermediate updates
-// (counted in JobResult.DroppedUpdates) but never the final result.
+// for streaming). The channel is closed at job termination; a slow
+// reader loses intermediate updates (counted in
+// JobResult.DroppedUpdates) but never the final result.
 func (h *JobHandle) Updates() <-chan JobUpdate { return h.updates }
 
 // Status reports "queued", "running", or the terminal
@@ -496,7 +465,6 @@ type job struct {
 	spec    JobSpec
 	decoded map[string]*image.Image // binary payloads decoded at submit
 	inj     *chaos.Injector         // nil without a service chaos plan
-	shed    int
 
 	// Lifecycle trace state: the recorder (shared with the handle),
 	// the root "job" span, the open queue/exec spans, and the
@@ -520,56 +488,27 @@ func NewService(cfg ServiceConfig) *Service {
 		metrics: obs.NewMetrics(),
 		jobs:    make(map[string]*JobHandle),
 	}
-	sinks := append(append([]Observer(nil), cfg.Observers...), s.metrics)
-	s.bus = obs.NewBus(sinks...)
 	s.pool = pool.New(pool.Options{Workers: cfg.Workers, Depth: cfg.QueueDepth})
 	return s
 }
 
 // Metrics returns the service's registry: per-tenant job counters,
-// pool health gauges, worker recycles — the /metrics source and the
-// input to admission control.
+// the pool's fill gauge, worker recycles, latency histograms — the
+// /metrics source.
 func (s *Service) Metrics() *obs.Metrics { return s.metrics }
 
-// publish delivers one event to the service bus under the publish
-// lock (the bus itself is single-threaded by design).
-func (s *Service) publish(e Event) {
-	s.busMu.Lock()
-	s.bus.Publish(e)
-	s.busMu.Unlock()
+// fill renders a pool load (queued + in-flight jobs) as percent of the
+// pool's total capacity (queue depth + workers, so 100 means
+// saturated).
+func (s *Service) fill(load int) float64 {
+	return float64(load*100) / float64(s.cfg.QueueDepth+s.cfg.Workers)
 }
 
-// fill reads the pool's live occupancy, as percent of its total
-// capacity (queue depth + workers, so 100 means saturated).
-func (s *Service) fill() int {
-	load := s.pool.Queued() + s.pool.InFlight()
-	return load * 100 / (s.cfg.QueueDepth + s.cfg.Workers)
-}
-
-// publishPoolGauges folds the pool's live occupancy and queue wait
-// into the registry for /metrics; admission never reads them back.
-func (s *Service) publishPoolGauges() {
-	s.publish(Event{Layer: obs.LayerService, Kind: obs.KindMetric,
-		Str: "service.fill", Num: uint64(s.fill())})
-	if n, total := s.pool.QueueWait(); n > 0 {
-		s.publish(Event{Layer: obs.LayerService, Kind: obs.KindMetric,
-			Str: "service.queue_wait_avg_ns", Num: uint64(total.Nanoseconds()) / n})
-	}
-}
-
-// shedLevel is the admission decision: it reads the pool's live
-// occupancy and picks the degradation tier for a new job. Queue
-// pressure sheds observability features progressively.
-func (s *Service) shedLevel() int {
-	switch fill := s.fill(); {
-	case fill >= 90:
-		return ShedTrace
-	case fill >= 75:
-		return ShedFlight
-	case fill >= 50:
-		return ShedProvenance
-	}
-	return ShedNone
+// publishFill folds the pool's live occupancy into the registry's
+// service.fill gauge for /metrics.
+func (s *Service) publishFill() {
+	s.metrics.Event(Event{Layer: obs.LayerService, Kind: obs.KindMetric,
+		Str: "service.fill", Num: uint64(s.fill(s.pool.Queued() + s.pool.InFlight()))})
 }
 
 // validateSpec rejects malformed specifications with the typed
@@ -666,31 +605,25 @@ func (s *Service) Submit(spec JobSpec) (*JobHandle, error) {
 		if inj != nil {
 			s.collectFaults(inj)
 		}
-		s.publish(Event{Layer: obs.LayerService, Kind: obs.KindJobDone,
+		s.metrics.Event(Event{Layer: obs.LayerService, Kind: obs.KindJobDone,
 			Str: spec.Tenant, Str2: jerr.Code})
 		return nil, jerr
 	}
 
 	// The job's lifecycle trace: rejected submissions above get no
-	// trace (nothing was admitted); from here on every span mutation
-	// mirrors onto the service bus. The root is back-stamped to the
+	// trace (nothing was admitted). The root is back-stamped to the
 	// moment Submit was entered so the admit span covers validation
 	// and the backpressure gate too.
 	rec := obs.NewSpanRecorder(id)
-	rec.SetPublish(func(e Event) {
-		e.Layer = obs.LayerService
-		s.publish(e)
-	})
 	root := rec.StartSpanAt(0, "job", submitT.UnixNano())
 	if len(spec.Binaries) > 0 {
 		rec.AddSpan(root, "decode", decodeT.UnixNano(), rec.Now(), "ok")
 	}
 	rec.AddSpan(root, "admit", submitT.UnixNano(), rec.Now(), "ok")
 
-	shed := s.shedLevel()
-	h := newHandle(id, spec.Tenant, spec.Stream && shed < ShedTrace)
+	h := newHandle(id, spec.Tenant, spec.Stream)
 	h.spans = rec
-	j := &job{h: h, spec: spec, decoded: decoded, inj: inj, shed: shed,
+	j := &job{h: h, spec: spec, decoded: decoded, inj: inj,
 		rec: rec, root: root, deadlineNS: int64(s.jobDeadline(&spec))}
 	j.qspan = rec.StartSpan(root, "queue")
 
@@ -714,13 +647,9 @@ func (s *Service) Submit(spec JobSpec) (*JobHandle, error) {
 	s.mu.Lock()
 	s.jobs[id] = h
 	s.mu.Unlock()
-	if shed > ShedNone {
-		s.publish(Event{Layer: obs.LayerService, Kind: obs.KindJobShed,
-			Str: spec.Tenant, Str2: id, Num: uint64(shed)})
-	}
-	s.publish(Event{Layer: obs.LayerService, Kind: obs.KindJobEnqueue,
-		Str: spec.Tenant, Str2: id, Num2: uint64(shed)})
-	s.publishPoolGauges()
+	s.metrics.Event(Event{Layer: obs.LayerService, Kind: obs.KindJobEnqueue,
+		Str: spec.Tenant, Str2: id})
+	s.publishFill()
 	return h, nil
 }
 
@@ -742,7 +671,7 @@ func (s *Service) runJob(j *job) {
 	j.h.mu.Unlock()
 	j.rec.EndSpan(j.qspan, "ok")
 	j.espan = j.rec.StartSpan(j.root, "exec")
-	s.publish(Event{Layer: obs.LayerService, Kind: obs.KindJobStart,
+	s.metrics.Event(Event{Layer: obs.LayerService, Kind: obs.KindJobStart,
 		Str: j.h.tenant, Str2: j.h.id})
 	if j.inj != nil {
 		if ms, ok := j.inj.QueueStall(j.h.id); ok {
@@ -761,8 +690,8 @@ func (s *Service) runJob(j *job) {
 }
 
 // execute builds the job's private guest world and runs it under the
-// monitor with the service's budget clamps and the admission tier's
-// feature mask applied.
+// monitor with the service's budget clamps and the spec's feature
+// requests applied.
 func (s *Service) execute(j *job) (*Result, error) {
 	sys := NewSystem()
 	if j.spec.Setup != nil {
@@ -827,16 +756,11 @@ func (s *Service) execute(j *job) (*Result, error) {
 	cfg.Spans = true
 	cfg.spanRec = j.rec
 	cfg.spanParent = j.espan
-	// Feature mask by admission tier: strictly observability — the
-	// policy engine and monitor semantics are never degraded.
-	cfg.Provenance = j.spec.Provenance && j.shed < ShedProvenance
+	cfg.Provenance = j.spec.Provenance
 	cfg.Symbolize = j.spec.Symbolize && cfg.Provenance
 	cfg.FlightPath = ""
-	if j.spec.FlightPath != "" && j.shed < ShedFlight {
+	if j.spec.FlightPath != "" {
 		cfg.FlightPath = flightDumpPath(j.spec.FlightPath, j.h.id)
-	}
-	if j.shed >= ShedTrace {
-		cfg.Monitor.KeepEventLog = false
 	}
 	if j.h.updates != nil {
 		h := j.h
@@ -884,8 +808,7 @@ func severityName(n int) string {
 func (s *Service) finish(j *job, res *Result, err error, wall time.Duration) {
 	finishT := j.rec.Now()
 	r := &JobResult{
-		ID: j.h.id, Tenant: j.h.tenant,
-		Shed: j.shed, WallNS: wall.Nanoseconds(),
+		ID: j.h.id, Tenant: j.h.tenant, WallNS: wall.Nanoseconds(),
 	}
 	code := "done"
 	if err != nil {
@@ -969,11 +892,11 @@ func (s *Service) finish(j *job, res *Result, err error, wall time.Duration) {
 // queued) as a structured abort.
 func (s *Service) finishAborted(j *job) {
 	r := &JobResult{
-		ID: j.h.id, Tenant: j.h.tenant, Status: "aborted", Shed: j.shed,
+		ID: j.h.id, Tenant: j.h.tenant, Status: "aborted",
 		Error: &JobError{Code: JobAborted, Msg: "service drained before the job ran"},
 	}
 	if s.complete(j, r, JobAborted) {
-		s.publish(Event{Layer: obs.LayerService, Kind: obs.KindJobAbort,
+		s.metrics.Event(Event{Layer: obs.LayerService, Kind: obs.KindJobAbort,
 			Str: j.h.tenant, Str2: j.h.id})
 	}
 }
@@ -1009,9 +932,9 @@ func (s *Service) complete(j *job, r *JobResult, code string) bool {
 		delete(s.jobs, evict)
 	}
 	s.mu.Unlock()
-	s.publish(Event{Layer: obs.LayerService, Kind: obs.KindJobDone,
-		Str: j.h.tenant, Str2: code, Num2: uint64(j.shed)})
-	s.publishPoolGauges()
+	s.metrics.Event(Event{Layer: obs.LayerService, Kind: obs.KindJobDone,
+		Str: j.h.tenant, Str2: code})
+	s.publishFill()
 	j.h.release()
 	return true
 }
@@ -1032,25 +955,19 @@ func (s *Service) publishJobLatency(j *job, r *JobResult) {
 		stage string
 		v     int64
 	}{{"queue", qns}, {"exec", ens}, {"e2e", e2e}} {
-		s.publish(Event{Layer: obs.LayerService, Kind: obs.KindJobLatency,
-			Str: j.h.tenant, Str2: o.stage, Num: uint64(max64(o.v, 0))})
+		s.metrics.Event(Event{Layer: obs.LayerService, Kind: obs.KindJobLatency,
+			Str: j.h.tenant, Str2: o.stage, Num: uint64(max(o.v, 0))})
 	}
 	if r.Status == "done" && j.deadlineNS > 0 && r.WallNS > 0 {
 		burn := uint64(r.WallNS) * 1_000_000 / uint64(j.deadlineNS)
-		s.publish(Event{Layer: obs.LayerService, Kind: obs.KindJobLatency,
+		s.metrics.Event(Event{Layer: obs.LayerService, Kind: obs.KindJobLatency,
 			Str: j.h.tenant, Str2: "deadline_burn", Num: burn})
 	}
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // collectFaults appends an injector's recorded faults to the service
-// log (publishing each on the bus) and returns their rendered forms.
+// log (counting each in the registry) and returns their rendered
+// forms.
 func (s *Service) collectFaults(inj *chaos.Injector) []string {
 	fs := inj.Faults()
 	if len(fs) == 0 {
@@ -1062,7 +979,7 @@ func (s *Service) collectFaults(inj *chaos.Injector) []string {
 	s.mu.Unlock()
 	for i, f := range fs {
 		out[i] = f.String()
-		s.publish(Event{Layer: obs.LayerChaos, Kind: obs.KindChaosFault,
+		s.metrics.Event(Event{Layer: obs.LayerChaos, Kind: obs.KindChaosFault,
 			Num: uint64(f.Errno), Num2: f.Info, Str: f.Kind.String(), Str2: f.Path})
 	}
 	return out
@@ -1080,7 +997,7 @@ func (s *Service) Faults() []chaos.Fault {
 // the typed worker-crash error naming the panic value.
 func (s *Service) jobPanicked(j *job, v any) {
 	j.rec.EndSpan(j.espan, "crash")
-	s.publish(Event{Layer: obs.LayerService, Kind: obs.KindWorkerRecycle,
+	s.metrics.Event(Event{Layer: obs.LayerService, Kind: obs.KindWorkerRecycle,
 		Str: j.h.tenant, Str2: j.h.id})
 	s.finish(j, nil, &JobError{Code: JobWorkerCrash, Msg: fmt.Sprintf("worker panicked: %v", v)}, 0)
 }
@@ -1094,7 +1011,7 @@ type ServiceHealth struct {
 	InFlight int    `json:"in_flight"`
 	Recycled uint64 `json:"recycled"`
 	// Fill is the pool's occupancy as percent of queue depth plus
-	// workers: the number admission sheds on.
+	// workers (the service.fill gauge reads the same number).
 	Fill float64 `json:"fill_percent"`
 	// TierMix aggregates the execution-tier mix over every completed
 	// job since the service started: what fraction of all block
@@ -1119,7 +1036,7 @@ func (s *Service) Health() ServiceHealth {
 	s.mu.Unlock()
 	hs.Queued, hs.InFlight = s.pool.Queued(), s.pool.InFlight()
 	hs.Recycled = s.pool.Recycled()
-	hs.Fill = float64((hs.Queued+hs.InFlight)*100) / float64(s.cfg.QueueDepth+s.cfg.Workers)
+	hs.Fill = s.fill(hs.Queued + hs.InFlight)
 	for _, stage := range [...]string{"queue", "exec", "e2e"} {
 		if r, ok := s.metrics.LatencyRollup(stage); ok {
 			if hs.Latency == nil {
@@ -1150,9 +1067,6 @@ func (s *Service) Drain(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.pool.Drain()
-		s.busMu.Lock()
-		s.bus.Close()
-		s.busMu.Unlock()
 		close(done)
 	}()
 	select {

@@ -123,7 +123,7 @@ func (s *Service) streamJob(w http.ResponseWriter, r *http.Request, h *JobHandle
 	}
 	enc.Encode(map[string]any{"event": "accepted", "id": h.ID()})
 	flush()
-	updates := h.Updates() // nil when shed: the loop skips straight to done
+	updates := h.Updates() // non-nil: stream=1 set spec.Stream
 	for updates != nil {
 		select {
 		case u, ok := <-updates:

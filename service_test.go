@@ -275,9 +275,6 @@ func TestServiceMatchesBatchRun(t *testing.T) {
 	if res.Outcome != "clean" || res.Verdict != "LOW" {
 		t.Errorf("outcome/verdict = %q/%q", res.Outcome, res.Verdict)
 	}
-	if res.Shed != hth.ShedNone {
-		t.Errorf("shed = %d", res.Shed)
-	}
 	// The per-job tier mix must partition the batch run's block count,
 	// and the fleet health view must aggregate it.
 	if res.TierMix == nil {
@@ -400,51 +397,63 @@ func TestServiceBackpressure(t *testing.T) {
 	drainService(t, s)
 }
 
-// TestServiceShedLadder drives queue fill through the shed thresholds
-// and checks (a) later admissions run at progressively degraded tiers
-// and (b) degradation never changes the verdict.
-func TestServiceShedLadder(t *testing.T) {
+// TestServiceFullPoolKeepsFeatures fills the pool to capacity (one
+// busy worker, a full 16-deep queue) with jobs that ask for provenance
+// and a live stream, and checks every one of them returns exactly what
+// it asked for: load decides whether a job is admitted, never what it
+// returns.
+func TestServiceFullPoolKeepsFeatures(t *testing.T) {
 	s := hth.NewService(hth.ServiceConfig{
 		Workers: 1, QueueDepth: 16,
 	})
-	// Capacity is 17 (queue + worker); fill crosses 50/75/90 percent
-	// at loads 9, 13, and 16.
-	spec, release := gateSpec("acme")
-	h1, err := s.Submit(spec)
+	gate, release := gateSpec("acme")
+	gate.Provenance, gate.Stream = true, true
+	h1, err := s.Submit(gate)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, h1)
 	handles := []*hth.JobHandle{h1}
 	for i := 2; i <= 17; i++ {
-		h, err := s.Submit(trojanSpec("acme"))
+		spec := trojanSpec("acme")
+		spec.Provenance, spec.Stream = true, true
+		h, err := s.Submit(spec)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 		handles = append(handles, h)
 	}
+	var over *hth.OverloadError
+	if _, err := s.Submit(trojanSpec("acme")); !errors.As(err, &over) {
+		t.Fatalf("submit past a full pool: %v, want *OverloadError", err)
+	}
 	release()
-	sheds := make([]int, 0, len(handles))
-	for _, h := range handles {
+	for i, h := range handles {
 		res := waitJob(t, h)
 		if res.Status != "done" {
-			t.Fatalf("job %s: status %q (%+v)", res.ID, res.Status, res.Error)
+			t.Fatalf("job %d: status %q (%+v)", i+1, res.Status, res.Error)
 		}
 		if res.Verdict != "LOW" || len(res.Warnings) != 1 {
-			t.Errorf("job %s (shed %d): verdict %q, %d warnings — shedding changed detection",
-				res.ID, res.Shed, res.Verdict, len(res.Warnings))
+			t.Errorf("job %d: verdict %q, %d warnings, want LOW with 1",
+				i+1, res.Verdict, len(res.Warnings))
 		}
-		sheds = append(sheds, res.Shed)
-	}
-	// Job k was admitted while k-1 jobs occupied the pool.
-	for i, want := range map[int]int{
-		1: hth.ShedNone, 9: hth.ShedNone,
-		10: hth.ShedProvenance, 13: hth.ShedProvenance,
-		14: hth.ShedFlight, 16: hth.ShedFlight,
-		17: hth.ShedTrace,
-	} {
-		if got := sheds[i-1]; got != want {
-			t.Errorf("job %d admitted at shed %d, want %d", i, got, want)
+		if res.Raw == nil || len(res.Raw.Events) == 0 {
+			t.Errorf("job %d: no event log", i+1)
+		}
+		if len(res.Warnings) == 1 && len(res.Warnings[0].Chain) == 0 {
+			t.Errorf("job %d: warning has no provenance chain", i+1)
+		}
+		updates := h.Updates()
+		if updates == nil {
+			t.Errorf("job %d: no stream", i+1)
+			continue
+		}
+		streamed := 0
+		for range updates {
+			streamed++
+		}
+		if streamed != 1 {
+			t.Errorf("job %d: %d streamed warnings, want 1", i+1, streamed)
 		}
 	}
 	drainService(t, s)
